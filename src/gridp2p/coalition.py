@@ -19,17 +19,21 @@ gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .auction import AuctionOutcome
+from .auction import AuctionOutcome, Fill
 from .core import DomainError
 from .prosumer import position_value
 
 GRID_ID = "grid"
 THIRD_PARTY_ID = "third_party"
+
+# One participant's settled slot: (kWh routed, revenue, cost), exact.
+Leg = tuple[Fraction, Fraction, Fraction]
+_ZERO = Fraction(0)
 
 
 class Venue(Enum):
@@ -85,10 +89,6 @@ class CoalitionStructure:
     auction_members: tuple[str, ...]
     midmarket_members: tuple[str, ...]
     outcome: AuctionOutcome
-    midmarket_trades: tuple[Trade, ...] = ()
-
-    def with_trades(self, trades: Iterable[Trade]) -> "CoalitionStructure":
-        return replace(self, midmarket_trades=tuple(trades))
 
 
 def mid_market_prices(p_auc: float, p_fit: float, beta: float) -> tuple[float, float]:
@@ -123,6 +123,42 @@ def _fee_price(sell: Fraction, beta: float) -> Fraction:
     return sell * (1 + Fraction(beta))
 
 
+def pool_trades(
+    sellers: Sequence[Fill], buyers: Sequence[Fill], matched: Fraction, venue: Venue,
+    sell_price: Fraction, buy_price: Fraction, fit: Fraction, third: Fraction,
+) -> tuple[list[Trade], dict[str, Leg]]:
+    """Pair a pro-rata pool and route its residuals; return the trades and legs.
+
+    Each fill clears part of its position inside the pool; the cleared
+    amounts on each side sum to ``matched``. Seller ``s`` delivers
+    ``cleared_s * cleared_b / matched`` to buyer ``b``; unfilled surplus sells
+    to the grid at the feed-in tariff, unfilled deficit comes from the third
+    party. The pairwise trades sum exactly to each fill, so every leg is read
+    off its own fill in O(S+B) instead of re-adding the S×B trades.
+    """
+    trades: list[Trade] = []
+    if matched > 0:
+        filled = [(f.prosumer_id, f.cleared) for f in buyers if f.cleared > 0]
+        for f in sellers:
+            if f.cleared == 0:
+                continue
+            ratio = f.cleared / matched
+            for bid, b_cleared in filled:
+                trades.append(Trade(f.prosumer_id, bid, ratio * b_cleared, sell_price, buy_price, venue))
+    legs: dict[str, Leg] = {}
+    for f in sellers:
+        residual = f.unfilled
+        if residual > 0:
+            trades.append(Trade(f.prosumer_id, GRID_ID, residual, fit, fit, Venue.GRID))
+        legs[f.prosumer_id] = (f.submitted, sell_price * f.cleared + fit * residual, _ZERO)
+    for f in buyers:
+        residual = f.unfilled
+        if residual > 0:
+            trades.append(Trade(THIRD_PARTY_ID, f.prosumer_id, residual, third, third, Venue.THIRD_PARTY))
+        legs[f.prosumer_id] = (f.submitted, _ZERO, buy_price * f.cleared + third * residual)
+    return trades, legs
+
+
 def match_midmarket(
     sellers: Sequence[tuple[str, Fraction]],
     buyers: Sequence[tuple[str, Fraction]],
@@ -130,13 +166,14 @@ def match_midmarket(
     beta: float,
     fit_price: float,
     third_party_price: float,
-) -> list[Trade]:
+) -> tuple[list[Trade], dict[str, Leg]]:
     """Match mid-market surplus against deficit pro-rata and route residuals.
 
     Every seller's quantity is spread over the buyers in proportion to their
     demands (and vice versa), so the matched total is the smaller of total
     surplus and total deficit, exactly. Leftover surplus is sold to the grid
     at the feed-in tariff; leftover deficit is bought from the third party.
+    Returns the trades and each participant's leg.
     """
     sellers = [(pid, Fraction(q)) for pid, q in sellers]
     buyers = [(pid, Fraction(q)) for pid, q in buyers]
@@ -146,29 +183,13 @@ def match_midmarket(
     supply = sum((q for _, q in sellers), Fraction(0))
     demand = sum((q for _, q in buyers), Fraction(0))
     matched = min(supply, demand)
-
     sell_f = Fraction(mid_sell)
-    buy_f = _fee_price(sell_f, beta)
-    fit_f = Fraction(fit_price)
-    third_f = Fraction(third_party_price)
-
-    trades: list[Trade] = []
-    if matched > 0:
-        for sid, s_qty in sellers:
-            seller_share = s_qty * matched / supply
-            for bid, b_qty in buyers:
-                q = seller_share * b_qty / demand
-                if q > 0:
-                    trades.append(Trade(sid, bid, q, sell_f, buy_f, Venue.MID_MARKET))
-    for sid, s_qty in sellers:
-        residual = s_qty - (s_qty * matched / supply if supply > 0 else Fraction(0))
-        if residual > 0:
-            trades.append(Trade(sid, GRID_ID, residual, fit_f, fit_f, Venue.GRID))
-    for bid, b_qty in buyers:
-        residual = b_qty - (b_qty * matched / demand if demand > 0 else Fraction(0))
-        if residual > 0:
-            trades.append(Trade(THIRD_PARTY_ID, bid, residual, third_f, third_f, Venue.THIRD_PARTY))
-    return trades
+    return pool_trades(
+        [Fill(pid, q, q * matched / supply) for pid, q in sellers],
+        [Fill(pid, q, q * matched / demand) for pid, q in buyers],
+        matched, Venue.MID_MARKET, sell_f, _fee_price(sell_f, beta),
+        Fraction(fit_price), Fraction(third_party_price),
+    )
 
 
 # --- Stability ---------------------------------------------------------------

@@ -14,6 +14,7 @@ prosumer sits the slot out.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -50,10 +51,19 @@ class OrderSide(Enum):
 
 
 def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
+    """Convert to floats, refusing booleans, strings, NaN and infinities."""
     try:
-        return tuple(float(v) for v in values)
+        values = tuple(values)
+        floats = tuple(map(float, values))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be a sequence of numbers") from exc
+        raise ScenarioError(f"{name}: expected numbers") from exc
+    if set(map(type, values)) & {bool, str} or not all(map(math.isfinite, floats)):
+        raise ScenarioError(f"{name}: expected finite numbers")
+    return floats
+
+
+def _as_float(value: float, name: str) -> float:
+    return _as_float_tuple((value,), name)[0]
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class ProsumerProfile:
             if any(a <= 0 for a in self.alpha):
                 raise ScenarioError(f"prosumer {self.id}: alpha must be > 0 at every slot")
         else:
-            object.__setattr__(self, "alpha", float(self.alpha))
+            object.__setattr__(self, "alpha", _as_float(self.alpha, "alpha"))
             if self.alpha <= 0:
                 raise ScenarioError(f"prosumer {self.id}: alpha must be > 0")
         if any(p < 0 for p in self.reservation_price):
@@ -121,6 +131,8 @@ class GridPolicy:
             object.__setattr__(
                 self, "supply_capacity", _as_float_tuple(self.supply_capacity, "supply_capacity")
             )
+        for name in ("a", "b", "offpeak_price", "fit_price"):
+            _as_float(getattr(self, name), f"grid.{name}")
         if self.a <= 0:
             raise ScenarioError("grid.a must be > 0")
         if self.b <= 0:
@@ -140,6 +152,8 @@ class MarketConfig:
     auction_price_rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION
 
     def __post_init__(self) -> None:
+        _as_float(self.beta, "market.beta")
+        _as_float(self.third_party_price, "market.third_party_price")
         if self.beta < 0:
             raise ScenarioError("market.beta must be >= 0")
         if self.third_party_price <= 0:
@@ -157,8 +171,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prosumers", tuple(self.prosumers))
-        if self.slots < 1:
-            raise ScenarioError("slots must be >= 1")
+        if type(self.slots) is not int or self.slots < 1:
+            raise ScenarioError("slots must be an integer >= 1")
         if not self.prosumers:
             raise ScenarioError("scenario needs at least one prosumer")
         seen: set[str] = set()
@@ -184,9 +198,6 @@ class Scenario:
             raise ScenarioError(
                 f"grid.supply_capacity has length {len(self.grid.supply_capacity)}, expected {self.slots}"
             )
-
-    def max_alpha(self, slot: int) -> float:
-        return max(p.alpha_at(slot) for p in self.prosumers)
 
     def sellers_at(self, slot: int) -> list[ProsumerProfile]:
         return [p for p in self.prosumers if p.net_energy[slot] > 0]
@@ -444,9 +455,13 @@ def emit_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
+def _reject_constant(token: str) -> float:
+    raise ScenarioError(f"invalid JSON: {token} is not a finite number")
+
+
 def load_scenario_text(text: str) -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data)

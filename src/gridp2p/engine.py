@@ -7,13 +7,18 @@ horizon without peer trading (everything through the grid, or deficits
 through the third party), and ``compare`` distills the three runs into the
 cost and revenue metrics of interest.
 
-Cash amounts are exact rationals throughout; floats appear only in utilities
-and in emitted reports.
+Every pool settles per participant: each prosumer's leg is its routed kWh,
+revenue and cost, read off its own matched share and residual in O(S+B) per
+slot (``pool_trades`` and ``_route_positions``). The pairwise trades, and so
+the rows of ``trades.csv``, are a presentation of those legs and sum to them
+exactly. Cash amounts are exact rationals throughout; floats appear only in
+utilities and in emitted reports.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +30,14 @@ from .coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
     CoalitionStructure,
+    Leg,
     StabilityContext,
     Trade,
     Venue,
     match_midmarket,
     mid_market_prices,
     partition,
+    pool_trades,
 )
 from .core import DomainError, Order, OrderSide, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
@@ -65,13 +72,10 @@ class SlotResult:
 
 @dataclass(frozen=True)
 class ReportAggregates:
-    cps_cost_total: float
     cps_cost_peak: float
     peak_slots: tuple[int, ...]
     seller_revenue_peak: dict[str, Fraction]
     buyer_cost_peak: dict[str, Fraction]
-    seller_revenue_total: dict[str, Fraction]
-    buyer_cost_total: dict[str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -89,88 +93,61 @@ def _effective_auction_price(outcome: AuctionOutcome, fit_price: float) -> float
 
 
 def _settle(
-    scenario: Scenario,
-    slot: int,
-    trades: Sequence[Trade],
-    venue_of: Mapping[str, str],
+    scenario: Scenario, slot: int, legs: Mapping[str, Leg], venue_of: Mapping[str, str]
 ) -> dict[str, ProsumerSlot]:
-    energy: dict[str, Fraction] = {}
-    cash: dict[str, Fraction] = {}
-    revenue: dict[str, Fraction] = {}
-    cost: dict[str, Fraction] = {}
-    for t in trades:
-        if t.seller_id not in (GRID_ID, THIRD_PARTY_ID):
-            energy[t.seller_id] = energy.get(t.seller_id, Fraction(0)) + t.quantity
-            revenue[t.seller_id] = revenue.get(t.seller_id, Fraction(0)) + t.receipt
-            cash[t.seller_id] = cash.get(t.seller_id, Fraction(0)) + t.receipt
-        if t.buyer_id not in (GRID_ID, THIRD_PARTY_ID):
-            energy[t.buyer_id] = energy.get(t.buyer_id, Fraction(0)) + t.quantity
-            cost[t.buyer_id] = cost.get(t.buyer_id, Fraction(0)) + t.payment
-            cash[t.buyer_id] = cash.get(t.buyer_id, Fraction(0)) - t.payment
-
+    zero = Fraction(0)
     result: dict[str, ProsumerSlot] = {}
     for p in scenario.prosumers:
-        pid = p.id
-        if pid in energy:
-            utility = position_value(
-                p.alpha_at(slot), float(energy[pid]), float(cash.get(pid, Fraction(0)))
-            )
-        else:
-            utility = 0.0
-        result[pid] = ProsumerSlot(
-            utility=utility,
-            revenue=revenue.get(pid, Fraction(0)),
-            cost=cost.get(pid, Fraction(0)),
-            venue=venue_of.get(pid, "none"),
-        )
+        leg = legs.get(p.id)
+        venue = venue_of.get(p.id, "none")
+        if leg is None:
+            result[p.id] = ProsumerSlot(utility=0.0, revenue=zero, cost=zero, venue=venue)
+            continue
+        energy, revenue, cost = leg
+        utility = position_value(p.alpha_at(slot), float(energy), float(revenue - cost))
+        result[p.id] = ProsumerSlot(utility=utility, revenue=revenue, cost=cost, venue=venue)
     return result
 
 
-def _grid_slot_trades(
-    scenario: Scenario, slot: int, buying_price: float
-) -> tuple[list[Trade], dict[str, str]]:
-    """Everyone trades with the grid: buyers at ``buying_price``, sellers at FiT."""
+def _route_positions(
+    scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
+) -> tuple[list[Trade], dict[str, str], dict[str, Leg]]:
+    """Route whole positions: surplus to the grid at FiT, deficit from ``buy_venue``."""
     fit = Fraction(scenario.grid.fit_price)
-    price = Fraction(buying_price)
+    price = Fraction(buy_price)
+    source = GRID_ID if buy_venue is Venue.GRID else THIRD_PARTY_ID
+    zero = Fraction(0)
     trades: list[Trade] = []
     venues: dict[str, str] = {}
+    legs: dict[str, Leg] = {}
     for p in scenario.prosumers:
         net = p.net_energy[slot]
         if net > 0:
-            trades.append(Trade(p.id, GRID_ID, Fraction(net), fit, fit, Venue.GRID))
+            q = Fraction(net)
+            trades.append(Trade(p.id, GRID_ID, q, fit, fit, Venue.GRID))
             venues[p.id] = Venue.GRID.value
+            legs[p.id] = (q, fit * q, zero)
         elif net < 0:
-            trades.append(Trade(GRID_ID, p.id, Fraction(-net), price, price, Venue.GRID))
-            venues[p.id] = Venue.GRID.value
-    return trades, venues
+            q = Fraction(-net)
+            trades.append(Trade(source, p.id, q, price, price, buy_venue))
+            venues[p.id] = buy_venue.value
+            legs[p.id] = (q, zero, price * q)
+    return trades, venues, legs
 
 
-def _auction_trades(outcome: AuctionOutcome, fit_price: float, third_party_price: float) -> list[Trade]:
+def _auction_trades(
+    outcome: AuctionOutcome, fit_price: float, third_party_price: float
+) -> tuple[list[Trade], dict[str, Leg]]:
     """Pair cleared quantities pro-rata and route the auction residuals.
 
     Unsold burden goes to the grid at the feed-in tariff; unmet buyer demand
     is covered by the third party.
     """
-    trades: list[Trade] = []
-    total = outcome.total_cleared
     price = Fraction(outcome.auction_price)
-    fit = Fraction(fit_price)
-    third = Fraction(third_party_price)
-    if total > 0:
-        for sf in outcome.seller_fills:
-            if sf.cleared == 0:
-                continue
-            for bf in outcome.buyer_fills:
-                q = sf.cleared * bf.cleared / total
-                if q > 0:
-                    trades.append(Trade(sf.prosumer_id, bf.prosumer_id, q, price, price, Venue.AUCTION))
-    for sf in outcome.seller_fills:
-        if sf.unfilled > 0:
-            trades.append(Trade(sf.prosumer_id, GRID_ID, sf.unfilled, fit, fit, Venue.GRID))
-    for bf in outcome.buyer_fills:
-        if bf.unfilled > 0:
-            trades.append(Trade(THIRD_PARTY_ID, bf.prosumer_id, bf.unfilled, third, third, Venue.THIRD_PARTY))
-    return trades
+    return pool_trades(
+        outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION,
+        price, price, Fraction(fit_price), Fraction(third_party_price),
+    )
 
 
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
@@ -180,19 +157,8 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     grid = scenario.grid
     market = scenario.market
     signal = decide_slot_price(grid, scenario.prosumers, slot)
-    e_d = total_prosumer_demand(scenario.prosumers, slot)
-
     if not signal.peak_flag:
-        trades, venues = _grid_slot_trades(scenario, slot, signal.selling_price)
-        cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], signal.selling_price)
-        return SlotResult(
-            slot=slot,
-            price_signal=signal,
-            structure=None,
-            trades=tuple(trades),
-            cps_cost=cost,
-            per_prosumer=_settle(scenario, slot, trades, venues),
-        )
+        return _baseline_slot(scenario, slot, MODE_P2P, signal)
 
     sellers = scenario.sellers_at(slot)
     buyers = scenario.buyers_at(slot)
@@ -215,7 +181,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         _effective_auction_price(outcome, grid.fit_price), grid.fit_price, market.beta
     )
     mid_ids = set(structure.midmarket_members)
-    mid_trades = match_midmarket(
+    mid_trades, mid_legs = match_midmarket(
         sellers=[(p.id, Fraction(p.net_energy[slot])) for p in sellers if p.id in mid_ids],
         buyers=[(p.id, Fraction(-p.net_energy[slot])) for p in buyers if p.id in mid_ids],
         mid_sell=mid_sell,
@@ -223,12 +189,13 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         fit_price=grid.fit_price,
         third_party_price=market.third_party_price,
     )
-    structure = structure.with_trades(mid_trades)
 
     trades: list[Trade] = []
+    legs: dict[str, Leg] = {}
     if not outcome.is_empty:
-        trades.extend(_auction_trades(outcome, grid.fit_price, market.third_party_price))
+        trades, legs = _auction_trades(outcome, grid.fit_price, market.third_party_price)
     trades.extend(mid_trades)
+    legs.update(mid_legs)
 
     venues = {pid: Venue.AUCTION.value for pid in structure.auction_members}
     venues.update({pid: Venue.MID_MARKET.value for pid in structure.midmarket_members})
@@ -242,82 +209,68 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         structure=structure,
         trades=tuple(trades),
         cps_cost=cost,
-        per_prosumer=_settle(scenario, slot, trades, venues),
+        per_prosumer=_settle(scenario, slot, legs, venues),
     )
 
 
-def _baseline_slot(scenario: Scenario, slot: int, mode: str) -> SlotResult:
+def _baseline_slot(
+    scenario: Scenario, slot: int, mode: str, signal: PriceSignal | None = None
+) -> SlotResult:
+    """Settle a slot by whole positions: any off-peak slot, and a baseline's peak."""
     grid = scenario.grid
-    signal = decide_slot_price(grid, scenario.prosumers, slot)
+    if signal is None:
+        signal = decide_slot_price(grid, scenario.prosumers, slot)
     e_d = total_prosumer_demand(scenario.prosumers, slot)
-
+    buy_price, buy_venue = signal.selling_price, Venue.GRID
     if not signal.peak_flag:
-        trades, venues = _grid_slot_trades(scenario, slot, signal.selling_price)
         cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], signal.selling_price)
     elif mode == MODE_GRID_ONLY:
-        trades, venues = _grid_slot_trades(scenario, slot, signal.selling_price)
         # The punitive price is a deterrent, not a revenue stream: the cost
         # booked against the slot is the uncredited overage of serving the
         # full demand beyond the threshold.
         cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], 0.0)
     else:
-        fit = Fraction(grid.fit_price)
-        third = Fraction(scenario.market.third_party_price)
-        trades = []
-        venues = {}
-        for p in scenario.prosumers:
-            net = p.net_energy[slot]
-            if net > 0:
-                trades.append(Trade(p.id, GRID_ID, Fraction(net), fit, fit, Venue.GRID))
-                venues[p.id] = Venue.GRID.value
-            elif net < 0:
-                trades.append(
-                    Trade(THIRD_PARTY_ID, p.id, Fraction(-net), third, third, Venue.THIRD_PARTY)
-                )
-                venues[p.id] = Venue.THIRD_PARTY.value
+        buy_price, buy_venue = scenario.market.third_party_price, Venue.THIRD_PARTY
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
 
+    trades, venues, legs = _route_positions(scenario, slot, buy_price, buy_venue)
     return SlotResult(
         slot=slot,
         price_signal=signal,
         structure=None,
         trades=tuple(trades),
         cps_cost=cost,
-        per_prosumer=_settle(scenario, slot, trades, venues),
+        per_prosumer=_settle(scenario, slot, legs, venues),
     )
 
 
 def aggregate_slots(scenario: Scenario, slots: Sequence[SlotResult]) -> ReportAggregates:
+    """Sum cost, revenue and spend over the peak slots, the only ones compared."""
     ids = [p.id for p in scenario.prosumers]
-    zero = {pid: Fraction(0) for pid in ids}
-    rev_peak = dict(zero)
-    cost_peak = dict(zero)
-    rev_total = dict(zero)
-    cost_total = dict(zero)
+    rev_peak = {pid: Fraction(0) for pid in ids}
+    cost_peak = dict(rev_peak)
     peak_slots = []
-    cps_total = 0.0
     cps_peak = 0.0
     for s in slots:
-        cps_total += s.cps_cost
-        if s.price_signal.peak_flag:
-            peak_slots.append(s.slot)
-            cps_peak += s.cps_cost
+        if not s.price_signal.peak_flag:
+            continue
+        peak_slots.append(s.slot)
+        cps_peak += s.cps_cost
         for pid in ids:
             ps = s.per_prosumer[pid]
-            rev_total[pid] += ps.revenue
-            cost_total[pid] += ps.cost
-            if s.price_signal.peak_flag:
-                rev_peak[pid] += ps.revenue
-                cost_peak[pid] += ps.cost
+            rev_peak[pid] += ps.revenue
+            cost_peak[pid] += ps.cost
     return ReportAggregates(
-        cps_cost_total=cps_total,
         cps_cost_peak=cps_peak,
         peak_slots=tuple(peak_slots),
         seller_revenue_peak=rev_peak,
         buyer_cost_peak=cost_peak,
-        seller_revenue_total=rev_total,
-        buyer_cost_total=cost_total,
     )
+
+
+def worker_count(jobs: int, slots: int) -> int:
+    """Slot workers to start: never more than the slots or the CPUs, at least one."""
+    return max(1, min(jobs, slots, os.cpu_count() or 1))
 
 
 def _run(scenario: Scenario, mode: str, jobs: int = 1) -> SimulationReport:
@@ -326,8 +279,9 @@ def _run(scenario: Scenario, mode: str, jobs: int = 1) -> SimulationReport:
     else:
         slot_fn = partial(_baseline_slot, scenario, mode=mode)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, scenario.slots)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             slots = tuple(pool.map(slot_fn, range(scenario.slots)))
     else:
         slots = tuple(slot_fn(t) for t in range(scenario.slots))

@@ -85,7 +85,7 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
 
 
 def test_match_midmarket_exact_balance():
-    trades = match_midmarket(
+    trades, _ = match_midmarket(
         [("s1", Fraction(4))], [("b1", Fraction(2)), ("b2", Fraction(2))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -97,7 +97,7 @@ def test_match_midmarket_exact_balance():
 
 
 def test_match_midmarket_surplus_residual_to_grid():
-    trades = match_midmarket(
+    trades, _ = match_midmarket(
         [("s1", Fraction(6))], [("b1", Fraction(2))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -110,7 +110,7 @@ def test_match_midmarket_surplus_residual_to_grid():
 
 
 def test_match_midmarket_deficit_residual_to_third_party():
-    trades = match_midmarket(
+    trades, _ = match_midmarket(
         [("s1", Fraction(2))], [("b1", Fraction(5))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -122,14 +122,14 @@ def test_match_midmarket_deficit_residual_to_third_party():
 
 
 def test_match_midmarket_no_sellers():
-    trades = match_midmarket(
+    trades, _ = match_midmarket(
         [], [("b1", Fraction(3))], mid_sell=11.0, beta=0.1, fit_price=10.0, third_party_price=21.0
     )
     assert len(trades) == 1 and trades[0].venue is Venue.THIRD_PARTY
 
 
 def test_midmarket_fee_is_exactly_beta_times_receipt():
-    trades = match_midmarket(
+    trades, _ = match_midmarket(
         [("s1", Fraction(5)), ("s2", Fraction(3))],
         [("b1", Fraction(2)), ("b2", Fraction(4))],
         mid_sell=11.5, beta=0.1, fit_price=10.0, third_party_price=21.0,
@@ -152,7 +152,7 @@ def test_midmarket_fee_is_exactly_beta_times_receipt():
 def test_midmarket_conservation(surpluses, deficits, mid_sell, beta):
     sellers = [(f"s{i}", Fraction(q)) for i, q in enumerate(surpluses)]
     buyers = [(f"b{i}", Fraction(q)) for i, q in enumerate(deficits)]
-    trades = match_midmarket(sellers, buyers, mid_sell, beta, 10.0, 21.0)
+    trades, _ = match_midmarket(sellers, buyers, mid_sell, beta, 10.0, 21.0)
     sold = {pid: Fraction(0) for pid, _ in sellers}
     bought = {pid: Fraction(0) for pid, _ in buyers}
     for t in trades:

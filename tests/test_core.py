@@ -1,6 +1,7 @@
 """Domain types, scenario generation and serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -157,3 +158,39 @@ def test_emitted_json_is_stable():
     keys = list(json.loads(first).keys())
     assert keys == ["slots", "slot_minutes", "seed", "grid", "market", "prosumers"]
     assert emit_scenario(load_scenario_text(first)) == first
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_loader_rejects_non_finite_json_numbers(value):
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["grid"]["threshold"][0] = value
+    with pytest.raises(ScenarioError, match="not a finite number"):
+        load_scenario_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_built_objects_reject_non_finite_numbers(value):
+    with pytest.raises(ScenarioError, match="threshold"):
+        GridPolicy(1.0, 1.0, (value,), (0.0,), 28.0, 10.0)
+    with pytest.raises(ScenarioError, match="net_energy"):
+        ProsumerProfile("x", 1.0, (value,), (11.0,), (11.0,))
+    with pytest.raises(ScenarioError, match="alpha"):
+        ProsumerProfile("x", value, (1.0,), (11.0,), (11.0,))
+    with pytest.raises(ScenarioError, match="market.third_party_price"):
+        MarketConfig(third_party_price=value)
+
+
+def test_loader_rejects_booleans_and_strings_as_numbers():
+    for value in (True, "1.5"):
+        data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+        data["prosumers"][0]["net_energy"][0] = value
+        with pytest.raises(ScenarioError, match="net_energy"):
+            scenario_from_dict(data)
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["grid"]["a"] = True
+    with pytest.raises(ScenarioError, match="grid.a"):
+        scenario_from_dict(data)
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["slots"] = True
+    with pytest.raises(ScenarioError, match="slots"):
+        scenario_from_dict(data)

@@ -1,5 +1,6 @@
 """Slot orchestration, baselines, settlement and comparison metrics."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -21,12 +22,14 @@ from gridp2p.engine import (
     compare,
     run_horizon,
     run_slot,
+    worker_count,
 )
 from gridp2p.fixtures import (
     blended_price_scenario,
     two_coalition_demo_scenario,
     uniform_auction_scenario,
 )
+from gridp2p.prosumer import position_value
 
 
 def _one_slot_scenario(prosumers, threshold, **market_kwargs):
@@ -159,25 +162,67 @@ def test_reaggregation_idempotent():
         assert aggregate_slots(scenario, report.slots) == report.aggregates
 
 
-def test_settlement_conservation_exact():
-    scenario = make_case_study_scenario(13)
-    report = run_horizon(scenario)
+def _assert_settles_exactly(scenario, report):
+    """Every settled leg equals what the prosumer's trades add up to, exactly."""
     for s in report.slots:
         payments = sum((t.payment for t in s.trades), Fraction(0))
         receipts = sum((t.receipt for t in s.trades), Fraction(0))
         fees = sum((t.fee for t in s.trades), Fraction(0))
         assert payments == receipts + fees
-        # Per-prosumer cash in the settlement equals the trades it appears in.
+        # Per-prosumer cash and kWh in the settlement equal the trades it appears in.
         rev = {pid: Fraction(0) for pid in (p.id for p in scenario.prosumers)}
         cost = dict(rev)
+        kwh = dict(rev)
         for t in s.trades:
             if t.seller_id in rev:
                 rev[t.seller_id] += t.receipt
+                kwh[t.seller_id] += t.quantity
             if t.buyer_id in cost:
                 cost[t.buyer_id] += t.payment
-        for pid in rev:
-            assert s.per_prosumer[pid].revenue == rev[pid]
-            assert s.per_prosumer[pid].cost == cost[pid]
+                kwh[t.buyer_id] += t.quantity
+        for p in scenario.prosumers:
+            settled = s.per_prosumer[p.id]
+            assert settled.revenue == rev[p.id]
+            assert settled.cost == cost[p.id]
+            assert kwh[p.id] == abs(Fraction(p.net_energy[s.slot]))
+            if kwh[p.id]:
+                alpha = p.alpha_at(s.slot)
+                assert settled.utility == position_value(alpha, float(kwh[p.id]), float(rev[p.id] - cost[p.id]))
+            else:
+                assert settled.utility == 0.0
+
+
+def test_settlement_conservation_exact():
+    # The smallest seller is clipped at zero by the equal burden and clears nothing.
+    clipped = _one_slot_scenario(
+        [_prosumer("s1", 1.0, ask=11.0), _prosumer("s2", 10.0, ask=11.5), _prosumer("s3", 10.0, ask=12.0)]
+        + [_prosumer(f"b{i}", -1.0, bidp=14.0 + i / 2) for i in range(3)],
+        threshold=1.0,
+    )
+    fills = {f.prosumer_id: f.cleared for f in run_slot(clipped, 0).structure.outcome.seller_fills}
+    assert fills["s1"] == 0 and fills["s2"] > 0
+    no_auction = _one_slot_scenario([_prosumer("s1", 4.0, ask=15.0), _prosumer("b1", -6.0, bidp=11.0)], 4.0)
+    assert run_slot(no_auction, 0).structure.outcome.is_empty
+    # The auction clears s1 and b1; s2 is left in a mid-market without buyers.
+    sellers_only_mid = _one_slot_scenario(
+        [_prosumer("s1", 3.0, ask=11.0), _prosumer("s2", 2.0, ask=15.0), _prosumer("b1", -3.0, bidp=14.0)],
+        threshold=1.0,
+    )
+    assert run_slot(sellers_only_mid, 0).structure.midmarket_members == ("s2",)
+
+    scenarios = [make_case_study_scenario(seed) for seed in (0, 7, 13, 29)] + [
+        make_case_study_scenario(3, sellers_per_slot=3),
+        make_case_study_scenario(3, sellers_per_slot=9),
+        uniform_auction_scenario(),
+        blended_price_scenario(),
+        two_coalition_demo_scenario(),
+        clipped,
+        no_auction,
+        sellers_only_mid,
+    ]
+    for scenario in scenarios:
+        for run in (run_horizon, baseline_grid_only, baseline_third_party):
+            _assert_settles_exactly(scenario, run(scenario))
 
 
 def test_grid_only_baseline_peak_pricing():
@@ -289,3 +334,13 @@ def test_dominance_on_random_scenarios():
 def test_parallel_slots_match_sequential():
     scenario = make_case_study_scenario(9, slots=6)
     assert run_horizon(scenario, jobs=2) == run_horizon(scenario, jobs=1)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(10**6, 22) == 4
+    assert worker_count(8, 3) == 3
+    assert worker_count(2, 22) == 2
+    assert worker_count(0, 22) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 22) == 1

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -148,6 +149,17 @@ def test_cli_validation_error_exit_code(tmp_path):
     bad.write_text(json.dumps(data))
     code = main(["simulate", "--scenario", str(bad), "--mode", "p2p", "--out", str(tmp_path / "r")])
     assert code == EXIT_VALIDATION
+
+
+def test_cli_rejects_nan_and_boolean_numbers(tmp_path):
+    scenario = make_case_study_scenario(1, slots=4)
+    for field, value in (("threshold", math.nan), ("net_energy", True)):
+        data = json.loads(emit_scenario(scenario))
+        (data["grid"] if field == "threshold" else data["prosumers"][0])[field][0] = value
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", "--scenario", str(bad), "--mode", "compare", "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
 
 
 def test_cli_missing_scenario_is_io_error(tmp_path):
