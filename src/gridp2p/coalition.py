@@ -7,14 +7,16 @@ feed-in tariff, with a network fee on the buyer side). Imbalances inside the
 mid-market group fall back to the grid (surplus, at the feed-in tariff) or a
 third-party source (deficit, at a fixed price).
 
-``check_dhp_stability`` then asks whether any prosumer, or any small group
-allowed to regroup, could do strictly better by walking away. Auction
+``check_dhp_stability`` then asks whether any prosumer, or any group of
+mid-market members, could do strictly better by walking away. Auction
 participants are committed by the clearing mechanism, so their only unilateral
-moves are the non-cooperative ones: buy from the grid at the announced peak
-price, or from the third party. Mid-market members can additionally leave to
-form their own side market (alone or in pairs) at the same mid-market terms.
-A deviation counts as a counterexample only if every prosumer in it strictly
-gains.
+moves are the non-cooperative ones: trade with the grid at the announced
+prices, or buy from the third party. Mid-market members can additionally leave
+to form their own side market, in a group of any size, at the same mid-market
+terms. A deviation counts as a counterexample only if every prosumer in it
+strictly gains. The check is exact, in settled cash, and needs only the
+one-prosumer moves: its docstring proves that no breakaway group can gain
+unless one of its members already gains alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Mapping, Sequence
 
 from .auction import AuctionOutcome, Fill
 from .core import DomainError
-from .prosumer import position_value
 
 GRID_ID = "grid"
 THIRD_PARTY_ID = "third_party"
@@ -197,27 +198,24 @@ def match_midmarket(
 
 @dataclass(frozen=True)
 class StabilityContext:
-    """Everything needed to price a deviation from the formed structure."""
+    """Each active prosumer's position and settled cash, and the outside prices."""
 
-    alpha: Mapping[str, float]
     surplus: Mapping[str, Fraction]
     deficit: Mapping[str, Fraction]
-    grid_selling_price: float
-    fit_price: float
-    third_party_price: float
-    mid_sell: float
-    mid_buy: float
-    utilities: Mapping[str, float]
+    cash: Mapping[str, Fraction]
+    grid_selling_price: Fraction
+    fit_price: Fraction
+    third_party_price: Fraction
 
 
 @dataclass(frozen=True)
 class Deviation:
-    """A candidate defection and the utilities it would produce."""
+    """A candidate defection and the exact cash it would settle to."""
 
     kind: str
     members: tuple[str, ...]
-    utility_before: tuple[float, ...]
-    utility_after: tuple[float, ...]
+    cash_before: tuple[Fraction, ...]
+    cash_after: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -226,90 +224,49 @@ class StabilityVerdict:
     witness: Deviation | None = None
 
 
-_GAIN_EPS = 1e-9
-
-
-def _alone_utility(ctx: StabilityContext, pid: str, buy_price: float) -> float:
-    """Settled utility of meeting one's whole position outside the structure."""
-    if pid in ctx.surplus:
-        qty = float(ctx.surplus[pid])
-        return position_value(ctx.alpha[pid], qty, ctx.fit_price * qty)
-    qty = float(ctx.deficit[pid])
-    return position_value(ctx.alpha[pid], qty, -buy_price * qty)
-
-
-def _split_utilities(ctx: StabilityContext, members: Sequence[str]) -> dict[str, float]:
-    """Utilities of a breakaway group trading at mid-market terms.
-
-    The group matches internally exactly like the mid-market coalition:
-    pro-rata up to the smaller side, surplus residual to the grid, deficit
-    residual to the third party.
-    """
-    sellers = [(pid, ctx.surplus[pid]) for pid in members if pid in ctx.surplus]
-    buyers = [(pid, ctx.deficit[pid]) for pid in members if pid in ctx.deficit]
-    supply = sum((q for _, q in sellers), Fraction(0))
-    demand = sum((q for _, q in buyers), Fraction(0))
-    matched = min(supply, demand)
-
-    result: dict[str, float] = {}
-    for pid, qty in sellers:
-        m = float(qty * matched / supply) if supply > 0 else 0.0
-        cash = ctx.mid_sell * m + ctx.fit_price * (float(qty) - m)
-        result[pid] = position_value(ctx.alpha[pid], float(qty), cash)
-    for pid, qty in buyers:
-        m = float(qty * matched / demand) if demand > 0 else 0.0
-        cash = ctx.mid_buy * m + ctx.third_party_price * (float(qty) - m)
-        result[pid] = position_value(ctx.alpha[pid], float(qty), -cash)
-    return result
-
-
-def _admissible(ctx: StabilityContext, after: Mapping[str, float]) -> bool:
-    return all(after[pid] > ctx.utilities[pid] + _GAIN_EPS for pid in after)
-
-
 def check_dhp_stability(
     structure: CoalitionStructure, ctx: StabilityContext
 ) -> StabilityVerdict:
-    """Search the feasible deviations for one that strictly helps everyone in it.
+    """Decide D_hp stability (Apt & Witzel, 2009) exactly, from settled cash.
 
-    Enumerated, in deterministic order: every active prosumer acting alone
-    through the grid at the announced peak price, every buyer acting alone
-    through the third party, and (for instances of at most 12 prosumers)
-    every singleton and pair of mid-market members regrouping into a fresh
-    side market. The first deviation in which each deviator strictly gains is
-    returned as the witness; if none exists the structure is stable.
+    Each active prosumer, auction members first, is tried acting alone: through
+    the grid (surplus at the feed-in tariff, deficit at the announced peak
+    price), then, for a deficit, through the third party. The first move that
+    settles to strictly more cash is returned as the witness; if none exists
+    the structure is stable. This also covers every group of mid-market
+    members, of any size, breaking away into a side market of its own:
+
+    - Every active position is fully routed, before and after any deviation,
+      so the satisfaction term alpha*log2(1+|net|) does not change, and a
+      strict gain in utility is a strict gain in cash.
+    - A mid-market seller's cash is ``FiT*q + (mid_sell - FiT)*m`` and a
+      buyer's is ``-tp*q + (tp - mid_buy)*m``, where ``m`` is its matched
+      share. A member whose cash falls with ``m`` (a seller when
+      ``mid_sell < FiT``, a buyer when ``mid_buy > tp``) gains only from
+      ``m > 0``, and then it already gains strictly alone, through the grid
+      or the third party, which is tried first. Any other member gains
+      strictly only through a strictly higher fill ratio.
+    - In the pro-rata pool the short side has fill ratio 1. So a group whose
+      members all need a higher fill cannot gain: a member from the short
+      side cannot raise its fill, and a group without one holds one side
+      only, whose members get fill 0.
+
+    So whenever some group gains strictly, some prosumer gains strictly alone,
+    and the one-prosumer moves decide stability.
     """
-    members = list(structure.auction_members) + list(structure.midmarket_members)
-
-    def witness(kind: str, group: Sequence[str], after: Mapping[str, float]) -> StabilityVerdict:
-        return StabilityVerdict(
-            stable=False,
-            witness=Deviation(
-                kind=kind,
-                members=tuple(group),
-                utility_before=tuple(ctx.utilities[p] for p in group),
-                utility_after=tuple(after[p] for p in group),
-            ),
-        )
-
-    for pid in members:
-        after = {pid: _alone_utility(ctx, pid, ctx.grid_selling_price)}
-        if _admissible(ctx, after):
-            return witness("grid_alone", (pid,), after)
-        if pid in ctx.deficit:
-            after = {pid: _alone_utility(ctx, pid, ctx.third_party_price)}
-            if _admissible(ctx, after):
-                return witness("third_party_alone", (pid,), after)
-
-    if len(members) <= 12:
-        mids = list(structure.midmarket_members)
-        for i, pid in enumerate(mids):
-            after = _split_utilities(ctx, (pid,))
-            if _admissible(ctx, after):
-                return witness("midmarket_split", (pid,), after)
-            for qid in mids[i + 1 :]:
-                after = _split_utilities(ctx, (pid, qid))
-                if _admissible(ctx, after):
-                    return witness("midmarket_split", (pid, qid), after)
-
+    for pid in structure.auction_members + structure.midmarket_members:
+        before = ctx.cash[pid]
+        if pid in ctx.surplus:
+            moves = (("grid_alone", ctx.fit_price * ctx.surplus[pid]),)
+        else:
+            qty = ctx.deficit[pid]
+            moves = (
+                ("grid_alone", -ctx.grid_selling_price * qty),
+                ("third_party_alone", -ctx.third_party_price * qty),
+            )
+        for kind, after in moves:
+            if after > before:
+                return StabilityVerdict(
+                    stable=False, witness=Deviation(kind, (pid,), (before,), (after,))
+                )
     return StabilityVerdict(stable=True)

@@ -82,6 +82,8 @@ class ProsumerProfile:
     bid_price: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str or not self.id:
+            raise ScenarioError(f"prosumer id must be a non-empty string, got {self.id!r}")
         object.__setattr__(self, "net_energy", _as_float_tuple(self.net_energy, "net_energy"))
         object.__setattr__(
             self, "reservation_price", _as_float_tuple(self.reservation_price, "reservation_price")
@@ -173,6 +175,10 @@ class Scenario:
         object.__setattr__(self, "prosumers", tuple(self.prosumers))
         if type(self.slots) is not int or self.slots < 1:
             raise ScenarioError("slots must be an integer >= 1")
+        if type(self.slot_minutes) is not int or self.slot_minutes < 1:
+            raise ScenarioError("slot_minutes must be an integer >= 1")
+        if type(self.seed) is not int:
+            raise ScenarioError("seed must be an integer")
         if not self.prosumers:
             raise ScenarioError("scenario needs at least one prosumer")
         seen: set[str] = set()
@@ -434,7 +440,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         _check_keys(raw, _PROSUMER_KEYS, set(), f"prosumers[{i}]")
         prosumers.append(
             ProsumerProfile(
-                id=str(raw["id"]),
+                id=raw["id"],
                 alpha=raw["alpha"],
                 net_energy=raw["net_energy"],
                 reservation_price=raw["reservation_price"],

@@ -86,12 +86,6 @@ class SimulationReport:
     aggregates: ReportAggregates
 
 
-def _effective_auction_price(outcome: AuctionOutcome, fit_price: float) -> float:
-    # With no intersection there is no auction price; the mid-market formula
-    # then degenerates to the feed-in tariff as its floor.
-    return outcome.auction_price if outcome.auction_price is not None else fit_price
-
-
 def _settle(
     scenario: Scenario, slot: int, legs: Mapping[str, Leg], venue_of: Mapping[str, str]
 ) -> dict[str, ProsumerSlot]:
@@ -177,9 +171,10 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     active = [p.id for p in scenario.prosumers if p.net_energy[slot] != 0]
     structure = partition(active, outcome, slot)
 
-    mid_sell, _ = mid_market_prices(
-        _effective_auction_price(outcome, grid.fit_price), grid.fit_price, market.beta
-    )
+    # With no intersection there is no auction price; the mid-market formula
+    # then degenerates to the feed-in tariff as its floor.
+    p_auc = grid.fit_price if outcome.auction_price is None else outcome.auction_price
+    mid_sell, _ = mid_market_prices(p_auc, grid.fit_price, market.beta)
     mid_ids = set(structure.midmarket_members)
     mid_trades, mid_legs = match_midmarket(
         sellers=[(p.id, Fraction(p.net_energy[slot])) for p in sellers if p.id in mid_ids],
@@ -310,40 +305,29 @@ def baseline_third_party(scenario: Scenario, jobs: int = 1) -> SimulationReport:
 
 
 def stability_context(scenario: Scenario, result: SlotResult) -> StabilityContext:
-    """Assemble the pricing context for a stability check of a peak slot."""
+    """Each active prosumer's position and settled cash at a peak slot, exactly."""
     if result.structure is None:
         raise DomainError("stability is defined for peak slots with a coalition structure")
-    slot = result.slot
-    grid = scenario.grid
-    mid_sell, mid_buy = mid_market_prices(
-        _effective_auction_price(result.structure.outcome, grid.fit_price),
-        grid.fit_price,
-        scenario.market.beta,
-    )
-    alpha: dict[str, float] = {}
     surplus: dict[str, Fraction] = {}
     deficit: dict[str, Fraction] = {}
-    utilities: dict[str, float] = {}
+    cash: dict[str, Fraction] = {}
     for p in scenario.prosumers:
-        net = p.net_energy[slot]
+        net = p.net_energy[result.slot]
         if net == 0:
             continue
-        alpha[p.id] = p.alpha_at(slot)
         if net > 0:
             surplus[p.id] = Fraction(net)
         else:
             deficit[p.id] = Fraction(-net)
-        utilities[p.id] = result.per_prosumer[p.id].utility
+        settled = result.per_prosumer[p.id]
+        cash[p.id] = settled.revenue - settled.cost
     return StabilityContext(
-        alpha=alpha,
         surplus=surplus,
         deficit=deficit,
-        grid_selling_price=result.price_signal.selling_price,
-        fit_price=grid.fit_price,
-        third_party_price=scenario.market.third_party_price,
-        mid_sell=mid_sell,
-        mid_buy=mid_buy,
-        utilities=utilities,
+        cash=cash,
+        grid_selling_price=Fraction(result.price_signal.selling_price),
+        fit_price=Fraction(scenario.grid.fit_price),
+        third_party_price=Fraction(scenario.market.third_party_price),
     )
 
 

@@ -3,13 +3,16 @@
 The oracles here re-derive the expected results along a different path than
 the implementation: clearing by exhaustive candidate-depth enumeration and
 burden allocation by a closed-form water-fill level, instead of the
-engine's prefix scan and iterative redistribution.
+engine's prefix scan and iterative redistribution, and D_hp stability by
+trying every group of mid-market members, instead of the one-prosumer moves
+that ``check_dhp_stability`` proves sufficient.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import settings
 
@@ -91,3 +94,48 @@ def oracle_allocate(supplies, demands):
             break
     assert sum(cleared) == total_demand
     return cleared, list(demands)
+
+
+def oracle_dhp_stable(scenario, result) -> bool:
+    """Exhaustive, exact D_hp stability of a peak slot's coalition structure.
+
+    Tries every active prosumer alone (grid, and third party for a deficit)
+    and every nonempty group of mid-market members regrouping at mid-market
+    terms. A group's side with the smaller total fills completely and the
+    other side fills at the ratio of the totals; a side alone in the group
+    fills nothing. Unstable iff some move strictly raises every mover's cash.
+    """
+    slot, grid, market = result.slot, scenario.grid, scenario.market
+    fit, third = Fraction(grid.fit_price), Fraction(market.third_party_price)
+    peak = Fraction(result.price_signal.selling_price)
+    outcome = result.structure.outcome
+    p_auc = grid.fit_price if outcome.auction_price is None else outcome.auction_price
+    mid_sell = Fraction((p_auc + grid.fit_price) / 2.0)
+    mid_buy = mid_sell * (1 + Fraction(market.beta))
+
+    net = {p.id: Fraction(p.net_energy[slot]) for p in scenario.prosumers}
+    cash = {pid: s.revenue - s.cost for pid, s in result.per_prosumer.items()}
+    members = result.structure.auction_members + result.structure.midmarket_members
+    for pid in members:
+        q = net[pid]
+        alone = [fit * q] if q > 0 else [peak * q, third * q]
+        if any(after > cash[pid] for after in alone):
+            return False
+
+    mids = result.structure.midmarket_members
+    for size in range(1, len(mids) + 1):
+        for group in combinations(mids, size):
+            supply = sum(net[pid] for pid in group if net[pid] > 0)
+            demand = -sum(net[pid] for pid in group if net[pid] < 0)
+
+            def after(pid):
+                q = net[pid]
+                own, other = (supply, demand) if q > 0 else (demand, supply)
+                fill = abs(q) * (min(own, other) / own)
+                if q > 0:
+                    return mid_sell * fill + fit * (q - fill)
+                return -(mid_buy * fill + third * (-q - fill))
+
+            if all(after(pid) > cash[pid] for pid in group):
+                return False
+    return True

@@ -264,7 +264,7 @@ def test_criterion_10_dhp_stability():
     witness = verdict.witness
     assert witness.kind == "third_party_alone"
     assert witness.members[0] in result.structure.auction_members
-    assert all(a > b for a, b in zip(witness.utility_after, witness.utility_before))
+    assert all(a > b for a, b in zip(witness.cash_after, witness.cash_before))
     _report(10, f"{checks} peak structures stable; cheap third party yields a valid witness")
 
 

@@ -1,12 +1,13 @@
 """Coalition partitioning, mid-market matching and stability checks."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import ask, bid, book
+from conftest import ask, bid, book, oracle_dhp_stable
 from gridp2p.auction import EMPTY_OUTCOME, clear
 from gridp2p.coalition import (
     GRID_ID,
@@ -19,7 +20,14 @@ from gridp2p.coalition import (
     mid_market_prices,
     partition,
 )
-from gridp2p.core import make_case_study_scenario
+from gridp2p.core import (
+    AuctionPriceRule,
+    GridPolicy,
+    MarketConfig,
+    ProsumerProfile,
+    Scenario,
+    make_case_study_scenario,
+)
 from gridp2p.engine import run_slot, stability_context
 from gridp2p.fixtures import (
     two_coalition_demo_scenario,
@@ -200,15 +208,14 @@ def test_cheap_third_party_destabilizes():
     deviator = witness.members[0]
     assert deviator in result.structure.auction_members
     assert deviator in ctx.deficit
-    assert witness.utility_after[0] > witness.utility_before[0]
+    assert witness.cash_after[0] > witness.cash_before[0]
 
 
 def test_empty_structure_is_stable():
     structure = CoalitionStructure(0, (), (), EMPTY_OUTCOME)
     ctx = StabilityContext(
-        alpha={}, surplus={}, deficit={},
-        grid_selling_price=548.8, fit_price=10.0, third_party_price=21.0,
-        mid_sell=12.0, mid_buy=13.2, utilities={},
+        surplus={}, deficit={}, cash={},
+        grid_selling_price=Fraction(548.8), fit_price=Fraction(10), third_party_price=Fraction(21),
     )
     assert check_dhp_stability(structure, ctx).stable
 
@@ -222,3 +229,50 @@ def test_stability_over_random_case_studies():
                 continue
             verdict = check_dhp_stability(result.structure, stability_context(scenario, result))
             assert verdict.stable, (seed, t, verdict.witness)
+
+
+def test_stability_is_decided_exactly():
+    # The demo's mid-market buyers pay exactly this; a third party one float
+    # step cheaper saves p10 about 2e-15 per kWh, a strict gain nonetheless.
+    mid_buy = Fraction(435948443929464015, 36028797018963968)
+    price = float(mid_buy)
+    if Fraction(price) >= mid_buy:
+        price = math.nextafter(price, 0.0)
+    scenario = with_third_party_price(two_coalition_demo_scenario(), price)
+    result = _peak_result(scenario)
+    verdict = check_dhp_stability(result.structure, stability_context(scenario, result))
+    assert not verdict.stable
+    assert verdict.witness.kind == "third_party_alone"
+    assert verdict.witness.members == ("p10",)
+    assert verdict.witness.cash_after[0] > verdict.witness.cash_before[0]
+
+
+_PRICES = st.one_of(st.floats(5.0, 25.0), st.integers(5, 25).map(float))
+
+
+@st.composite
+def peak_structures(draw):
+    n = draw(st.integers(4, 10))
+    n_sellers = draw(st.integers(1, n - 1))
+    prosumers = []
+    for i in range(n):
+        qty = draw(st.integers(1, 36)) / 4
+        prosumers.append(ProsumerProfile(
+            f"p{i:02d}", 7.0, (qty if i < n_sellers else -qty,), (draw(_PRICES),), (draw(_PRICES),)
+        ))
+    demand = sum(-p.net_energy[0] for p in prosumers if p.net_energy[0] < 0)
+    grid = GridPolicy(68.6, 274.4, (max(0.0, demand - 2.0),), (30.0,), 28.0, 10.0)
+    market = MarketConfig(
+        beta=draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 1.0]))),
+        third_party_price=draw(st.one_of(st.floats(5.0, 30.0), st.integers(5, 30).map(float))),
+        auction_price_rule=draw(st.sampled_from(list(AuctionPriceRule))),
+    )
+    return Scenario(slots=1, prosumers=tuple(prosumers), grid=grid, market=market)
+
+
+@settings(max_examples=150)
+@given(peak_structures())
+def test_stability_matches_exhaustive_group_search(scenario):
+    result = _peak_result(scenario)
+    verdict = check_dhp_stability(result.structure, stability_context(scenario, result))
+    assert verdict.stable == oracle_dhp_stable(scenario, result)

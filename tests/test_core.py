@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -194,3 +195,33 @@ def test_loader_rejects_booleans_and_strings_as_numbers():
     data["slots"] = True
     with pytest.raises(ScenarioError, match="slots"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["x", True, 1.0, None])
+def test_loader_rejects_mistyped_seed(value):
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["seed"] = value
+    with pytest.raises(ScenarioError, match="seed"):
+        scenario_from_dict(data)
+    with pytest.raises(ScenarioError, match="seed"):
+        replace(make_case_study_scenario(3, slots=2), seed=value)
+
+
+@pytest.mark.parametrize("value", [True, 0, -30, 30.0, "30"])
+def test_loader_rejects_mistyped_slot_minutes(value):
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["slot_minutes"] = value
+    with pytest.raises(ScenarioError, match="slot_minutes"):
+        scenario_from_dict(data)
+    with pytest.raises(ScenarioError, match="slot_minutes"):
+        replace(make_case_study_scenario(3, slots=2), slot_minutes=value)
+
+
+@pytest.mark.parametrize("value", [7, "", None, True])
+def test_loader_rejects_mistyped_prosumer_id(value):
+    data = scenario_to_dict(make_case_study_scenario(3, slots=2))
+    data["prosumers"][0]["id"] = value
+    with pytest.raises(ScenarioError, match="prosumer id"):
+        scenario_from_dict(data)
+    with pytest.raises(ScenarioError, match="prosumer id"):
+        ProsumerProfile(value, 1.0, (1.0,), (11.0,), (11.0,))

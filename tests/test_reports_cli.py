@@ -162,6 +162,17 @@ def test_cli_rejects_nan_and_boolean_numbers(tmp_path):
         assert code == EXIT_VALIDATION
 
 
+def test_cli_rejects_mistyped_fields(tmp_path):
+    scenario = make_case_study_scenario(1, slots=4)
+    for field, value in (("seed", "x"), ("slot_minutes", True), ("id", 7)):
+        data = json.loads(emit_scenario(scenario))
+        (data["prosumers"][0] if field == "id" else data)[field] = value
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", "--scenario", str(bad), "--mode", "p2p", "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+
+
 def test_cli_missing_scenario_is_io_error(tmp_path):
     code = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--mode", "p2p", "--out", str(tmp_path / "r")])
     assert code == EXIT_IO
