@@ -6,8 +6,8 @@ Subcommands:
   audit        re-check the invariants of an emitted run directory
 
 All randomness flows through the scenario seed; two invocations with the
-same inputs produce byte-identical output directories. Set ``GRIDP2P_LOG``
-to ``debug``/``info``/``warning`` to control verbosity.
+same inputs produce byte-identical output directories. ``GRIDP2P_LOG`` sets the
+log level (debug/info/warning/error/critical); other values warn, then use warning.
 """
 
 from __future__ import annotations
@@ -133,8 +133,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("GRIDP2P_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("GRIDP2P_LOG", "warning")
+    if level.lower() not in ("debug", "info", "warning", "error", "critical"):
+        print(f"warning: unknown GRIDP2P_LOG level {level!r}; using warning", file=sys.stderr)
+        level = "warning"
+    logging.basicConfig(level=level.upper())
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":

@@ -50,7 +50,9 @@ class Trade:
 
     Prices are exact rationals so that per-trade fee and conservation
     identities hold exactly; ``buyer_price`` differs from ``seller_price``
-    only by the mid-market network fee.
+    only by the mid-market network fee. The checks are kept cheap for the
+    hot settlement loops: the quantity's sign is read off its numerator, and
+    a trade whose two prices are the same object has no spread to test.
     """
 
     seller_id: str
@@ -61,8 +63,10 @@ class Trade:
     venue: Venue
 
     def __post_init__(self) -> None:
-        if self.quantity <= 0:
+        if self.quantity.numerator <= 0:
             raise DomainError("trade quantity must be > 0")
+        if self.buyer_price is self.seller_price:
+            return
         if self.venue is Venue.MID_MARKET:
             if self.buyer_price < self.seller_price:
                 raise DomainError("mid-market buyer price cannot undercut the seller price")

@@ -9,10 +9,13 @@ cost and revenue metrics of interest.
 
 Every pool settles per participant: each prosumer's leg is its routed kWh,
 revenue and cost, read off its own matched share and residual in O(S+B) per
-slot (``pool_trades`` and ``_route_positions``). The pairwise trades, and so
-the rows of ``trades.csv``, are a presentation of those legs and sum to them
-exactly. Cash amounts are exact rationals throughout; floats appear only in
-utilities and in emitted reports.
+slot (``pool_trades``, then ``_settle``). The pairwise trades, and so the rows
+of ``trades.csv``, are a presentation of those legs and sum to them exactly.
+Whole-position slots (every off-peak slot, and both baselines' peaks) settle
+in the same pass that builds their trades (``_route_positions``): each leg is
+one-sided, a single exact product of price and quantity, so the float of that
+product is the float of revenue minus cost. Cash amounts are exact rationals
+throughout; floats appear only in utilities and in emitted reports.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_dem
 from .prosumer import position_value
 
 log = logging.getLogger("gridp2p.engine")
+_ZERO = Fraction(0)
 
 MODE_P2P = "p2p"
 MODE_GRID_ONLY = "grid-only"
@@ -89,13 +93,13 @@ class SimulationReport:
 def _settle(
     scenario: Scenario, slot: int, legs: Mapping[str, Leg], venue_of: Mapping[str, str]
 ) -> dict[str, ProsumerSlot]:
-    zero = Fraction(0)
+    """Settle the pooled legs of a peak slot, one prosumer at a time."""
     result: dict[str, ProsumerSlot] = {}
     for p in scenario.prosumers:
         leg = legs.get(p.id)
         venue = venue_of.get(p.id, "none")
         if leg is None:
-            result[p.id] = ProsumerSlot(utility=0.0, revenue=zero, cost=zero, venue=venue)
+            result[p.id] = ProsumerSlot(utility=0.0, revenue=_ZERO, cost=_ZERO, venue=venue)
             continue
         energy, revenue, cost = leg
         utility = position_value(p.alpha_at(slot), float(energy), float(revenue - cost))
@@ -105,28 +109,33 @@ def _settle(
 
 def _route_positions(
     scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
-) -> tuple[list[Trade], dict[str, str], dict[str, Leg]]:
-    """Route whole positions: surplus to the grid at FiT, deficit from ``buy_venue``."""
+) -> tuple[list[Trade], dict[str, ProsumerSlot]]:
+    """Route whole positions (surplus to the grid at FiT, deficit from ``buy_venue``)
+    and settle each in the same pass, from the one nonzero side of its cash.
+    """
     fit = Fraction(scenario.grid.fit_price)
     price = Fraction(buy_price)
     source = GRID_ID if buy_venue is Venue.GRID else THIRD_PARTY_ID
-    zero = Fraction(0)
+    grid_name, buy_name = Venue.GRID.value, buy_venue.value
     trades: list[Trade] = []
-    venues: dict[str, str] = {}
-    legs: dict[str, Leg] = {}
+    settled: dict[str, ProsumerSlot] = {}
     for p in scenario.prosumers:
         net = p.net_energy[slot]
         if net > 0:
             q = Fraction(net)
+            revenue = fit * q
             trades.append(Trade(p.id, GRID_ID, q, fit, fit, Venue.GRID))
-            venues[p.id] = Venue.GRID.value
-            legs[p.id] = (q, fit * q, zero)
+            utility = position_value(p.alpha_at(slot), net, float(revenue))
+            settled[p.id] = ProsumerSlot(utility, revenue, _ZERO, grid_name)
         elif net < 0:
             q = Fraction(-net)
+            cost = price * q
             trades.append(Trade(source, p.id, q, price, price, buy_venue))
-            venues[p.id] = buy_venue.value
-            legs[p.id] = (q, zero, price * q)
-    return trades, venues, legs
+            utility = position_value(p.alpha_at(slot), -net, -float(cost))
+            settled[p.id] = ProsumerSlot(utility, _ZERO, cost, buy_name)
+        else:
+            settled[p.id] = ProsumerSlot(0.0, _ZERO, _ZERO, "none")
+    return trades, settled
 
 
 def _auction_trades(
@@ -228,14 +237,14 @@ def _baseline_slot(
         buy_price, buy_venue = scenario.market.third_party_price, Venue.THIRD_PARTY
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
 
-    trades, venues, legs = _route_positions(scenario, slot, buy_price, buy_venue)
+    trades, settled = _route_positions(scenario, slot, buy_price, buy_venue)
     return SlotResult(
         slot=slot,
         price_signal=signal,
         structure=None,
         trades=tuple(trades),
         cps_cost=cost,
-        per_prosumer=_settle(scenario, slot, legs, venues),
+        per_prosumer=settled,
     )
 
 

@@ -23,6 +23,12 @@ COALITIONS_HEADER = ["slot", "coalition", "member"]
 TRADES_HEADER = ["slot", "venue", "seller", "buyer", "qty", "seller_price", "buyer_price"]
 SUMMARY_HEADER = ["metric", "scope", "value"]
 
+# Venue names in trades.csv, and the coalition each peer venue's parties belong to.
+_VENUE_NAMES = {v: v.value for v in Venue}
+_GRID = Venue.GRID.value
+_MID_MARKET = Venue.MID_MARKET.value
+_COALITION_OF = {Venue.AUCTION.value: "auction", _MID_MARKET: "mid_market"}
+
 
 def _fmt(value: float | Fraction) -> str:
     return f"{float(value):.6f}"
@@ -52,18 +58,11 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
                 coalitions.append([str(s.slot), "auction", pid])
             for pid in s.structure.midmarket_members:
                 coalitions.append([str(s.slot), "mid_market", pid])
+        slot = str(s.slot)
         for t in s.trades:
-            trades.append(
-                [
-                    str(s.slot),
-                    t.venue.value,
-                    t.seller_id,
-                    t.buyer_id,
-                    _fmt(t.quantity),
-                    _fmt(t.seller_price),
-                    _fmt(t.buyer_price),
-                ]
-            )
+            sell = _fmt(t.seller_price)
+            buy = sell if t.buyer_price is t.seller_price else _fmt(t.buyer_price)
+            trades.append([slot, _VENUE_NAMES[t.venue], t.seller_id, t.buyer_id, _fmt(t.quantity), sell, buy])
 
     _write_csv(out / "prices.csv", PRICES_HEADER, prices)
     _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
@@ -142,27 +141,26 @@ def audit_run(run_dir: str | Path) -> list[str]:
     balance: dict[str, tuple[float, float, float]] = {}
     for row in trades:
         slot = row["slot"]
+        venue = row["venue"]
         qty = float(row["qty"])
         sell = float(row["seller_price"])
-        buy = float(row["buyer_price"])
+        buy = sell if row["buyer_price"] == row["seller_price"] else float(row["buyer_price"])
         if qty <= 0:
             problems.append(f"slot {slot}: non-positive trade quantity {row['qty']}")
         if buy < sell:
             problems.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
-        if row["venue"] != Venue.MID_MARKET.value and buy != sell:
-            problems.append(f"slot {slot}: {row['venue']} trade with a price spread")
+        if venue != _MID_MARKET and buy != sell:
+            problems.append(f"slot {slot}: {venue} trade with a price spread")
         # A structure for the slot means a peer-trading run, in which nobody
         # may buy from the grid at the peak; baselines emit no coalitions.
-        if peak.get(slot) and membership.get(slot) and row["venue"] == Venue.GRID.value and row["seller"] == GRID_ID:
+        if venue == _GRID and row["seller"] == GRID_ID and peak.get(slot) and membership.get(slot):
             problems.append(f"slot {slot}: grid sale to {row['buyer']} during a peak slot")
-        if row["venue"] in (Venue.AUCTION.value, Venue.MID_MARKET.value):
+        want = _COALITION_OF.get(venue)
+        if want is not None:
             members = membership.get(slot, {})
-            want = "auction" if row["venue"] == Venue.AUCTION.value else "mid_market"
             for pid in (row["seller"], row["buyer"]):
                 if members.get(pid) != want:
-                    problems.append(
-                        f"slot {slot}: {row['venue']} trade party {pid} not in the {want} coalition"
-                    )
+                    problems.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
         payments, receipts, fees = balance.get(slot, (0.0, 0.0, 0.0))
         balance[slot] = (
             payments + buy * qty,

@@ -1,5 +1,6 @@
 """Coalition partitioning, mid-market matching and stability checks."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from gridp2p.coalition import (
     THIRD_PARTY_ID,
     CoalitionStructure,
     StabilityContext,
+    Trade,
     Venue,
     check_dhp_stability,
     match_midmarket,
@@ -22,6 +24,7 @@ from gridp2p.coalition import (
 )
 from gridp2p.core import (
     AuctionPriceRule,
+    DomainError,
     GridPolicy,
     MarketConfig,
     ProsumerProfile,
@@ -34,6 +37,44 @@ from gridp2p.fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
+
+
+def _price_pair(same_object):
+    """Two equal prices: one shared object, or two distinct objects."""
+    price = Fraction(12)
+    return (price, price) if same_object else (price, Fraction(12))
+
+
+@pytest.mark.parametrize("same_object", [False, True])
+@pytest.mark.parametrize("venue", list(Venue))
+def test_trade_rejects_nonpositive_quantity(venue, same_object):
+    sell, buy = _price_pair(same_object)
+    for quantity in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(DomainError, match="quantity"):
+            Trade("s", "b", quantity, sell, buy, venue)
+    trade = Trade("s", "b", Fraction(1, 3), sell, buy, venue)
+    with pytest.raises(DomainError, match="quantity"):
+        dataclasses.replace(trade, quantity=Fraction(0))
+
+
+@pytest.mark.parametrize("same_object", [False, True])
+@pytest.mark.parametrize("venue", [Venue.AUCTION, Venue.GRID, Venue.THIRD_PARTY])
+def test_trade_single_price_venues_reject_a_spread(venue, same_object):
+    sell, buy = _price_pair(same_object)
+    Trade("s", "b", Fraction(1), sell, buy, venue)
+    with pytest.raises(DomainError, match="single price"):
+        Trade("s", "b", Fraction(1), sell, buy + Fraction(1, 10), venue)
+    with pytest.raises(DomainError, match="single price"):
+        Trade("s", "b", Fraction(1), sell, sell - Fraction(1, 10), venue)
+
+
+@pytest.mark.parametrize("same_object", [False, True])
+def test_trade_midmarket_buyer_price_cannot_undercut(same_object):
+    sell, buy = _price_pair(same_object)
+    Trade("s", "b", Fraction(1), sell, buy, Venue.MID_MARKET)
+    Trade("s", "b", Fraction(1), sell, buy * Fraction(11, 10), Venue.MID_MARKET)
+    with pytest.raises(DomainError, match="undercut"):
+        Trade("s", "b", Fraction(1), sell, sell - Fraction(1, 10), Venue.MID_MARKET)
 
 
 def test_mid_market_examples():

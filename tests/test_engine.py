@@ -209,6 +209,25 @@ def test_settlement_conservation_exact():
         threshold=1.0,
     )
     assert run_slot(sellers_only_mid, 0).structure.midmarket_members == ("s2",)
+    # Positions and prices off the binary grid, so every float of the
+    # settlement is a rounding of its exact rational: slot 0 is a peak with an
+    # auction and a mid-market pool, slot 1 is off-peak.
+    non_dyadic = Scenario(
+        slots=2,
+        prosumers=(
+            ProsumerProfile("s1", 0.3, (0.3, 0.7), (0.12, 0.12), (0.12, 0.12)),
+            ProsumerProfile("s2", 0.3, (0.7, -0.1), (0.23, 0.23), (0.23, 0.23)),
+            ProsumerProfile("s3", 0.7, (0.1, 0.3), (0.15, 0.15), (0.15, 0.15)),
+            ProsumerProfile("b1", 0.7, (-0.7, -0.3), (0.25, 0.25), (0.25, 0.25)),
+            ProsumerProfile("b2", 0.1, (-0.1, 0.0), (0.18, 0.18), (0.18, 0.18)),
+            ProsumerProfile("b3", 0.3, (-0.3, -0.7), (0.11, 0.11), (0.11, 0.11)),
+        ),
+        grid=GridPolicy(0.3, 1.7, (0.3, 7.0), (0.0, 0.0), 0.29, 0.07),
+        market=MarketConfig(beta=0.1, third_party_price=0.21),
+    )
+    structure = run_slot(non_dyadic, 0).structure
+    assert structure.auction_members and structure.midmarket_members
+    assert not run_slot(non_dyadic, 1).price_signal.peak_flag
 
     scenarios = [make_case_study_scenario(seed) for seed in (0, 7, 13, 29)] + [
         make_case_study_scenario(3, sellers_per_slot=3),
@@ -219,6 +238,7 @@ def test_settlement_conservation_exact():
         clipped,
         no_auction,
         sellers_only_mid,
+        non_dyadic,
     ]
     for scenario in scenarios:
         for run in (run_horizon, baseline_grid_only, baseline_third_party):

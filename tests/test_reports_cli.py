@@ -5,10 +5,12 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from gridp2p.core import emit_scenario, load_scenario, make_case_study_scenario, save_scenario
 from gridp2p.engine import baseline_grid_only, run_horizon
-from gridp2p.fixtures import uniform_auction_scenario
+from gridp2p.fixtures import two_coalition_demo_scenario, uniform_auction_scenario
 from gridp2p.reports import audit_run, write_run
 
 
@@ -57,6 +59,44 @@ def test_audit_flags_imbalance(tmp_path):
     (tmp_path / "trades.csv").write_text("\n".join(trades) + "\n")
     problems = audit_run(tmp_path)
     assert any("imbalance" in p or "spread" in p for p in problems)
+
+
+# One tampered trades.csv row per audit check: (venue of the row to tamper,
+# fields to overwrite, the problem the audit must report). The demo run is one
+# peak slot; its first auction row is p04 -> p07 and its first mid-market row
+# p01 -> p10, with auction members p04-p09 and mid-market members p01-p03, p10-p12.
+_TAMPERED_ROWS = {
+    "zero_quantity": ("auction", {"qty": "0.000000"}, "slot 0: non-positive trade quantity 0.000000"),
+    "midmarket_undercut": (
+        "mid_market", {"buyer_price": "10.000000"}, "slot 0: buyer price 10.0 below seller price 11.0"
+    ),
+    "auction_spread": ("auction", {"buyer_price": "12.500000"}, "slot 0: auction trade with a price spread"),
+    "grid_sale_at_peak": (
+        "mid_market",
+        {"venue": "grid", "seller": "grid", "buyer_price": "11.000000"},
+        "slot 0: grid sale to p10 during a peak slot",
+    ),
+    "auction_party_outside": (
+        "auction", {"buyer": "p10"}, "slot 0: auction trade party p10 not in the auction coalition"
+    ),
+    "midmarket_party_outside": (
+        "mid_market", {"seller": "p04"}, "slot 0: mid_market trade party p04 not in the mid_market coalition"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPERED_ROWS))
+def test_audit_flags_each_tampered_trade_row(tmp_path, case):
+    venue, fields, problem = _TAMPERED_ROWS[case]
+    write_run(run_horizon(two_coalition_demo_scenario()), tmp_path)
+    assert audit_run(tmp_path) == []
+    path = tmp_path / "trades.csv"
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    row = next(r for r in rows if r[1] == venue)
+    for name, value in fields.items():
+        row[header.index(name)] = value
+    path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    assert problem in audit_run(tmp_path)
 
 
 def test_audit_flags_bad_header(tmp_path):
@@ -192,3 +232,17 @@ def test_cli_order_dump(tmp_path):
     rows = _read(out / "orders.csv")
     assert rows[0] == ["slot", "prosumer", "side", "price", "quantity"]
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_cli_unknown_log_level_warns_and_runs(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("GRIDP2P_LOG", value)
+    assert main(["gen-fixture", "--seed", "1", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert f"unknown GRIDP2P_LOG level {value!r}; using warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["debug", "INFO", "warning", "Error", "critical"])
+def test_cli_known_log_level_is_accepted_quietly(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("GRIDP2P_LOG", value)
+    assert main(["gen-fixture", "--seed", "1", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert "GRIDP2P_LOG" not in capsys.readouterr().err
