@@ -16,6 +16,12 @@ in the same pass that builds their trades (``_route_positions``): each leg is
 one-sided, a single exact product of price and quantity, so the float of that
 product is the float of revenue minus cost. Cash amounts are exact rationals
 throughout; floats appear only in utilities and in emitted reports.
+
+A whole-position slot settles when its ``trades`` or ``per_prosumer`` is first
+read, not when the slot is run: ``compare`` reads only peak slots, so in a
+compare run ``aggregate_slots`` settles the baselines' peaks, ``write_run``
+settles the peer-trading run's off-peak slots, and the baselines' off-peak
+slots are never settled. Pooled peak slots from ``run_slot`` settle at once.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .auction import AuctionOutcome, OrderBook, clear
 from .coalition import (
@@ -64,14 +70,58 @@ class ProsumerSlot:
     venue: str
 
 
+_DEFERRED_FIELDS = ("trades", "per_prosumer")
+
+
 @dataclass(frozen=True)
 class SlotResult:
+    """One slot's price signal, coalition structure, trades, system cost and settlement.
+
+    A whole-position slot is built by :meth:`deferred`: its ``trades`` and
+    ``per_prosumer`` are missing until either is first read, when one call
+    produces both and stores them as ordinary fields. Every reader of the
+    fields settles the slot first, so ``dataclasses.replace``, ``==``,
+    ``repr``, ``copy`` and pickle see settled values, and a pickle carries
+    the settled fields, never the deferred call. Settling is idempotent:
+    readers that race compute equal values, and later reads return the
+    stored objects.
+    """
+
     slot: int
     price_signal: PriceSignal
     structure: CoalitionStructure | None
     trades: tuple[Trade, ...]
     cps_cost: float
     per_prosumer: dict[str, ProsumerSlot]
+
+    @classmethod
+    def deferred(
+        cls, settle: Callable[[], tuple[list[Trade], dict[str, ProsumerSlot]]], **fields
+    ) -> SlotResult:
+        """A slot given every field but ``trades`` and ``per_prosumer``, which ``settle`` returns."""
+        result = object.__new__(cls)
+        result.__dict__.update(fields, _settle=settle)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only when the normal lookup fails: for an unsettled slot's
+        # two deferred fields, or for a name the slot does not have. The
+        # fields are stored before the call is dropped, so a concurrent
+        # reader finds either the call or the fields.
+        if name in _DEFERRED_FIELDS:
+            settle = self.__dict__.get("_settle")
+            if settle is not None:
+                trades, per_prosumer = settle()
+                object.__setattr__(self, "trades", tuple(trades))
+                object.__setattr__(self, "per_prosumer", per_prosumer)
+                self.__dict__.pop("_settle", None)
+        return object.__getattribute__(self, name)
+
+    def __getstate__(self) -> dict:
+        # Reading a field settles the slot, so the pickle carries the fields
+        # and never the deferred call.
+        self.trades
+        return self.__dict__
 
 
 @dataclass(frozen=True)
@@ -220,7 +270,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
 def _baseline_slot(
     scenario: Scenario, slot: int, mode: str, signal: PriceSignal | None = None
 ) -> SlotResult:
-    """Settle a slot by whole positions: any off-peak slot, and a baseline's peak."""
+    """A slot settled by whole positions, on first read: any off-peak slot, and a baseline's peak."""
     grid = scenario.grid
     if signal is None:
         signal = decide_slot_price(grid, scenario.prosumers, slot)
@@ -237,14 +287,12 @@ def _baseline_slot(
         buy_price, buy_venue = scenario.market.third_party_price, Venue.THIRD_PARTY
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
 
-    trades, settled = _route_positions(scenario, slot, buy_price, buy_venue)
-    return SlotResult(
+    return SlotResult.deferred(
+        partial(_route_positions, scenario, slot, buy_price, buy_venue),
         slot=slot,
         price_signal=signal,
         structure=None,
-        trades=tuple(trades),
         cps_cost=cost,
-        per_prosumer=settled,
     )
 
 

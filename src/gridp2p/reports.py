@@ -97,68 +97,99 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
 # --- Audit -------------------------------------------------------------------
 
 
-def _read_csv(path: Path, header: list[str]) -> list[dict[str, str]]:
+def _read_csv(
+    path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = ()
+) -> list[tuple[str, ...]]:
+    """The rows after ``header``, as tuples; a malformed row is a problem, not a row.
+
+    A row is malformed when its width differs from the header's, its slot
+    (where the first column is one) is not an integer, or a ``numeric`` column
+    does not parse as a number. Each becomes one line in ``problems`` naming
+    the file and line. A missing or different header raises ``ValueError``.
+    """
+    columns = [header.index(name) for name in numeric]
+    rows: list[tuple[str, ...]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != header:
-        raise ValueError(f"{path.name}: expected header {header}, got {rows[0] if rows else 'nothing'}")
-    return [dict(zip(header, row)) for row in rows[1:]]
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"{path.name}: expected header {header}, got {first if first is not None else 'nothing'}")
+        for row in reader:
+            problem = _row_problem(row, header, columns)
+            if problem is None:
+                rows.append(tuple(row))
+            else:
+                problems.append(f"{path.name} line {reader.line_num}: {problem}")
+    return rows
+
+
+def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
+    """Why ``row`` is malformed under ``header``, or None if it is not."""
+    if len(row) != len(header):
+        return f"expected {len(header)} fields, got {len(row)}"
+    if header[0] == "slot":
+        try:
+            int(row[0])
+        except ValueError:
+            return f"slot {row[0]!r} is not an integer"
+    for i in columns:
+        try:
+            float(row[i])
+        except ValueError:
+            return f"{header[i]} {row[i]!r} is not a number"
+    return None
 
 
 def audit_run(run_dir: str | Path) -> list[str]:
     """Re-check an emitted run directory; returns a list of problems found.
 
-    Verifies that every CSV parses under its fixed header, that per-slot cash
-    flows balance (payments equal receipts plus fees, within the rounding of
-    the six-decimal output), that the coalition rows form a partition, that
-    trades stay inside their coalition, and that nobody buys from the grid at
-    a peak slot.
+    Verifies that every CSV parses under its fixed header, with rows of the
+    header's width, integer slots and numeric trade quantities and prices;
+    that per-slot cash flows balance (payments equal receipts plus fees,
+    within the rounding of the six-decimal output), that the coalition rows
+    form a partition, that trades stay inside their coalition, and that
+    nobody buys from the grid at a peak slot.
     """
     run = Path(run_dir)
     problems: list[str] = []
     try:
-        prices = _read_csv(run / "prices.csv", PRICES_HEADER)
-        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER)
-        coalitions = _read_csv(run / "coalitions.csv", COALITIONS_HEADER)
-        trades = _read_csv(run / "trades.csv", TRADES_HEADER)
+        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems)
+        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems)
+        coalitions = _read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems)
+        trades = _read_csv(run / "trades.csv", TRADES_HEADER, problems, ("qty", "seller_price", "buyer_price"))
     except (OSError, ValueError) as exc:
         return [str(exc)]
 
-    peak = {row["slot"]: row["peak_flag"] == "true" for row in prices}
-    if {row["slot"] for row in costs} != set(peak):
+    peak = {slot: flag == "true" for slot, _, flag in prices}
+    if {slot for slot, _ in costs} != set(peak):
         problems.append("cps_cost.csv and prices.csv cover different slots")
 
     membership: dict[str, dict[str, str]] = {}
-    for row in coalitions:
-        slot_members = membership.setdefault(row["slot"], {})
-        if row["member"] in slot_members:
-            problems.append(
-                f"slot {row['slot']}: prosumer {row['member']} appears in more than one coalition"
-            )
-        slot_members[row["member"]] = row["coalition"]
+    for slot, coalition, member in coalitions:
+        slot_members = membership.setdefault(slot, {})
+        if member in slot_members:
+            problems.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
+        slot_members[member] = coalition
 
     balance: dict[str, tuple[float, float, float]] = {}
-    for row in trades:
-        slot = row["slot"]
-        venue = row["venue"]
-        qty = float(row["qty"])
-        sell = float(row["seller_price"])
-        buy = sell if row["buyer_price"] == row["seller_price"] else float(row["buyer_price"])
+    for slot, venue, seller, buyer, qty_text, sell_text, buy_text in trades:
+        qty = float(qty_text)
+        sell = float(sell_text)
+        buy = sell if buy_text == sell_text else float(buy_text)
         if qty <= 0:
-            problems.append(f"slot {slot}: non-positive trade quantity {row['qty']}")
+            problems.append(f"slot {slot}: non-positive trade quantity {qty_text}")
         if buy < sell:
             problems.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
         if venue != _MID_MARKET and buy != sell:
             problems.append(f"slot {slot}: {venue} trade with a price spread")
         # A structure for the slot means a peer-trading run, in which nobody
         # may buy from the grid at the peak; baselines emit no coalitions.
-        if venue == _GRID and row["seller"] == GRID_ID and peak.get(slot) and membership.get(slot):
-            problems.append(f"slot {slot}: grid sale to {row['buyer']} during a peak slot")
+        if venue == _GRID and seller == GRID_ID and peak.get(slot) and membership.get(slot):
+            problems.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
         want = _COALITION_OF.get(venue)
         if want is not None:
             members = membership.get(slot, {})
-            for pid in (row["seller"], row["buyer"]):
+            for pid in (seller, buyer):
                 if members.get(pid) != want:
                     problems.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
         payments, receipts, fees = balance.get(slot, (0.0, 0.0, 0.0))
@@ -177,7 +208,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
     summary = run / "summary.csv"
     if summary.exists():
         try:
-            _read_csv(summary, SUMMARY_HEADER)
+            _read_csv(summary, SUMMARY_HEADER, problems)
         except ValueError as exc:
             problems.append(str(exc))
     return problems

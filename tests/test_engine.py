@@ -1,6 +1,8 @@
 """Slot orchestration, baselines, settlement and comparison metrics."""
 
+import dataclasses
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,7 +17,9 @@ from gridp2p.core import (
     Scenario,
     make_case_study_scenario,
 )
+from gridp2p import engine
 from gridp2p.engine import (
+    SlotResult,
     aggregate_slots,
     baseline_grid_only,
     baseline_third_party,
@@ -30,6 +34,7 @@ from gridp2p.fixtures import (
     uniform_auction_scenario,
 )
 from gridp2p.prosumer import position_value
+from gridp2p.reports import write_run, write_summary
 
 
 def _one_slot_scenario(prosumers, threshold, **market_kwargs):
@@ -353,7 +358,102 @@ def test_dominance_on_random_scenarios():
 
 def test_parallel_slots_match_sequential():
     scenario = make_case_study_scenario(9, slots=6)
-    assert run_horizon(scenario, jobs=2) == run_horizon(scenario, jobs=1)
+    for run in (run_horizon, baseline_grid_only, baseline_third_party):
+        assert run(scenario, jobs=2) == run(scenario, jobs=1)
+
+
+_RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
+
+
+def _unread_offpeak_slot(run):
+    """An off-peak slot of ``run`` on a case study that nothing has read yet."""
+    report = run(make_case_study_scenario(8))
+    slot = next(s for s in report.slots if not s.price_signal.peak_flag)
+    assert "trades" not in vars(slot) and "per_prosumer" not in vars(slot)
+    return slot
+
+
+def _settled_form(run):
+    """The same slot as :func:`_unread_offpeak_slot`, settled and rebuilt eagerly."""
+    slot = _unread_offpeak_slot(run)
+    return SlotResult(**{f.name: getattr(slot, f.name) for f in dataclasses.fields(SlotResult)})
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_unread_whole_position_slot_equals_its_settled_form(run):
+    settled = _settled_form(run)
+    assert _unread_offpeak_slot(run) == settled
+    assert repr(_unread_offpeak_slot(run)) == repr(settled)
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_replace_on_an_unread_slot_keeps_the_settlement(run):
+    replaced = dataclasses.replace(_unread_offpeak_slot(run), trades=())
+    assert replaced.trades == ()
+    assert replaced.per_prosumer == _settled_form(run).per_prosumer
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_unread_slot_pickles_settled(run):
+    loaded = pickle.loads(pickle.dumps(_unread_offpeak_slot(run)))
+    assert set(vars(loaded)) == {f.name for f in dataclasses.fields(SlotResult)}
+    assert loaded == _settled_form(run)
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_second_read_returns_the_same_objects(run):
+    slot = _unread_offpeak_slot(run)
+    trades = slot.trades
+    # One settlement fills both fields.
+    assert "per_prosumer" in vars(slot)
+    per_prosumer = slot.per_prosumer
+    assert slot.trades is trades and slot.per_prosumer is per_prosumer
+    with pytest.raises(AttributeError):
+        slot.no_such_field
+    assert not hasattr(slot, "__setstate__")
+
+
+def test_racing_readers_settle_to_equal_values():
+    slot = _unread_offpeak_slot(run_horizon)
+    settle = vars(slot)["_settle"]
+    calls = 0
+    inner = {}
+
+    def racing_settle():
+        # A second reader arrives while the first is still settling: it
+        # finds the deferred call, settles, and drops the call first.
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            inner["per_prosumer"] = slot.per_prosumer
+        return settle()
+
+    vars(slot)["_settle"] = racing_settle
+    outer = slot.per_prosumer
+    assert calls == 2 and inner["per_prosumer"] == outer
+    assert "_settle" not in vars(slot)
+    assert slot == _settled_form(run_horizon)
+
+
+def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
+    calls = []
+    route = engine._route_positions
+
+    def counted(*args):
+        calls.append(args[1])
+        return route(*args)
+
+    monkeypatch.setattr(engine, "_route_positions", counted)
+    scenario = make_case_study_scenario(8)
+    p2p = run_horizon(scenario)
+    table = compare(p2p, baseline_grid_only(scenario), baseline_third_party(scenario))
+    write_run(p2p, tmp_path)
+    write_summary(table, tmp_path)
+    peaks = len(p2p.aggregates.peak_slots)
+    assert scenario.slots == 22 and peaks > 0
+    # The p2p off-peak slots (settled for trades.csv) and the two baselines'
+    # peaks (settled for the aggregates); the baselines' off-peak slots never.
+    assert len(calls) == (scenario.slots - peaks) + 2 * peaks
 
 
 def test_worker_count_is_capped(monkeypatch):

@@ -99,6 +99,46 @@ def test_audit_flags_each_tampered_trade_row(tmp_path, case):
     assert problem in audit_run(tmp_path)
 
 
+# One malformed row per case: (file, data row to alter, how, the problems the
+# audit must report). Lines are numbered from the header, line 1.
+_MALFORMED_ROWS = {
+    "short_trade_row": ("trades.csv", 0, lambda r: r[:3], ["trades.csv line 2: expected 7 fields, got 3"]),
+    "long_trade_row": ("trades.csv", 1, lambda r: r + ["x"], ["trades.csv line 3: expected 7 fields, got 8"]),
+    "qty_not_a_number": (
+        "trades.csv", 0, lambda r: r[:4] + ["abc"] + r[5:], ["trades.csv line 2: qty 'abc' is not a number"]
+    ),
+    "seller_price_not_a_number": (
+        "trades.csv", 2, lambda r: r[:5] + ["", r[6]], ["trades.csv line 4: seller_price '' is not a number"]
+    ),
+    "buyer_price_not_a_number": (
+        "trades.csv", 0, lambda r: r[:6] + ["12,5"], ["trades.csv line 2: buyer_price '12,5' is not a number"]
+    ),
+    "trade_slot_not_an_integer": (
+        "trades.csv", 0, lambda r: ["0.5"] + r[1:], ["trades.csv line 2: slot '0.5' is not an integer"]
+    ),
+    "price_slot_not_an_integer": (
+        "prices.csv",
+        0,
+        lambda r: ["zero"] + r[1:],
+        ["prices.csv line 2: slot 'zero' is not an integer", "cps_cost.csv and prices.csv cover different slots"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ROWS))
+def test_audit_reports_each_malformed_row(tmp_path, capsys, case):
+    name, index, alter, problems = _MALFORMED_ROWS[case]
+    write_run(run_horizon(two_coalition_demo_scenario()), tmp_path)
+    path = tmp_path / name
+    header, *rows = _read(path)
+    rows[index] = alter(rows[index])
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert audit_run(tmp_path) == problems
+    assert main(["audit", "--dir", str(tmp_path)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "".join(f"audit: {p}\n" for p in problems)
+
+
 def test_audit_flags_bad_header(tmp_path):
     write_run(run_horizon(make_case_study_scenario(4, slots=4)), tmp_path)
     (tmp_path / "prices.csv").write_text("wrong,header\n")
