@@ -26,7 +26,6 @@ from .core import (
     load_scenario,
     make_case_study_scenario,
     save_scenario,
-    total_system_demand,
 )
 from .engine import (
     MetricsTable,
@@ -40,13 +39,6 @@ from .engine import (
     stability_context,
 )
 from .leader import PriceSignal, cps_cost, decide_slot_price, min_b, peak_price
-from .prosumer import (
-    TradePosition,
-    TradeSide,
-    max_willingness_price,
-    optimal_grid_purchase,
-    utility_buy,
-    utility_sell,
-)
+from .prosumer import max_willingness_price, optimal_grid_purchase
 
 __version__ = "0.1.0"

@@ -78,11 +78,6 @@ class AuctionOutcome:
         return tuple(f.prosumer_id for f in self.buyer_fills)
 
     @property
-    def burden(self) -> dict[str, Fraction]:
-        """Unsold quantity per trading seller (zero unless supply exceeded demand)."""
-        return {f.prosumer_id: f.unfilled for f in self.seller_fills}
-
-    @property
     def total_cleared(self) -> Fraction:
         return sum((f.cleared for f in self.seller_fills), Fraction(0))
 

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--price-rule", choices=sorted(_PRICE_RULES), help="override the auction price rule")
-    sim.add_argument("--jobs", type=int, default=1, help="parallel slot workers, at most one per slot and per CPU")
+    sim.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; slots run in one process")
     sim.add_argument("--prosumers", type=int, default=12, help="prosumer count for --seed scenarios")
     sim.add_argument("--slots", type=int, default=22, help="slot count for --seed scenarios")
     sim.add_argument("--dump-orders", action="store_true", help="also write the per-slot order dump")
@@ -82,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.jobs > 1:
+        print(f"warning: --jobs {args.jobs} ignored; slots run in one process", file=sys.stderr)
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
     else:
@@ -95,9 +97,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     if args.mode == "compare":
-        p2p = run_horizon(scenario, jobs=args.jobs)
-        grid_only = baseline_grid_only(scenario, jobs=args.jobs)
-        third_party = baseline_third_party(scenario, jobs=args.jobs)
+        p2p = run_horizon(scenario)
+        grid_only = baseline_grid_only(scenario)
+        third_party = baseline_third_party(scenario)
         write_run(p2p, args.out)
         write_summary(compare(p2p, grid_only, third_party), args.out)
         report = p2p
@@ -107,7 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             MODE_GRID_ONLY: baseline_grid_only,
             MODE_THIRD_PARTY: baseline_third_party,
         }[args.mode]
-        report = runner(scenario, jobs=args.jobs)
+        report = runner(scenario)
         write_run(report, args.out)
     if args.dump_orders:
         write_order_dump(report, args.out)

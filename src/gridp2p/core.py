@@ -2,8 +2,7 @@
 
 A scenario bundles everything one simulation run needs: the grid's pricing
 policy, the market configuration and the per-slot supply/demand positions of
-every prosumer. All types are frozen value objects, so they can be shared
-freely between threads and across per-slot workers.
+every prosumer. All types are frozen value objects.
 
 Quantities are kWh, prices are cents/kWh. A single signed ``net_energy``
 value per slot encodes the prosumer's position: positive means surplus
@@ -113,26 +112,17 @@ class GridPolicy:
     """The centralized system's cost parameters and per-slot schedule.
 
     ``a`` (cents/kWh^2) and ``b`` (cents/kWh) shape the cost of serving
-    demand beyond ``threshold``; ``other_demand`` is the load of customers
-    outside the prosumer contract and ``supply_capacity`` the optional supply
-    ceiling, both carried for reporting.
+    demand beyond ``threshold``.
     """
 
     a: float
     b: float
     threshold: tuple[float, ...]
-    other_demand: tuple[float, ...]
     offpeak_price: float
     fit_price: float
-    supply_capacity: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "threshold", _as_float_tuple(self.threshold, "threshold"))
-        object.__setattr__(self, "other_demand", _as_float_tuple(self.other_demand, "other_demand"))
-        if self.supply_capacity is not None:
-            object.__setattr__(
-                self, "supply_capacity", _as_float_tuple(self.supply_capacity, "supply_capacity")
-            )
         for name in ("a", "b", "offpeak_price", "fit_price"):
             _as_float(getattr(self, name), f"grid.{name}")
         if self.a <= 0:
@@ -195,14 +185,9 @@ class Scenario:
                 raise ScenarioError(
                     f"prosumers[{p.id}].alpha has length {len(p.alpha)}, expected {self.slots}"
                 )
-        for name in ("threshold", "other_demand"):
-            if len(getattr(self.grid, name)) != self.slots:
-                raise ScenarioError(
-                    f"grid.{name} has length {len(getattr(self.grid, name))}, expected {self.slots}"
-                )
-        if self.grid.supply_capacity is not None and len(self.grid.supply_capacity) != self.slots:
+        if len(self.grid.threshold) != self.slots:
             raise ScenarioError(
-                f"grid.supply_capacity has length {len(self.grid.supply_capacity)}, expected {self.slots}"
+                f"grid.threshold has length {len(self.grid.threshold)}, expected {self.slots}"
             )
 
     def sellers_at(self, slot: int) -> list[ProsumerProfile]:
@@ -226,13 +211,6 @@ class Order:
             raise DomainError(f"order quantity must be > 0, got {self.quantity}")
         if self.price < 0:
             raise DomainError(f"order price must be >= 0, got {self.price}")
-
-
-def total_system_demand(e_d: float, e_o: float) -> float:
-    """Total customer demand: contracted prosumer demand plus everyone else."""
-    if e_d < 0 or e_o < 0:
-        raise DomainError("demand components must be non-negative")
-    return e_d + e_o
 
 
 # Case-study defaults. The punitive price at a 2 kWh threshold overshoot is
@@ -310,13 +288,11 @@ def make_case_study_scenario(
             threshold.append(e_d - overshoot)
         else:
             threshold.append(_quantize(e_d + 5.0 + rng.uniform(0.0, 5.0)))
-    other_demand = [_quantize(rng.uniform(20.0, 60.0)) for _ in range(slots)]
 
     grid = GridPolicy(
         a=CASE_STUDY_A,
         b=CASE_STUDY_B,
         threshold=tuple(threshold),
-        other_demand=tuple(other_demand),
         offpeak_price=CASE_STUDY_OFFPEAK,
         fit_price=CASE_STUDY_FIT,
     )
@@ -348,8 +324,11 @@ def make_case_study_scenario(
 # --- JSON scenario format -------------------------------------------------
 
 _TOP_KEYS = {"slots", "slot_minutes", "seed", "grid", "market", "prosumers"}
-_GRID_KEYS = {"a", "b", "threshold", "other_demand", "offpeak_price", "fit_price"}
-_GRID_OPTIONAL = {"supply_capacity"}
+_GRID_KEYS = {"a", "b", "threshold", "offpeak_price", "fit_price"}
+# Per-slot arrays that older files carry (the load of customers outside the
+# prosumer contract, and a supply ceiling) and that nothing reads: they are
+# checked as per-slot numbers, then dropped.
+_GRID_LEGACY = ("other_demand", "supply_capacity")
 _MARKET_KEYS = {"beta", "third_party_price", "auction_price_rule"}
 _PROSUMER_KEYS = {"id", "alpha", "net_energy", "reservation_price", "bid_price"}
 
@@ -364,21 +343,17 @@ def _check_keys(mapping: dict, required: set[str], optional: set[str], where: st
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    grid: dict = {
-        "a": scenario.grid.a,
-        "b": scenario.grid.b,
-        "threshold": list(scenario.grid.threshold),
-        "other_demand": list(scenario.grid.other_demand),
-        "offpeak_price": scenario.grid.offpeak_price,
-        "fit_price": scenario.grid.fit_price,
-    }
-    if scenario.grid.supply_capacity is not None:
-        grid["supply_capacity"] = list(scenario.grid.supply_capacity)
     return {
         "slots": scenario.slots,
         "slot_minutes": scenario.slot_minutes,
         "seed": scenario.seed,
-        "grid": grid,
+        "grid": {
+            "a": scenario.grid.a,
+            "b": scenario.grid.b,
+            "threshold": list(scenario.grid.threshold),
+            "offpeak_price": scenario.grid.offpeak_price,
+            "fit_price": scenario.grid.fit_price,
+        },
         "market": {
             "beta": scenario.market.beta,
             "third_party_price": scenario.market.third_party_price,
@@ -404,7 +379,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     grid_raw = data["grid"]
     if not isinstance(grid_raw, dict):
         raise ScenarioError("grid must be an object")
-    _check_keys(grid_raw, _GRID_KEYS, _GRID_OPTIONAL, "grid")
+    _check_keys(grid_raw, _GRID_KEYS, set(_GRID_LEGACY), "grid")
     market_raw = data["market"]
     if not isinstance(market_raw, dict):
         raise ScenarioError("market must be an object")
@@ -421,10 +396,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         a=grid_raw["a"],
         b=grid_raw["b"],
         threshold=grid_raw["threshold"],
-        other_demand=grid_raw["other_demand"],
         offpeak_price=grid_raw["offpeak_price"],
         fit_price=grid_raw["fit_price"],
-        supply_capacity=grid_raw.get("supply_capacity"),
     )
     market = MarketConfig(
         beta=market_raw["beta"],
@@ -447,7 +420,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 bid_price=raw["bid_price"],
             )
         )
-    return Scenario(
+    scenario = Scenario(
         slots=data["slots"],
         prosumers=tuple(prosumers),
         grid=grid,
@@ -455,6 +428,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         slot_minutes=data["slot_minutes"],
         seed=data["seed"],
     )
+    for name in _GRID_LEGACY:
+        if name not in grid_raw or (name == "supply_capacity" and grid_raw[name] is None):
+            continue
+        values = _as_float_tuple(grid_raw[name], name)
+        if len(values) != scenario.slots:
+            raise ScenarioError(f"grid.{name} has length {len(values)}, expected {scenario.slots}")
+    return scenario
 
 
 def emit_scenario(scenario: Scenario) -> str:

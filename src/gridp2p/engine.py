@@ -27,8 +27,6 @@ slots are never settled. Pooled peak slots from ``run_slot`` settle at once.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -82,8 +80,7 @@ class SlotResult:
     produces both and stores them as ordinary fields. Every reader of the
     fields settles the slot first, so ``dataclasses.replace``, ``==``,
     ``repr``, ``copy`` and pickle see settled values, and a pickle carries
-    the settled fields, never the deferred call. Settling is idempotent:
-    readers that race compute equal values, and later reads return the
+    the settled fields, never the deferred call. Later reads return the
     stored objects.
     """
 
@@ -106,8 +103,8 @@ class SlotResult:
     def __getattr__(self, name: str):
         # Reached only when the normal lookup fails: for an unsettled slot's
         # two deferred fields, or for a name the slot does not have. The
-        # fields are stored before the call is dropped, so a concurrent
-        # reader finds either the call or the fields.
+        # fields are stored before the call is dropped, so a read made while
+        # settling finds either the call or the fields.
         if name in _DEFERRED_FIELDS:
             settle = self.__dict__.get("_settle")
             if settle is not None:
@@ -320,23 +317,11 @@ def aggregate_slots(scenario: Scenario, slots: Sequence[SlotResult]) -> ReportAg
     )
 
 
-def worker_count(jobs: int, slots: int) -> int:
-    """Slot workers to start: never more than the slots or the CPUs, at least one."""
-    return max(1, min(jobs, slots, os.cpu_count() or 1))
-
-
-def _run(scenario: Scenario, mode: str, jobs: int = 1) -> SimulationReport:
+def _run(scenario: Scenario, mode: str) -> SimulationReport:
     if mode == MODE_P2P:
-        slot_fn = partial(run_slot, scenario)
+        slots = tuple(run_slot(scenario, t) for t in range(scenario.slots))
     else:
-        slot_fn = partial(_baseline_slot, scenario, mode=mode)
-
-    workers = worker_count(jobs, scenario.slots)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            slots = tuple(pool.map(slot_fn, range(scenario.slots)))
-    else:
-        slots = tuple(slot_fn(t) for t in range(scenario.slots))
+        slots = tuple(_baseline_slot(scenario, t, mode) for t in range(scenario.slots))
     log.debug("mode=%s slots=%d peak=%d", mode, len(slots), sum(s.price_signal.peak_flag for s in slots))
     return SimulationReport(
         scenario=scenario,
@@ -346,19 +331,19 @@ def _run(scenario: Scenario, mode: str, jobs: int = 1) -> SimulationReport:
     )
 
 
-def run_horizon(scenario: Scenario, jobs: int = 1) -> SimulationReport:
+def run_horizon(scenario: Scenario) -> SimulationReport:
     """Run the peer-trading scheme over the whole horizon."""
-    return _run(scenario, MODE_P2P, jobs)
+    return _run(scenario, MODE_P2P)
 
 
-def baseline_grid_only(scenario: Scenario, jobs: int = 1) -> SimulationReport:
+def baseline_grid_only(scenario: Scenario) -> SimulationReport:
     """Replay the horizon with every prosumer trading only with the grid."""
-    return _run(scenario, MODE_GRID_ONLY, jobs)
+    return _run(scenario, MODE_GRID_ONLY)
 
 
-def baseline_third_party(scenario: Scenario, jobs: int = 1) -> SimulationReport:
+def baseline_third_party(scenario: Scenario) -> SimulationReport:
     """Replay the horizon with peak deficits bought from the third party."""
-    return _run(scenario, MODE_THIRD_PARTY, jobs)
+    return _run(scenario, MODE_THIRD_PARTY)
 
 
 def stability_context(scenario: Scenario, result: SlotResult) -> StabilityContext:

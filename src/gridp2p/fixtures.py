@@ -41,7 +41,6 @@ def _single_peak_scenario(
         a=CASE_STUDY_A,
         b=CASE_STUDY_B,
         threshold=(demand - threshold_margin,),
-        other_demand=(30.0,),
         offpeak_price=28.0,
         fit_price=10.0,
     )

@@ -9,38 +9,10 @@ the punitive peak price is chosen to sit above that point for every prosumer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .core import DomainError
 
 LN2 = math.log(2.0)
-
-
-class TradeSide(Enum):
-    SELL = "sell"
-    BUY = "buy"
-
-
-@dataclass(frozen=True)
-class TradePosition:
-    """Energy moved through the grid leg and the peer leg in one slot.
-
-    A prosumer trades with either the grid or its peers in a given slot,
-    never both, so at most one of ``e_g`` and ``e_p`` may be positive.
-    """
-
-    side: TradeSide
-    e_g: float = 0.0
-    e_p: float = 0.0
-    price_g: float = 0.0
-    price_p: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.e_g < 0 or self.e_p < 0:
-            raise DomainError("traded energy must be >= 0")
-        if self.e_g > 0 and self.e_p > 0:
-            raise DomainError("grid and peer legs are mutually exclusive in a slot")
 
 
 def satisfaction(alpha: float, energy: float) -> float:
@@ -51,22 +23,6 @@ def satisfaction(alpha: float, energy: float) -> float:
 def position_value(alpha: float, energy: float, cash: float) -> float:
     """Utility of a settled position: satisfaction plus signed cash flow."""
     return satisfaction(alpha, energy) + cash
-
-
-def utility_sell(alpha: float, position: TradePosition) -> float:
-    """Utility of selling: satisfaction plus revenue from both legs."""
-    if position.side is not TradeSide.SELL:
-        raise DomainError("utility_sell needs a sell-side position")
-    cash = position.price_g * position.e_g + position.price_p * position.e_p
-    return position_value(alpha, position.e_g + position.e_p, cash)
-
-
-def utility_buy(alpha: float, position: TradePosition) -> float:
-    """Utility of buying: satisfaction minus payments on both legs."""
-    if position.side is not TradeSide.BUY:
-        raise DomainError("utility_buy needs a buy-side position")
-    cash = position.price_g * position.e_g + position.price_p * position.e_p
-    return position_value(alpha, position.e_g + position.e_p, -cash)
 
 
 def optimal_grid_purchase(alpha: float, price: float) -> float:

@@ -53,7 +53,7 @@ def test_criterion_01_zero_peak_cost():
 
 def test_criterion_02_price_multiplier():
     def one_slot(a, b, demand, threshold):
-        policy = GridPolicy(a, b, (threshold,), (0.0,), 28.0, 10.0)
+        policy = GridPolicy(a, b, (threshold,), 28.0, 10.0)
         buyer = ProsumerProfile("b1", 7.0, (-demand,), (12.0,), (12.0,))
         return decide_slot_price(policy, (buyer,), 0)
 

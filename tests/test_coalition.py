@@ -302,7 +302,7 @@ def peak_structures(draw):
             f"p{i:02d}", 7.0, (qty if i < n_sellers else -qty,), (draw(_PRICES),), (draw(_PRICES),)
         ))
     demand = sum(-p.net_energy[0] for p in prosumers if p.net_energy[0] < 0)
-    grid = GridPolicy(68.6, 274.4, (max(0.0, demand - 2.0),), (30.0,), 28.0, 10.0)
+    grid = GridPolicy(68.6, 274.4, (max(0.0, demand - 2.0),), 28.0, 10.0)
     market = MarketConfig(
         beta=draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 1.0]))),
         third_party_price=draw(st.one_of(st.floats(5.0, 30.0), st.integers(5, 30).map(float))),

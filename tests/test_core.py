@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from gridp2p.core import (
-    DomainError,
     GridPolicy,
     MarketConfig,
     ProsumerProfile,
@@ -20,20 +19,15 @@ from gridp2p.core import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    total_system_demand,
 )
 
 
-def test_total_system_demand():
-    assert total_system_demand(10, 5) == 15
-    assert total_system_demand(0, 0) == 0
-    assert total_system_demand(3.5, 2.5) == 6.0
-
-
-@pytest.mark.parametrize("e_d,e_o", [(-1, 5), (5, -1)])
-def test_total_system_demand_rejects_negative(e_d, e_o):
-    with pytest.raises(DomainError):
-        total_system_demand(e_d, e_o)
+def _with_legacy_grid_keys(data: dict, other_demand=None, supply_capacity=None) -> dict:
+    """``data`` with the two grid keys that older scenario files carry."""
+    slots = data["slots"]
+    data["grid"]["other_demand"] = [30.0] * slots if other_demand is None else other_demand
+    data["grid"]["supply_capacity"] = [80.0] * slots if supply_capacity is None else supply_capacity
+    return data
 
 
 def test_case_study_scenario_deterministic():
@@ -69,6 +63,8 @@ def test_case_study_ranges_over_many_seeds():
 def test_round_trip_through_json():
     s = make_case_study_scenario(7)
     assert load_scenario_text(emit_scenario(s)) == s
+    legacy = _with_legacy_grid_keys(scenario_to_dict(s))
+    assert load_scenario_text(json.dumps(legacy)) == s
 
 
 def test_round_trip_through_file(tmp_path):
@@ -80,7 +76,7 @@ def test_round_trip_through_file(tmp_path):
 
 def test_scenario_rejects_duplicate_ids():
     p = ProsumerProfile("x", 1.0, (1.0,), (11.0,), (11.0,))
-    grid = GridPolicy(1.0, 1.0, (5.0,), (0.0,), 28.0, 10.0)
+    grid = GridPolicy(1.0, 1.0, (5.0,), 28.0, 10.0)
     with pytest.raises(ScenarioError, match="duplicate"):
         Scenario(slots=1, prosumers=(p, p), grid=grid, market=MarketConfig())
 
@@ -91,6 +87,10 @@ def test_scenario_rejects_length_mismatch():
     data["grid"]["threshold"] = data["grid"]["threshold"][:-1]
     with pytest.raises(ScenarioError, match="grid.threshold"):
         scenario_from_dict(data)
+    for name in ("other_demand", "supply_capacity"):
+        data = _with_legacy_grid_keys(scenario_to_dict(s), **{name: [30.0] * (s.slots - 1)})
+        with pytest.raises(ScenarioError, match=f"grid.{name} has length"):
+            scenario_from_dict(data)
 
 
 def test_scenario_rejects_bad_beta():
@@ -141,16 +141,16 @@ def test_per_slot_alpha_accepted():
     p = ProsumerProfile("x", (1.0, 2.0), (1.0, 1.0), (11.0, 11.0), (11.0, 11.0))
     assert p.alpha_at(0) == 1.0
     assert p.alpha_at(1) == 2.0
-    grid = GridPolicy(1.0, 1.0, (5.0, 5.0), (0.0, 0.0), 28.0, 10.0)
+    grid = GridPolicy(1.0, 1.0, (5.0, 5.0), 28.0, 10.0)
     s = Scenario(slots=2, prosumers=(p,), grid=grid, market=MarketConfig())
     assert load_scenario_text(emit_scenario(s)) == s
 
 
 def test_grid_policy_validation():
     with pytest.raises(ScenarioError, match="offpeak_price"):
-        GridPolicy(1.0, 1.0, (5.0,), (0.0,), 10.0, 10.0)
+        GridPolicy(1.0, 1.0, (5.0,), 10.0, 10.0)
     with pytest.raises(ScenarioError, match="grid.a"):
-        GridPolicy(0.0, 1.0, (5.0,), (0.0,), 28.0, 10.0)
+        GridPolicy(0.0, 1.0, (5.0,), 28.0, 10.0)
 
 
 def test_emitted_json_is_stable():
@@ -172,7 +172,7 @@ def test_loader_rejects_non_finite_json_numbers(value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_built_objects_reject_non_finite_numbers(value):
     with pytest.raises(ScenarioError, match="threshold"):
-        GridPolicy(1.0, 1.0, (value,), (0.0,), 28.0, 10.0)
+        GridPolicy(1.0, 1.0, (value,), 28.0, 10.0)
     with pytest.raises(ScenarioError, match="net_energy"):
         ProsumerProfile("x", 1.0, (value,), (11.0,), (11.0,))
     with pytest.raises(ScenarioError, match="alpha"):
@@ -195,6 +195,13 @@ def test_loader_rejects_booleans_and_strings_as_numbers():
     data["slots"] = True
     with pytest.raises(ScenarioError, match="slots"):
         scenario_from_dict(data)
+    for name in ("other_demand", "supply_capacity"):
+        for value in (True, "1.5"):
+            data = _with_legacy_grid_keys(
+                scenario_to_dict(make_case_study_scenario(3, slots=2)), **{name: [30.0, value]}
+            )
+            with pytest.raises(ScenarioError, match=name):
+                scenario_from_dict(data)
 
 
 @pytest.mark.parametrize("value", ["x", True, 1.0, None])

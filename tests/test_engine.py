@@ -1,7 +1,6 @@
 """Slot orchestration, baselines, settlement and comparison metrics."""
 
 import dataclasses
-import os
 import pickle
 import random
 from fractions import Fraction
@@ -26,7 +25,6 @@ from gridp2p.engine import (
     compare,
     run_horizon,
     run_slot,
-    worker_count,
 )
 from gridp2p.fixtures import (
     blended_price_scenario,
@@ -38,7 +36,7 @@ from gridp2p.reports import write_run, write_summary
 
 
 def _one_slot_scenario(prosumers, threshold, **market_kwargs):
-    grid = GridPolicy(68.6, 274.4, (threshold,), (0.0,), 28.0, 10.0)
+    grid = GridPolicy(68.6, 274.4, (threshold,), 28.0, 10.0)
     return Scenario(
         slots=1, prosumers=tuple(prosumers), grid=grid, market=MarketConfig(**market_kwargs)
     )
@@ -227,7 +225,7 @@ def test_settlement_conservation_exact():
             ProsumerProfile("b2", 0.1, (-0.1, 0.0), (0.18, 0.18), (0.18, 0.18)),
             ProsumerProfile("b3", 0.3, (-0.3, -0.7), (0.11, 0.11), (0.11, 0.11)),
         ),
-        grid=GridPolicy(0.3, 1.7, (0.3, 7.0), (0.0, 0.0), 0.29, 0.07),
+        grid=GridPolicy(0.3, 1.7, (0.3, 7.0), 0.29, 0.07),
         market=MarketConfig(beta=0.1, third_party_price=0.21),
     )
     structure = run_slot(non_dyadic, 0).structure
@@ -356,10 +354,10 @@ def test_dominance_on_random_scenarios():
                 assert s_p2p.per_prosumer[pid].cost <= s_grid.per_prosumer[pid].cost
 
 
-def test_parallel_slots_match_sequential():
+def test_pickled_report_equals_fresh_run():
     scenario = make_case_study_scenario(9, slots=6)
     for run in (run_horizon, baseline_grid_only, baseline_third_party):
-        assert run(scenario, jobs=2) == run(scenario, jobs=1)
+        assert pickle.loads(pickle.dumps(run(scenario))) == run(scenario)
 
 
 _RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
@@ -455,12 +453,3 @@ def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
     # peaks (settled for the aggregates); the baselines' off-peak slots never.
     assert len(calls) == (scenario.slots - peaks) + 2 * peaks
 
-
-def test_worker_count_is_capped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert worker_count(10**6, 22) == 4
-    assert worker_count(8, 3) == 3
-    assert worker_count(2, 22) == 2
-    assert worker_count(0, 22) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count(8, 22) == 1

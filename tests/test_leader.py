@@ -78,7 +78,7 @@ def test_cost_is_minimized_at_the_punitive_price(a, b, overshoot, e_t):
 
 
 def _one_slot_policy(threshold: float, a: float = 68.6, b: float = 274.4) -> GridPolicy:
-    return GridPolicy(a, b, (threshold,), (0.0,), 28.0, 10.0)
+    return GridPolicy(a, b, (threshold,), 28.0, 10.0)
 
 
 def _buyer(pid: str, deficit: float, alpha: float = 7.0) -> ProsumerProfile:
@@ -113,7 +113,7 @@ def test_decide_slot_price_second_parameterization():
 
 
 def test_decide_slot_price_rejects_weak_b():
-    policy = GridPolicy(0.001, 1.0, (8.0,), (0.0,), 28.0, 10.0)
+    policy = GridPolicy(0.001, 1.0, (8.0,), 28.0, 10.0)
     prosumers = (_buyer("p1", 10.0, alpha=100.0),)
     with pytest.raises(ConfigurationError, match="slot 0"):
         decide_slot_price(policy, prosumers, 0)

@@ -7,42 +7,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridp2p.core import DomainError
-from gridp2p.prosumer import (
-    TradePosition,
-    TradeSide,
-    max_willingness_price,
-    optimal_grid_purchase,
-    utility_buy,
-    utility_sell,
-)
+from gridp2p.prosumer import max_willingness_price, optimal_grid_purchase, position_value
 
 LN2 = math.log(2.0)
 
 
 def test_utility_sell_examples():
-    pure_revenue = TradePosition(TradeSide.SELL, e_p=2.0, price_p=14.0)
-    assert utility_sell(0.0001, pure_revenue) == pytest.approx(28.0, abs=1e-3)
-    assert utility_sell(5.0, TradePosition(TradeSide.SELL)) == 0.0
-    grid_leg = TradePosition(TradeSide.SELL, e_g=1.0, price_g=10.0)
-    assert utility_sell(1.0, grid_leg) == pytest.approx(11.0)
+    # Selling q kWh at price p is worth the satisfaction of q plus revenue p*q.
+    assert position_value(0.0001, 2.0, 14.0 * 2.0) == pytest.approx(28.0, abs=1e-3)
+    assert position_value(5.0, 0.0, 0.0) == 0.0
+    assert position_value(1.0, 1.0, 10.0 * 1.0) == pytest.approx(11.0)
 
 
 def test_utility_buy_examples():
-    assert utility_buy(2.0, TradePosition(TradeSide.BUY, e_p=3.0, price_p=1.0)) == pytest.approx(1.0)
-    assert utility_buy(3.0, TradePosition(TradeSide.BUY)) == 0.0
-    assert utility_buy(1.0, TradePosition(TradeSide.BUY, e_g=1.0, price_g=0.5)) == pytest.approx(0.5)
-
-
-def test_position_legs_are_exclusive():
-    with pytest.raises(DomainError):
-        TradePosition(TradeSide.SELL, e_g=1.0, e_p=1.0)
-
-
-def test_side_mismatch_rejected():
-    with pytest.raises(DomainError):
-        utility_sell(1.0, TradePosition(TradeSide.BUY))
-    with pytest.raises(DomainError):
-        utility_buy(1.0, TradePosition(TradeSide.SELL))
+    # Buying q kWh at price p is worth the satisfaction of q minus the payment p*q.
+    assert position_value(2.0, 3.0, -1.0 * 3.0) == pytest.approx(1.0)
+    assert position_value(3.0, 0.0, -0.0) == 0.0
+    assert position_value(1.0, 1.0, -0.5 * 1.0) == pytest.approx(0.5)
 
 
 def test_optimal_grid_purchase_examples():
@@ -104,6 +85,6 @@ def test_buy_utility_concave_in_energy(alpha, price, e, step):
 @given(st.floats(0.1, 30.0), st.floats(0.0, 20.0), st.floats(1e-3, 1.0), st.floats(0.0, 40.0))
 def test_sell_utility_concave_in_energy(alpha, e, step, price):
     def u(q):
-        return utility_sell(alpha, TradePosition(TradeSide.SELL, e_p=q, price_p=price))
+        return position_value(alpha, q, price * q)
 
     assert u(e + 2 * step) - 2 * u(e + step) + u(e) <= 1e-9

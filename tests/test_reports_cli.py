@@ -186,6 +186,12 @@ def test_cli_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+    # The two legacy grid keys of older files are read and ignored.
+    data = json.loads(scenario_path.read_text())
+    data["grid"].update(other_demand=[30.0] * 8, supply_capacity=[80.0] * 8)
+    scenario_path.write_text(json.dumps(data))
+    assert main(args + ["--out", str(tmp_path / "legacy")]) == EXIT_OK
+    assert _dir_bytes(tmp_path / "legacy") == _dir_bytes(tmp_path / "a")
 
 
 def test_cli_does_not_mutate_scenario_file(tmp_path):
@@ -214,10 +220,14 @@ def test_cli_price_rule_override(tmp_path):
     assert audit_run(b) == []
 
 
-def test_cli_jobs_flag_is_deterministic(tmp_path):
+def test_cli_jobs_flag_is_deterministic(tmp_path, capsys):
     args = ["simulate", "--seed", "5", "--slots", "6", "--mode", "p2p"]
-    main(args + ["--out", str(tmp_path / "seq")])
-    main(args + ["--jobs", "2", "--out", str(tmp_path / "par")])
+    assert main(args + ["--jobs", "1", "--out", str(tmp_path / "seq")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: --jobs 2 ignored; slots run in one process"
+    ]
     assert _dir_bytes(tmp_path / "seq") == _dir_bytes(tmp_path / "par")
 
 
@@ -240,6 +250,15 @@ def test_cli_rejects_nan_and_boolean_numbers(tmp_path):
         bad.write_text(json.dumps(data))
         code = main(["simulate", "--scenario", str(bad), "--mode", "compare", "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
+    # The legacy grid keys are still checked before they are dropped.
+    for field in ("other_demand", "supply_capacity"):
+        for values in ([30.0, 30.0, 30.0, "x"], [30.0, 30.0, 30.0, True], [30.0] * 3):
+            data = json.loads(emit_scenario(scenario))
+            data["grid"][field] = values
+            bad = tmp_path / f"{field}.json"
+            bad.write_text(json.dumps(data))
+            code = main(["simulate", "--scenario", str(bad), "--mode", "compare", "--out", str(tmp_path / "r")])
+            assert code == EXIT_VALIDATION
 
 
 def test_cli_rejects_mistyped_fields(tmp_path):
