@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .auction import AuctionOutcome, Fill
 from .core import DomainError
@@ -42,6 +42,11 @@ class Venue(Enum):
     MID_MARKET = "mid_market"
     GRID = "grid"
     THIRD_PARTY = "third_party"
+
+
+# One trade as a row: venue, seller, buyer, the quantity's numerator and
+# denominator, seller price and buyer price.
+Row = tuple[Venue, str, str, int, int, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -128,40 +133,70 @@ def _fee_price(sell: Fraction, beta: float) -> Fraction:
     return sell * (1 + Fraction(beta))
 
 
+@dataclass(frozen=True)
+class Pool:
+    """A pro-rata pool: its fills, whose cleared amounts sum to ``matched`` on
+    each side, its venue and prices, and the prices of its residuals: surplus
+    sells to the grid at the feed-in tariff ``fit``, deficit comes from the
+    third party at ``third``.
+    """
+
+    sellers: Sequence[Fill]
+    buyers: Sequence[Fill]
+    matched: Fraction
+    venue: Venue
+    sell_price: Fraction
+    buy_price: Fraction
+    fit: Fraction
+    third: Fraction
+
+    def rows(self) -> Iterator[Row]:
+        """The pool as pairwise trades: each pair, then each seller's and each buyer's residual.
+
+        Seller ``s`` delivers ``cleared_s * cleared_b / matched`` to buyer
+        ``b``, computed as one integer numerator and denominator.
+        """
+        m = self.matched
+        if m > 0:
+            filled = [
+                (f.prosumer_id, f.cleared.numerator * m.denominator, f.cleared.denominator * m.numerator)
+                for f in self.buyers if f.cleared > 0
+            ]
+            for f in self.sellers:
+                n, d = f.cleared.numerator, f.cleared.denominator
+                if n == 0:
+                    continue
+                for bid, b_num, b_den in filled:
+                    yield self.venue, f.prosumer_id, bid, n * b_num, d * b_den, self.sell_price, self.buy_price
+        for f in self.sellers:
+            if (residual := f.unfilled) > 0:
+                yield Venue.GRID, f.prosumer_id, GRID_ID, *residual.as_integer_ratio(), self.fit, self.fit
+        for f in self.buyers:
+            if (residual := f.unfilled) > 0:
+                yield (Venue.THIRD_PARTY, THIRD_PARTY_ID, f.prosumer_id,
+                       *residual.as_integer_ratio(), self.third, self.third)
+
+
+def trades_of(rows: Iterable[Row]) -> list[Trade]:
+    """The trades that ``rows`` present, in order."""
+    return [Trade(s, b, Fraction(n, d), sp, bp, v) for v, s, b, n, d, sp, bp in rows]
+
+
 def pool_trades(
     sellers: Sequence[Fill], buyers: Sequence[Fill], matched: Fraction, venue: Venue,
     sell_price: Fraction, buy_price: Fraction, fit: Fraction, third: Fraction,
-) -> tuple[list[Trade], dict[str, Leg]]:
-    """Pair a pro-rata pool and route its residuals; return the trades and legs.
+) -> tuple[Pool, dict[str, Leg]]:
+    """The pool of these fills, and each participant's leg read off its own fill.
 
-    Each fill clears part of its position inside the pool; the cleared
-    amounts on each side sum to ``matched``. Seller ``s`` delivers
-    ``cleared_s * cleared_b / matched`` to buyer ``b``; unfilled surplus sells
-    to the grid at the feed-in tariff, unfilled deficit comes from the third
-    party. The pairwise trades sum exactly to each fill, so every leg is read
-    off its own fill in O(S+B) instead of re-adding the S×B trades.
+    The pairwise trades of :meth:`Pool.rows` sum exactly to each fill, so
+    every leg is computed in O(S+B) without building them.
     """
-    trades: list[Trade] = []
-    if matched > 0:
-        filled = [(f.prosumer_id, f.cleared) for f in buyers if f.cleared > 0]
-        for f in sellers:
-            if f.cleared == 0:
-                continue
-            ratio = f.cleared / matched
-            for bid, b_cleared in filled:
-                trades.append(Trade(f.prosumer_id, bid, ratio * b_cleared, sell_price, buy_price, venue))
     legs: dict[str, Leg] = {}
     for f in sellers:
-        residual = f.unfilled
-        if residual > 0:
-            trades.append(Trade(f.prosumer_id, GRID_ID, residual, fit, fit, Venue.GRID))
-        legs[f.prosumer_id] = (f.submitted, sell_price * f.cleared + fit * residual, _ZERO)
+        legs[f.prosumer_id] = (f.submitted, sell_price * f.cleared + fit * f.unfilled, _ZERO)
     for f in buyers:
-        residual = f.unfilled
-        if residual > 0:
-            trades.append(Trade(THIRD_PARTY_ID, f.prosumer_id, residual, third, third, Venue.THIRD_PARTY))
-        legs[f.prosumer_id] = (f.submitted, _ZERO, buy_price * f.cleared + third * residual)
-    return trades, legs
+        legs[f.prosumer_id] = (f.submitted, _ZERO, buy_price * f.cleared + third * f.unfilled)
+    return Pool(sellers, buyers, matched, venue, sell_price, buy_price, fit, third), legs
 
 
 def match_midmarket(
@@ -171,14 +206,14 @@ def match_midmarket(
     beta: float,
     fit_price: float,
     third_party_price: float,
-) -> tuple[list[Trade], dict[str, Leg]]:
+) -> tuple[Pool, dict[str, Leg]]:
     """Match mid-market surplus against deficit pro-rata and route residuals.
 
     Every seller's quantity is spread over the buyers in proportion to their
     demands (and vice versa), so the matched total is the smaller of total
     surplus and total deficit, exactly. Leftover surplus is sold to the grid
     at the feed-in tariff; leftover deficit is bought from the third party.
-    Returns the trades and each participant's leg.
+    Returns the pool, whose rows are the trades, and each participant's leg.
     """
     sellers = [(pid, Fraction(q)) for pid, q in sellers]
     buyers = [(pid, Fraction(q)) for pid, q in buyers]

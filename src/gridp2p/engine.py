@@ -7,21 +7,18 @@ horizon without peer trading (everything through the grid, or deficits
 through the third party), and ``compare`` distills the three runs into the
 cost and revenue metrics of interest.
 
-Every pool settles per participant: each prosumer's leg is its routed kWh,
-revenue and cost, read off its own matched share and residual in O(S+B) per
-slot (``pool_trades``, then ``_settle``). The pairwise trades, and so the rows
-of ``trades.csv``, are a presentation of those legs and sum to them exactly.
-Whole-position slots (every off-peak slot, and both baselines' peaks) settle
-in the same pass that builds their trades (``_route_positions``): each leg is
-one-sided, a single exact product of price and quantity, so the float of that
-product is the float of revenue minus cost. Cash amounts are exact rationals
-throughout; floats appear only in utilities and in emitted reports.
-
-A whole-position slot settles when its ``trades`` or ``per_prosumer`` is first
-read, not when the slot is run: ``compare`` reads only peak slots, so in a
-compare run ``aggregate_slots`` settles the baselines' peaks, ``write_run``
-settles the peer-trading run's off-peak slots, and the baselines' off-peak
-slots are never settled. Pooled peak slots from ``run_slot`` settle at once.
+Every slot carries the ledger it settles from: a pooled peak its pools, a
+whole-position slot (every off-peak slot, and both baselines' peaks) its whole
+positions. The ledger yields the slot's trades as rows, in one fixed order:
+``write_run`` formats ``trades.csv`` from them, and a slot's ``trades`` are
+built from them when first read. A pool settles per participant when its slot
+is run: each leg is read off the prosumer's own matched share and residual, in
+O(S+B) (``pool_trades``, then ``_settle``), and the pairwise trades sum to it
+exactly. A whole-position slot settles when its ``per_prosumer`` is first read
+(``_route_positions``). ``compare`` reads only peak slots, so a compare run
+settles the baselines' peaks and no off-peak slot; writing a run settles
+nothing. Cash amounts are exact rationals throughout; floats appear only in
+utilities and in emitted reports.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .auction import AuctionOutcome, OrderBook, clear
 from .coalition import (
@@ -38,6 +36,8 @@ from .coalition import (
     THIRD_PARTY_ID,
     CoalitionStructure,
     Leg,
+    Pool,
+    Row,
     StabilityContext,
     Trade,
     Venue,
@@ -45,6 +45,7 @@ from .coalition import (
     mid_market_prices,
     partition,
     pool_trades,
+    trades_of,
 )
 from .core import DomainError, Order, OrderSide, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
@@ -68,20 +69,17 @@ class ProsumerSlot:
     venue: str
 
 
-_DEFERRED_FIELDS = ("trades", "per_prosumer")
-
-
 @dataclass(frozen=True)
 class SlotResult:
     """One slot's price signal, coalition structure, trades, system cost and settlement.
 
-    A whole-position slot is built by :meth:`deferred`: its ``trades`` and
-    ``per_prosumer`` are missing until either is first read, when one call
-    produces both and stores them as ordinary fields. Every reader of the
-    fields settles the slot first, so ``dataclasses.replace``, ``==``,
-    ``repr``, ``copy`` and pickle see settled values, and a pickle carries
-    the settled fields, never the deferred call. Later reads return the
-    stored objects.
+    A slot built by :meth:`deferred` carries its ledger, a call that yields
+    its trades as rows, and builds ``trades`` from it on first read; a
+    ``per_prosumer`` not given is settled by a second call on first read.
+    Each is then an ordinary field. Every reader of the fields fills them
+    first, so ``dataclasses.replace``, ``==``, ``repr``, ``copy`` and pickle
+    see settled values, and a pickle carries the fields only, never the
+    ledger or a call. Later reads return the stored objects.
     """
 
     slot: int
@@ -93,32 +91,37 @@ class SlotResult:
 
     @classmethod
     def deferred(
-        cls, settle: Callable[[], tuple[list[Trade], dict[str, ProsumerSlot]]], **fields
+        cls, rows: Callable[[], Iterator[Row]], settle: Callable[[], dict[str, ProsumerSlot]] | None = None, **fields
     ) -> SlotResult:
-        """A slot given every field but ``trades`` and ``per_prosumer``, which ``settle`` returns."""
+        """A slot given every field but ``trades`` (and ``per_prosumer`` when ``settle`` returns it)."""
         result = object.__new__(cls)
-        result.__dict__.update(fields, _settle=settle)
+        result.__dict__.update(fields, _rows=rows, _settle=settle)
         return result
 
     def __getattr__(self, name: str):
-        # Reached only when the normal lookup fails: for an unsettled slot's
-        # two deferred fields, or for a name the slot does not have. The
-        # fields are stored before the call is dropped, so a read made while
-        # settling finds either the call or the fields.
-        if name in _DEFERRED_FIELDS:
-            settle = self.__dict__.get("_settle")
-            if settle is not None:
-                trades, per_prosumer = settle()
-                object.__setattr__(self, "trades", tuple(trades))
-                object.__setattr__(self, "per_prosumer", per_prosumer)
-                self.__dict__.pop("_settle", None)
+        # Reached only when the normal lookup fails: for a deferred field not
+        # yet read, or for a name the slot does not have. The settlement is
+        # stored before its call is dropped, so a read made while settling
+        # finds either the call or the field.
+        if name == "trades" and "_rows" in self.__dict__:
+            object.__setattr__(self, "trades", tuple(trades_of(self._rows())))
+        elif name == "per_prosumer" and self.__dict__.get("_settle") is not None:
+            object.__setattr__(self, "per_prosumer", self._settle())
+            self.__dict__.pop("_settle", None)
         return object.__getattribute__(self, name)
 
     def __getstate__(self) -> dict:
-        # Reading a field settles the slot, so the pickle carries the fields
-        # and never the deferred call.
-        self.trades
-        return self.__dict__
+        # Reading the fields fills them, so the pickle carries the fields and
+        # never the ledger or a deferred call.
+        self.trades, self.per_prosumer
+        return {name: value for name, value in self.__dict__.items() if not name.startswith("_")}
+
+    def rows(self) -> Iterator[Row]:
+        """The slot's trades as rows, in order: from its ledger, or from ``trades`` without one."""
+        if "_rows" in self.__dict__:
+            return self._rows()
+        return ((t.venue, t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio(), t.seller_price, t.buyer_price)
+                for t in self.trades)
 
 
 @dataclass(frozen=True)
@@ -154,40 +157,43 @@ def _settle(
     return result
 
 
-def _route_positions(
+def _position_rows(
     scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
-) -> tuple[list[Trade], dict[str, ProsumerSlot]]:
-    """Route whole positions (surplus to the grid at FiT, deficit from ``buy_venue``)
-    and settle each in the same pass, from the one nonzero side of its cash.
+) -> Iterator[Row]:
+    """Whole positions as rows, in prosumer order: surplus to the grid at FiT,
+    deficit from ``buy_venue`` at ``buy_price``.
     """
     fit = Fraction(scenario.grid.fit_price)
     price = Fraction(buy_price)
     source = GRID_ID if buy_venue is Venue.GRID else THIRD_PARTY_ID
-    grid_name, buy_name = Venue.GRID.value, buy_venue.value
-    trades: list[Trade] = []
-    settled: dict[str, ProsumerSlot] = {}
     for p in scenario.prosumers:
         net = p.net_energy[slot]
         if net > 0:
-            q = Fraction(net)
-            revenue = fit * q
-            trades.append(Trade(p.id, GRID_ID, q, fit, fit, Venue.GRID))
-            utility = position_value(p.alpha_at(slot), net, float(revenue))
-            settled[p.id] = ProsumerSlot(utility, revenue, _ZERO, grid_name)
+            yield (Venue.GRID, p.id, GRID_ID, *net.as_integer_ratio(), fit, fit)
         elif net < 0:
-            q = Fraction(-net)
-            cost = price * q
-            trades.append(Trade(source, p.id, q, price, price, buy_venue))
-            utility = position_value(p.alpha_at(slot), -net, -float(cost))
-            settled[p.id] = ProsumerSlot(utility, _ZERO, cost, buy_name)
+            yield (buy_venue, source, p.id, *(-net).as_integer_ratio(), price, price)
+
+
+def _route_positions(
+    scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
+) -> dict[str, ProsumerSlot]:
+    """Settle each row of :func:`_position_rows` from the one nonzero side of its cash."""
+    alpha = {p.id: p.alpha_at(slot) for p in scenario.prosumers}
+    settled = dict.fromkeys(alpha, ProsumerSlot(0.0, _ZERO, _ZERO, "none"))
+    for venue, seller, buyer, num, den, price, _ in _position_rows(scenario, slot, buy_price, buy_venue):
+        cash = price * Fraction(num, den)
+        if buyer == GRID_ID:
+            utility = position_value(alpha[seller], num / den, float(cash))
+            settled[seller] = ProsumerSlot(utility, cash, _ZERO, venue.value)
         else:
-            settled[p.id] = ProsumerSlot(0.0, _ZERO, _ZERO, "none")
-    return trades, settled
+            utility = position_value(alpha[buyer], num / den, -float(cash))
+            settled[buyer] = ProsumerSlot(utility, _ZERO, cash, venue.value)
+    return settled
 
 
-def _auction_trades(
+def _auction_pool(
     outcome: AuctionOutcome, fit_price: float, third_party_price: float
-) -> tuple[list[Trade], dict[str, Leg]]:
+) -> tuple[Pool, dict[str, Leg]]:
     """Pair cleared quantities pro-rata and route the auction residuals.
 
     Unsold burden goes to the grid at the feed-in tariff; unmet buyer demand
@@ -200,15 +206,21 @@ def _auction_trades(
     )
 
 
+def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:
+    """The slot's price signal and the total prosumer demand it was decided on."""
+    e_d = total_prosumer_demand(scenario.prosumers, slot)
+    return decide_slot_price(scenario.grid, scenario.prosumers, slot, e_d), e_d
+
+
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     """Simulate one slot of the peer-trading scheme."""
     if not 0 <= slot < scenario.slots:
         raise DomainError(f"slot {slot} out of range")
     grid = scenario.grid
     market = scenario.market
-    signal = decide_slot_price(grid, scenario.prosumers, slot)
+    signal, e_d = _decide(scenario, slot)
     if not signal.peak_flag:
-        return _baseline_slot(scenario, slot, MODE_P2P, signal)
+        return _baseline_slot(scenario, slot, MODE_P2P, signal, e_d)
 
     sellers = scenario.sellers_at(slot)
     buyers = scenario.buyers_at(slot)
@@ -232,7 +244,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     p_auc = grid.fit_price if outcome.auction_price is None else outcome.auction_price
     mid_sell, _ = mid_market_prices(p_auc, grid.fit_price, market.beta)
     mid_ids = set(structure.midmarket_members)
-    mid_trades, mid_legs = match_midmarket(
+    mid_pool, mid_legs = match_midmarket(
         sellers=[(p.id, Fraction(p.net_energy[slot])) for p in sellers if p.id in mid_ids],
         buyers=[(p.id, Fraction(-p.net_energy[slot])) for p in buyers if p.id in mid_ids],
         mid_sell=mid_sell,
@@ -241,11 +253,11 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         third_party_price=market.third_party_price,
     )
 
-    trades: list[Trade] = []
+    pools = [mid_pool]
     legs: dict[str, Leg] = {}
     if not outcome.is_empty:
-        trades, legs = _auction_trades(outcome, grid.fit_price, market.third_party_price)
-    trades.extend(mid_trades)
+        auction_pool, legs = _auction_pool(outcome, grid.fit_price, market.third_party_price)
+        pools.insert(0, auction_pool)
     legs.update(mid_legs)
 
     venues = {pid: Venue.AUCTION.value for pid in structure.auction_members}
@@ -254,24 +266,21 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     # No prosumer buys from the system at the peak, so delivered demand is
     # zero and the slot costs the system exactly nothing.
     cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
-    return SlotResult(
+    return SlotResult.deferred(
+        lambda: chain.from_iterable(pool.rows() for pool in pools),
         slot=slot,
         price_signal=signal,
         structure=structure,
-        trades=tuple(trades),
         cps_cost=cost,
         per_prosumer=_settle(scenario, slot, legs, venues),
     )
 
 
 def _baseline_slot(
-    scenario: Scenario, slot: int, mode: str, signal: PriceSignal | None = None
+    scenario: Scenario, slot: int, mode: str, signal: PriceSignal, e_d: float
 ) -> SlotResult:
     """A slot settled by whole positions, on first read: any off-peak slot, and a baseline's peak."""
     grid = scenario.grid
-    if signal is None:
-        signal = decide_slot_price(grid, scenario.prosumers, slot)
-    e_d = total_prosumer_demand(scenario.prosumers, slot)
     buy_price, buy_venue = signal.selling_price, Venue.GRID
     if not signal.peak_flag:
         cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], signal.selling_price)
@@ -285,6 +294,7 @@ def _baseline_slot(
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
 
     return SlotResult.deferred(
+        partial(_position_rows, scenario, slot, buy_price, buy_venue),
         partial(_route_positions, scenario, slot, buy_price, buy_venue),
         slot=slot,
         price_signal=signal,
@@ -321,7 +331,7 @@ def _run(scenario: Scenario, mode: str) -> SimulationReport:
     if mode == MODE_P2P:
         slots = tuple(run_slot(scenario, t) for t in range(scenario.slots))
     else:
-        slots = tuple(_baseline_slot(scenario, t, mode) for t in range(scenario.slots))
+        slots = tuple(_baseline_slot(scenario, t, mode, *_decide(scenario, t)) for t in range(scenario.slots))
     log.debug("mode=%s slots=%d peak=%d", mode, len(slots), sum(s.price_signal.peak_flag for s in slots))
     return SimulationReport(
         scenario=scenario,

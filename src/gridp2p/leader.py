@@ -72,7 +72,7 @@ def total_prosumer_demand(prosumers: Sequence[ProsumerProfile], slot: int) -> fl
 
 
 def decide_slot_price(
-    policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int
+    policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int, e_d: float | None = None
 ) -> PriceSignal:
     """Announce the slot's prices: off-peak rate, or the punitive peak price.
 
@@ -81,7 +81,9 @@ def decide_slot_price(
     ``min_b`` bound; a violation means the scenario's parameters cannot
     actually deter grid purchases, which is a configuration error.
     """
-    e_d = total_prosumer_demand(prosumers, slot)
+    # A caller that already summed the slot's prosumer demand passes it as e_d.
+    if e_d is None:
+        e_d = total_prosumer_demand(prosumers, slot)
     e_t = policy.threshold[slot]
     if e_d <= e_t:
         return PriceSignal(

@@ -10,9 +10,9 @@ directories.
 from __future__ import annotations
 
 import csv
-import io
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .coalition import GRID_ID, Venue
 from .engine import MetricsTable, SimulationReport
@@ -23,8 +23,7 @@ COALITIONS_HEADER = ["slot", "coalition", "member"]
 TRADES_HEADER = ["slot", "venue", "seller", "buyer", "qty", "seller_price", "buyer_price"]
 SUMMARY_HEADER = ["metric", "scope", "value"]
 
-# Venue names in trades.csv, and the coalition each peer venue's parties belong to.
-_VENUE_NAMES = {v: v.value for v in Venue}
+# The coalition each peer venue's parties belong to.
 _GRID = Venue.GRID.value
 _MID_MARKET = Venue.MID_MARKET.value
 _COALITION_OF = {Venue.AUCTION.value: "auction", _MID_MARKET: "mid_market"}
@@ -34,12 +33,29 @@ def _fmt(value: float | Fraction) -> str:
     return f"{float(value):.6f}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buffer.getvalue())
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    with path.open("w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trade_rows(report: SimulationReport) -> Iterator[list[str]]:
+    """Each slot's trade rows, formatted from its ledger without building its trades.
+
+    Int true division is correctly rounded and a float's rational is exact,
+    so each string equals ``_fmt`` of the trade's ``Fraction``.
+    """
+    for s in report.slots:
+        slot = str(s.slot)
+        sell_price = buy_price = None
+        for venue, seller, buyer, num, den, sell, buy in s.rows():
+            # Prices repeat across a pool's rows; format each one once.
+            if sell is not sell_price:
+                sell_price, sell_text = sell, _fmt(sell)
+            if buy is not buy_price:
+                buy_price, buy_text = buy, sell_text if buy is sell else _fmt(buy)
+            yield [slot, venue.value, seller, buyer, f"{num / den:.6f}", sell_text, buy_text]
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:
@@ -49,7 +65,6 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
     prices = []
     costs = []
     coalitions = []
-    trades = []
     for s in report.slots:
         prices.append([str(s.slot), _fmt(s.price_signal.selling_price), str(s.price_signal.peak_flag).lower()])
         costs.append([str(s.slot), _fmt(s.cps_cost)])
@@ -58,16 +73,11 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
                 coalitions.append([str(s.slot), "auction", pid])
             for pid in s.structure.midmarket_members:
                 coalitions.append([str(s.slot), "mid_market", pid])
-        slot = str(s.slot)
-        for t in s.trades:
-            sell = _fmt(t.seller_price)
-            buy = sell if t.buyer_price is t.seller_price else _fmt(t.buyer_price)
-            trades.append([slot, _VENUE_NAMES[t.venue], t.seller_id, t.buyer_id, _fmt(t.quantity), sell, buy])
 
     _write_csv(out / "prices.csv", PRICES_HEADER, prices)
     _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
     _write_csv(out / "coalitions.csv", COALITIONS_HEADER, coalitions)
-    _write_csv(out / "trades.csv", TRADES_HEADER, trades)
+    _write_csv(out / "trades.csv", TRADES_HEADER, _trade_rows(report))
 
 
 def write_summary(metrics: MetricsTable, out_dir: str | Path) -> None:
@@ -105,7 +115,9 @@ def _read_csv(
     A row is malformed when its width differs from the header's, its slot
     (where the first column is one) is not an integer, or a ``numeric`` column
     does not parse as a number. Each becomes one line in ``problems`` naming
-    the file and line. A missing or different header raises ``ValueError``.
+    the file and line. Each returned row ends with its ``numeric`` columns
+    parsed as floats, in ``numeric`` order. A missing or different header
+    raises ``ValueError``.
     """
     columns = [header.index(name) for name in numeric]
     rows: list[tuple[str, ...]] = []
@@ -124,7 +136,7 @@ def _read_csv(
 
 
 def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
-    """Why ``row`` is malformed under ``header``, or None if it is not."""
+    """Why ``row`` is malformed under ``header``, or None after appending its parsed ``columns``."""
     if len(row) != len(header):
         return f"expected {len(header)} fields, got {len(row)}"
     if header[0] == "slot":
@@ -134,7 +146,7 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
             return f"slot {row[0]!r} is not an integer"
     for i in columns:
         try:
-            float(row[i])
+            row.append(float(row[i]))
         except ValueError:
             return f"{header[i]} {row[i]!r} is not a number"
     return None
@@ -172,10 +184,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
         slot_members[member] = coalition
 
     balance: dict[str, tuple[float, float, float]] = {}
-    for slot, venue, seller, buyer, qty_text, sell_text, buy_text in trades:
-        qty = float(qty_text)
-        sell = float(sell_text)
-        buy = sell if buy_text == sell_text else float(buy_text)
+    for slot, venue, seller, buyer, qty_text, _, _, qty, sell, buy in trades:
         if qty <= 0:
             problems.append(f"slot {slot}: non-positive trade quantity {qty_text}")
         if buy < sell:

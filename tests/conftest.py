@@ -3,9 +3,11 @@
 The oracles here re-derive the expected results along a different path than
 the implementation: clearing by exhaustive candidate-depth enumeration and
 burden allocation by a closed-form water-fill level, instead of the
-engine's prefix scan and iterative redistribution, and D_hp stability by
+engine's prefix scan and iterative redistribution, D_hp stability by
 trying every group of mid-market members, instead of the one-prosumer moves
-that ``check_dhp_stability`` proves sufficient.
+that ``check_dhp_stability`` proves sufficient, and a pool's pairwise trades
+built eagerly as fill ratio times each buyer's fill in ``Fraction``s, instead
+of the integer rows of ``Pool.rows``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import settings
 
 from gridp2p.core import Order, OrderSide
 from gridp2p.auction import OrderBook
+from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
 
 settings.register_profile("gridp2p", deadline=None)
 settings.load_profile("gridp2p")
@@ -139,3 +142,23 @@ def oracle_dhp_stable(scenario, result) -> bool:
             if all(after(pid) > cash[pid] for pid in group):
                 return False
     return True
+
+
+def eager_pool_trades(sellers, buyers, matched, venue, sell_price, buy_price, fit, third):
+    """A pool's trades built one by one: the pairs, then seller and buyer residuals."""
+    trades = []
+    if matched > 0:
+        filled = [(f.prosumer_id, f.cleared) for f in buyers if f.cleared > 0]
+        for f in sellers:
+            if f.cleared == 0:
+                continue
+            ratio = f.cleared / matched
+            for bid, b_cleared in filled:
+                trades.append(Trade(f.prosumer_id, bid, ratio * b_cleared, sell_price, buy_price, venue))
+    for f in sellers:
+        if f.unfilled > 0:
+            trades.append(Trade(f.prosumer_id, GRID_ID, f.unfilled, fit, fit, Venue.GRID))
+    for f in buyers:
+        if f.unfilled > 0:
+            trades.append(Trade(THIRD_PARTY_ID, f.prosumer_id, f.unfilled, third, third, Venue.THIRD_PARTY))
+    return trades

@@ -4,12 +4,13 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import ask, bid, book, oracle_dhp_stable
-from gridp2p.auction import EMPTY_OUTCOME, clear
+from conftest import ask, bid, book, eager_pool_trades, oracle_dhp_stable
+from gridp2p.auction import EMPTY_OUTCOME, Fill, clear
 from gridp2p.coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
@@ -21,6 +22,8 @@ from gridp2p.coalition import (
     match_midmarket,
     mid_market_prices,
     partition,
+    pool_trades,
+    trades_of,
 )
 from gridp2p.core import (
     AuctionPriceRule,
@@ -37,6 +40,7 @@ from gridp2p.fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
+from gridp2p.reports import _fmt, _trade_rows
 
 
 def _price_pair(same_object):
@@ -133,8 +137,13 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
         assert members == active
 
 
+def _midmarket_trades(*args, **kwargs):
+    pool, _ = match_midmarket(*args, **kwargs)
+    return trades_of(pool.rows())
+
+
 def test_match_midmarket_exact_balance():
-    trades, _ = match_midmarket(
+    trades = _midmarket_trades(
         [("s1", Fraction(4))], [("b1", Fraction(2)), ("b2", Fraction(2))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -146,7 +155,7 @@ def test_match_midmarket_exact_balance():
 
 
 def test_match_midmarket_surplus_residual_to_grid():
-    trades, _ = match_midmarket(
+    trades = _midmarket_trades(
         [("s1", Fraction(6))], [("b1", Fraction(2))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -159,7 +168,7 @@ def test_match_midmarket_surplus_residual_to_grid():
 
 
 def test_match_midmarket_deficit_residual_to_third_party():
-    trades, _ = match_midmarket(
+    trades = _midmarket_trades(
         [("s1", Fraction(2))], [("b1", Fraction(5))],
         mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
@@ -171,14 +180,14 @@ def test_match_midmarket_deficit_residual_to_third_party():
 
 
 def test_match_midmarket_no_sellers():
-    trades, _ = match_midmarket(
+    trades = _midmarket_trades(
         [], [("b1", Fraction(3))], mid_sell=11.0, beta=0.1, fit_price=10.0, third_party_price=21.0
     )
     assert len(trades) == 1 and trades[0].venue is Venue.THIRD_PARTY
 
 
 def test_midmarket_fee_is_exactly_beta_times_receipt():
-    trades, _ = match_midmarket(
+    trades = _midmarket_trades(
         [("s1", Fraction(5)), ("s2", Fraction(3))],
         [("b1", Fraction(2)), ("b2", Fraction(4))],
         mid_sell=11.5, beta=0.1, fit_price=10.0, third_party_price=21.0,
@@ -192,6 +201,61 @@ def test_midmarket_fee_is_exactly_beta_times_receipt():
             assert t.fee == 0
 
 
+# Kilowatt-hours as small rationals, and as floats read exactly, whose
+# denominators are large powers of two.
+_KWH = st.one_of(
+    st.fractions(min_value=0, max_value=12, max_denominator=97),
+    st.floats(0.0, 12.0).map(Fraction),
+)
+
+
+@st.composite
+def _pools(draw):
+    """Arguments of ``pool_trades``: either side may be empty, fills may clear nothing."""
+    weights = [draw(st.lists(_KWH, max_size=4)) for _ in range(2)]
+    matched = draw(_KWH) if all(sum(w) > 0 for w in weights) else Fraction(0)
+    sides = []
+    for side, side_weights in zip("sb", weights):
+        total = sum(side_weights)
+        fills = []
+        for i, w in enumerate(side_weights):
+            cleared = w * matched / total if matched else Fraction(0)
+            residual = draw(_KWH.filter(lambda r, c=cleared: c + r > 0))
+            fills.append(Fill(f"{side}{i}", cleared + residual, cleared))
+        sides.append(fills)
+    venue = draw(st.sampled_from([Venue.AUCTION, Venue.MID_MARKET]))
+    sell = Fraction(draw(st.floats(0.01, 40.0)))
+    buy = sell if venue is Venue.AUCTION else sell * (1 + Fraction(draw(st.floats(0.0, 0.5))))
+    fit, third = (Fraction(draw(st.floats(0.01, 40.0))) for _ in range(2))
+    return sides[0], sides[1], matched, venue, sell, buy, fit, third
+
+
+_PRICES = (Fraction(3, 10), Fraction(33, 100), Fraction(1, 10), Fraction(21))
+_HALF = Fraction(1, 2)
+
+
+@given(_pools())
+@example(([], [], Fraction(0), Venue.AUCTION, *_PRICES))
+@example(([Fill("s0", Fraction(2), Fraction(0))], [Fill("b0", Fraction(3), Fraction(0))], Fraction(0),
+          Venue.MID_MARKET, *_PRICES))
+@example(([Fill("s0", Fraction(2), Fraction(0)), Fill("s1", Fraction(7, 3), Fraction(0))], [], Fraction(0),
+          Venue.MID_MARKET, *_PRICES))
+@example(([Fill("s0", Fraction(1), Fraction(0)), Fill("s1", Fraction(5, 3), Fraction(4, 3))],
+          [Fill("b0", Fraction(1, 3), Fraction(1, 3)), Fill("b1", Fraction(3), Fraction(1))], Fraction(4, 3),
+          Venue.AUCTION, _HALF, _HALF, Fraction(1, 10), Fraction(21)))
+def test_pool_rows_present_the_eager_trades_as_csv(args):
+    # The examples: no fills at all, nothing matched, one side only, and a
+    # seller that clears nothing beside ones that do.
+    pool, _ = pool_trades(*args)
+    trades = trades_of(pool.rows())
+    assert trades == eager_pool_trades(*args)
+    report = SimpleNamespace(slots=[SimpleNamespace(slot=7, rows=pool.rows)])
+    assert list(_trade_rows(report)) == [
+        ["7", t.venue.value, t.seller_id, t.buyer_id, _fmt(t.quantity), _fmt(t.seller_price), _fmt(t.buyer_price)]
+        for t in trades
+    ]
+
+
 @given(
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),
@@ -201,7 +265,7 @@ def test_midmarket_fee_is_exactly_beta_times_receipt():
 def test_midmarket_conservation(surpluses, deficits, mid_sell, beta):
     sellers = [(f"s{i}", Fraction(q)) for i, q in enumerate(surpluses)]
     buyers = [(f"b{i}", Fraction(q)) for i, q in enumerate(deficits)]
-    trades, _ = match_midmarket(sellers, buyers, mid_sell, beta, 10.0, 21.0)
+    trades = _midmarket_trades(sellers, buyers, mid_sell, beta, 10.0, 21.0)
     sold = {pid: Fraction(0) for pid, _ in sellers}
     bought = {pid: Fraction(0) for pid, _ in buyers}
     for t in trades:

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Venue
+from conftest import eager_pool_trades
+from gridp2p.auction import Fill
+from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Venue, mid_market_prices
 from gridp2p.core import (
     DomainError,
     GridPolicy,
@@ -248,6 +250,51 @@ def test_settlement_conservation_exact():
             _assert_settles_exactly(scenario, run(scenario))
 
 
+def _eager_peak_trades(scenario, s):
+    """A peak slot's trades rebuilt eagerly from its outcome, structure and scenario."""
+    grid, market, t = scenario.grid, scenario.market, s.slot
+    outcome = s.structure.outcome
+    fit, third = Fraction(grid.fit_price), Fraction(market.third_party_price)
+    trades = []
+    if not outcome.is_empty:
+        price = Fraction(outcome.auction_price)
+        trades += eager_pool_trades(
+            outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION, price, price, fit, third
+        )
+    p_auc = grid.fit_price if outcome.is_empty else outcome.auction_price
+    sell = Fraction(mid_market_prices(p_auc, grid.fit_price, market.beta)[0])
+    mid = set(s.structure.midmarket_members)
+    net = {p.id: Fraction(p.net_energy[t]) for p in scenario.prosumers if p.id in mid}
+    supply = sum(q for q in net.values() if q > 0)
+    demand = -sum(q for q in net.values() if q < 0)
+    matched = min(supply, demand)
+    trades += eager_pool_trades(
+        [Fill(pid, q, q * matched / supply) for pid, q in net.items() if q > 0],
+        [Fill(pid, -q, -q * matched / demand) for pid, q in net.items() if q < 0],
+        matched, Venue.MID_MARKET, sell, sell * (1 + Fraction(market.beta)), fit, third,
+    )
+    return tuple(trades)
+
+
+def test_lazy_peak_trades_equal_the_eager_pool_trades():
+    scenarios = [make_case_study_scenario(seed) for seed in (0, 7, 13)] + [
+        make_case_study_scenario(3, n_prosumers=96),
+        make_case_study_scenario(3, sellers_per_slot=9),
+        uniform_auction_scenario(),
+        blended_price_scenario(),
+        two_coalition_demo_scenario(),
+    ]
+    peaks = 0
+    for scenario in scenarios:
+        for s in run_horizon(scenario).slots:
+            if s.structure is None:
+                continue
+            peaks += 1
+            assert "trades" not in vars(s)
+            assert s.trades == _eager_peak_trades(scenario, s)
+    assert peaks > 8
+
+
 def test_grid_only_baseline_peak_pricing():
     scenario = uniform_auction_scenario()
     report = baseline_grid_only(scenario)
@@ -402,8 +449,9 @@ def test_unread_slot_pickles_settled(run):
 def test_second_read_returns_the_same_objects(run):
     slot = _unread_offpeak_slot(run)
     trades = slot.trades
-    # One settlement fills both fields.
-    assert "per_prosumer" in vars(slot)
+    # Each field is deferred on its own: the trades come from the ledger,
+    # and the settlement stays deferred until it is read.
+    assert "per_prosumer" not in vars(slot) and vars(slot)["_settle"] is not None
     per_prosumer = slot.per_prosumer
     assert slot.trades is trades and slot.per_prosumer is per_prosumer
     with pytest.raises(AttributeError):
@@ -449,7 +497,19 @@ def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
     write_summary(table, tmp_path)
     peaks = len(p2p.aggregates.peak_slots)
     assert scenario.slots == 22 and peaks > 0
-    # The p2p off-peak slots (settled for trades.csv) and the two baselines'
-    # peaks (settled for the aggregates); the baselines' off-peak slots never.
-    assert len(calls) == (scenario.slots - peaks) + 2 * peaks
+    # Only the two baselines' peaks, settled for the aggregates: trades.csv
+    # is written from the ledgers, and no off-peak slot is ever settled.
+    assert len(calls) == 2 * peaks
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_write_run_leaves_whole_position_slots_unsettled(run, tmp_path):
+    report = run(make_case_study_scenario(8))
+    before = [dict(vars(s)) for s in report.slots]
+    write_run(report, tmp_path)
+    # Writing builds no trades and settles nothing: every slot is as it was.
+    assert [vars(s) for s in report.slots] == before
+    assert all("trades" not in state for state in before)
+    unsettled = [s for s in report.slots if not s.price_signal.peak_flag]
+    assert unsettled and all("per_prosumer" not in vars(s) for s in unsettled)
 

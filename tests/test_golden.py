@@ -5,7 +5,9 @@ still re-summed every pairwise trade, so they pin the per-participant legs to
 that result; any change to a number, a row or the row order fails here. The
 ``grid-only`` and ``third-party`` digests were taken while every baseline slot
 was still settled as it was run, so they pin the slots settled on first read
-to that result.
+to that result. The ``seed0-n192`` compare digests were taken while every
+pooled peak still built its pairwise trades eagerly, so they pin the rows
+formatted from the pools, at a larger integer width than the n96 cases.
 """
 
 import hashlib
