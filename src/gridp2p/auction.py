@@ -27,7 +27,6 @@ class OrderBook:
 
     asks: tuple[Order, ...]
     bids: tuple[Order, ...]
-    slot: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "asks", tuple(self.asks))
@@ -99,7 +98,6 @@ def order_books(book: OrderBook) -> OrderBook:
     return OrderBook(
         asks=tuple(sorted(book.asks, key=lambda o: _sort_key(o, True))),
         bids=tuple(sorted(book.bids, key=lambda o: _sort_key(o, False))),
-        slot=book.slot,
     )
 
 

@@ -32,8 +32,6 @@ from .core import DomainError
 GRID_ID = "grid"
 THIRD_PARTY_ID = "third_party"
 
-# One participant's settled slot: (kWh routed, revenue, cost), exact.
-Leg = tuple[Fraction, Fraction, Fraction]
 _ZERO = Fraction(0)
 
 
@@ -47,6 +45,8 @@ class Venue(Enum):
 # One trade as a row: venue, seller, buyer, the quantity's numerator and
 # denominator, seller price and buyer price.
 Row = tuple[Venue, str, str, int, int, Fraction, Fraction]
+# One participant's settled slot: its id, venue, kWh routed, revenue and cost, exact.
+Leg = tuple[str, Venue, Fraction, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,10 @@ class Trade:
 
     Prices are exact rationals so that per-trade fee and conservation
     identities hold exactly; ``buyer_price`` differs from ``seller_price``
-    only by the mid-market network fee. The checks are kept cheap for the
-    hot settlement loops: the quantity's sign is read off its numerator, and
-    a trade whose two prices are the same object has no spread to test.
+    only by the mid-market network fee. A slot builds its trades from its
+    ledger's rows, one per pair, so the checks are kept cheap: the quantity's
+    sign is read off its numerator, and a trade whose two prices are the same
+    object has no spread to test.
     """
 
     seller_id: str
@@ -138,7 +139,8 @@ class Pool:
     """A pro-rata pool: its fills, whose cleared amounts sum to ``matched`` on
     each side, its venue and prices, and the prices of its residuals: surplus
     sells to the grid at the feed-in tariff ``fit``, deficit comes from the
-    third party at ``third``.
+    third party at ``third``. As a ledger it yields its trades as rows and
+    its participants' legs.
     """
 
     sellers: Sequence[Fill]
@@ -176,27 +178,21 @@ class Pool:
                 yield (Venue.THIRD_PARTY, THIRD_PARTY_ID, f.prosumer_id,
                        *residual.as_integer_ratio(), self.third, self.third)
 
+    def legs(self) -> Iterator[Leg]:
+        """Each participant's leg, sellers then buyers, read off its own fill.
+
+        The pairwise trades of :meth:`rows` sum exactly to each fill, so every
+        leg is computed in O(S+B) without building them.
+        """
+        for f in self.sellers:
+            yield f.prosumer_id, self.venue, f.submitted, self.sell_price * f.cleared + self.fit * f.unfilled, _ZERO
+        for f in self.buyers:
+            yield f.prosumer_id, self.venue, f.submitted, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
+
 
 def trades_of(rows: Iterable[Row]) -> list[Trade]:
     """The trades that ``rows`` present, in order."""
     return [Trade(s, b, Fraction(n, d), sp, bp, v) for v, s, b, n, d, sp, bp in rows]
-
-
-def pool_trades(
-    sellers: Sequence[Fill], buyers: Sequence[Fill], matched: Fraction, venue: Venue,
-    sell_price: Fraction, buy_price: Fraction, fit: Fraction, third: Fraction,
-) -> tuple[Pool, dict[str, Leg]]:
-    """The pool of these fills, and each participant's leg read off its own fill.
-
-    The pairwise trades of :meth:`Pool.rows` sum exactly to each fill, so
-    every leg is computed in O(S+B) without building them.
-    """
-    legs: dict[str, Leg] = {}
-    for f in sellers:
-        legs[f.prosumer_id] = (f.submitted, sell_price * f.cleared + fit * f.unfilled, _ZERO)
-    for f in buyers:
-        legs[f.prosumer_id] = (f.submitted, _ZERO, buy_price * f.cleared + third * f.unfilled)
-    return Pool(sellers, buyers, matched, venue, sell_price, buy_price, fit, third), legs
 
 
 def match_midmarket(
@@ -206,14 +202,15 @@ def match_midmarket(
     beta: float,
     fit_price: float,
     third_party_price: float,
-) -> tuple[Pool, dict[str, Leg]]:
+) -> Pool:
     """Match mid-market surplus against deficit pro-rata and route residuals.
 
     Every seller's quantity is spread over the buyers in proportion to their
     demands (and vice versa), so the matched total is the smaller of total
     surplus and total deficit, exactly. Leftover surplus is sold to the grid
     at the feed-in tariff; leftover deficit is bought from the third party.
-    Returns the pool, whose rows are the trades, and each participant's leg.
+    Returns the pool, the slot's mid-market ledger: its rows are the trades
+    and its legs each participant's settlement.
     """
     sellers = [(pid, Fraction(q)) for pid, q in sellers]
     buyers = [(pid, Fraction(q)) for pid, q in buyers]
@@ -224,7 +221,7 @@ def match_midmarket(
     demand = sum((q for _, q in buyers), Fraction(0))
     matched = min(supply, demand)
     sell_f = Fraction(mid_sell)
-    return pool_trades(
+    return Pool(
         [Fill(pid, q, q * matched / supply) for pid, q in sellers],
         [Fill(pid, q, q * matched / demand) for pid, q in buyers],
         matched, Venue.MID_MARKET, sell_f, _fee_price(sell_f, beta),

@@ -7,18 +7,17 @@ horizon without peer trading (everything through the grid, or deficits
 through the third party), and ``compare`` distills the three runs into the
 cost and revenue metrics of interest.
 
-Every slot carries the ledger it settles from: a pooled peak its pools, a
-whole-position slot (every off-peak slot, and both baselines' peaks) its whole
-positions. The ledger yields the slot's trades as rows, in one fixed order:
-``write_run`` formats ``trades.csv`` from them, and a slot's ``trades`` are
-built from them when first read. A pool settles per participant when its slot
-is run: each leg is read off the prosumer's own matched share and residual, in
-O(S+B) (``pool_trades``, then ``_settle``), and the pairwise trades sum to it
-exactly. A whole-position slot settles when its ``per_prosumer`` is first read
-(``_route_positions``). ``compare`` reads only peak slots, so a compare run
-settles the baselines' peaks and no off-peak slot; writing a run settles
-nothing. Cash amounts are exact rationals throughout; floats appear only in
-utilities and in emitted reports.
+Every slot carries one ledger: a pooled peak its auction and mid-market
+pools, a whole-position slot (every off-peak slot, and both baselines' peaks)
+its :class:`Positions`. Each part of a ledger yields the slot's trades as
+rows, in one fixed order, and each participant's leg: kWh, revenue and cost,
+read off its own fill or position in O(S+B). ``write_run`` formats
+``trades.csv`` from the rows; a slot's ``trades`` are built from them, and its
+``per_prosumer`` settled from the legs by ``_settle``, each when first read.
+The pairwise trades sum exactly to the legs. ``compare`` reads only peak
+slots, so a compare run settles the three runs' peaks and no off-peak slot;
+writing a run settles nothing. Cash amounts are exact rationals throughout;
+floats appear only in utilities and in emitted reports.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .auction import AuctionOutcome, OrderBook, clear
+from .auction import OrderBook, clear
 from .coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
@@ -44,7 +42,6 @@ from .coalition import (
     match_midmarket,
     mid_market_prices,
     partition,
-    pool_trades,
     trades_of,
 )
 from .core import DomainError, Order, OrderSide, Scenario
@@ -73,13 +70,12 @@ class ProsumerSlot:
 class SlotResult:
     """One slot's price signal, coalition structure, trades, system cost and settlement.
 
-    A slot built by :meth:`deferred` carries its ledger, a call that yields
-    its trades as rows, and builds ``trades`` from it on first read; a
-    ``per_prosumer`` not given is settled by a second call on first read.
-    Each is then an ordinary field. Every reader of the fields fills them
-    first, so ``dataclasses.replace``, ``==``, ``repr``, ``copy`` and pickle
-    see settled values, and a pickle carries the fields only, never the
-    ledger or a call. Later reads return the stored objects.
+    A slot built by :meth:`deferred` keeps its scenario and its ledger, and
+    fills ``trades`` from the ledger's rows and ``per_prosumer`` from its legs
+    on first read. Each is then an ordinary field. Every reader of the fields
+    fills them first, so ``dataclasses.replace``, ``==``, ``repr``, ``copy``
+    and pickle see settled values, and a pickle carries the fields only,
+    never the ledger. Later reads return the stored objects.
     """
 
     slot: int
@@ -90,36 +86,32 @@ class SlotResult:
     per_prosumer: dict[str, ProsumerSlot]
 
     @classmethod
-    def deferred(
-        cls, rows: Callable[[], Iterator[Row]], settle: Callable[[], dict[str, ProsumerSlot]] | None = None, **fields
-    ) -> SlotResult:
-        """A slot given every field but ``trades`` (and ``per_prosumer`` when ``settle`` returns it)."""
+    def deferred(cls, scenario: Scenario, ledger: Sequence[Pool | Positions], **fields) -> SlotResult:
+        """A slot given every field but ``trades`` and ``per_prosumer``, which ``ledger`` yields."""
         result = object.__new__(cls)
-        result.__dict__.update(fields, _rows=rows, _settle=settle)
+        result.__dict__.update(fields, _scenario=scenario, _ledger=ledger)
         return result
 
     def __getattr__(self, name: str):
-        # Reached only when the normal lookup fails: for a deferred field not
-        # yet read, or for a name the slot does not have. The settlement is
-        # stored before its call is dropped, so a read made while settling
-        # finds either the call or the field.
-        if name == "trades" and "_rows" in self.__dict__:
-            object.__setattr__(self, "trades", tuple(trades_of(self._rows())))
-        elif name == "per_prosumer" and self.__dict__.get("_settle") is not None:
-            object.__setattr__(self, "per_prosumer", self._settle())
-            self.__dict__.pop("_settle", None)
+        # Reached only when the normal lookup fails: for a field not yet
+        # filled from the ledger, or for a name the slot does not have.
+        if "_ledger" in self.__dict__:
+            if name == "trades":
+                object.__setattr__(self, "trades", tuple(trades_of(self.rows())))
+            elif name == "per_prosumer":
+                object.__setattr__(self, "per_prosumer", _settle(self._scenario, self.slot, self._ledger))
         return object.__getattribute__(self, name)
 
     def __getstate__(self) -> dict:
         # Reading the fields fills them, so the pickle carries the fields and
-        # never the ledger or a deferred call.
+        # never the scenario or the ledger.
         self.trades, self.per_prosumer
         return {name: value for name, value in self.__dict__.items() if not name.startswith("_")}
 
     def rows(self) -> Iterator[Row]:
         """The slot's trades as rows, in order: from its ledger, or from ``trades`` without one."""
-        if "_rows" in self.__dict__:
-            return self._rows()
+        if "_ledger" in self.__dict__:
+            return chain.from_iterable(part.rows() for part in self._ledger)
         return ((t.venue, t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio(), t.seller_price, t.buyer_price)
                 for t in self.trades)
 
@@ -140,70 +132,55 @@ class SimulationReport:
     aggregates: ReportAggregates
 
 
-def _settle(
-    scenario: Scenario, slot: int, legs: Mapping[str, Leg], venue_of: Mapping[str, str]
-) -> dict[str, ProsumerSlot]:
-    """Settle the pooled legs of a peak slot, one prosumer at a time."""
-    result: dict[str, ProsumerSlot] = {}
-    for p in scenario.prosumers:
-        leg = legs.get(p.id)
-        venue = venue_of.get(p.id, "none")
-        if leg is None:
-            result[p.id] = ProsumerSlot(utility=0.0, revenue=_ZERO, cost=_ZERO, venue=venue)
-            continue
-        energy, revenue, cost = leg
-        utility = position_value(p.alpha_at(slot), float(energy), float(revenue - cost))
-        result[p.id] = ProsumerSlot(utility=utility, revenue=revenue, cost=cost, venue=venue)
-    return result
+_IDLE = ProsumerSlot(utility=0.0, revenue=_ZERO, cost=_ZERO, venue="none")
 
 
-def _position_rows(
-    scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
-) -> Iterator[Row]:
-    """Whole positions as rows, in prosumer order: surplus to the grid at FiT,
-    deficit from ``buy_venue`` at ``buy_price``.
-    """
-    fit = Fraction(scenario.grid.fit_price)
-    price = Fraction(buy_price)
-    source = GRID_ID if buy_venue is Venue.GRID else THIRD_PARTY_ID
-    for p in scenario.prosumers:
-        net = p.net_energy[slot]
-        if net > 0:
-            yield (Venue.GRID, p.id, GRID_ID, *net.as_integer_ratio(), fit, fit)
-        elif net < 0:
-            yield (buy_venue, source, p.id, *(-net).as_integer_ratio(), price, price)
-
-
-def _route_positions(
-    scenario: Scenario, slot: int, buy_price: float, buy_venue: Venue
-) -> dict[str, ProsumerSlot]:
-    """Settle each row of :func:`_position_rows` from the one nonzero side of its cash."""
+def _settle(scenario: Scenario, slot: int, ledger: Iterable[Pool | Positions]) -> dict[str, ProsumerSlot]:
+    """Settle each leg of the slot's ledger; a prosumer without one is idle."""
     alpha = {p.id: p.alpha_at(slot) for p in scenario.prosumers}
-    settled = dict.fromkeys(alpha, ProsumerSlot(0.0, _ZERO, _ZERO, "none"))
-    for venue, seller, buyer, num, den, price, _ in _position_rows(scenario, slot, buy_price, buy_venue):
-        cash = price * Fraction(num, den)
-        if buyer == GRID_ID:
-            utility = position_value(alpha[seller], num / den, float(cash))
-            settled[seller] = ProsumerSlot(utility, cash, _ZERO, venue.value)
-        else:
-            utility = position_value(alpha[buyer], num / den, -float(cash))
-            settled[buyer] = ProsumerSlot(utility, _ZERO, cash, venue.value)
+    settled = dict.fromkeys(alpha, _IDLE)
+    for part in ledger:
+        for pid, venue, energy, revenue, cost in part.legs():
+            # One side of every leg is zero, so this is float(revenue - cost) exactly.
+            utility = position_value(alpha[pid], float(energy), float(revenue) - float(cost))
+            settled[pid] = ProsumerSlot(utility, revenue, cost, venue.value)
     return settled
 
 
-def _auction_pool(
-    outcome: AuctionOutcome, fit_price: float, third_party_price: float
-) -> tuple[Pool, dict[str, Leg]]:
-    """Pair cleared quantities pro-rata and route the auction residuals.
+@dataclass(slots=True)
+class Positions:
+    """Every prosumer's whole position at one slot, as a ledger: surplus to
+    the grid at the feed-in tariff, deficit from ``buy_venue`` at ``buy_price``.
 
-    Unsold burden goes to the grid at the feed-in tariff; unmet buyer demand
-    is covered by the third party.
+    Not frozen: one is built for every slot, and a frozen ``__init__`` costs
+    about three times as much.
     """
-    price = Fraction(outcome.auction_price)
-    return pool_trades(
-        outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION,
-        price, price, Fraction(fit_price), Fraction(third_party_price),
-    )
+
+    scenario: Scenario
+    slot: int
+    buy_price: float
+    buy_venue: Venue
+
+    def rows(self) -> Iterator[Row]:
+        """One row per active prosumer, in prosumer order."""
+        fit = Fraction(self.scenario.grid.fit_price)
+        price = Fraction(self.buy_price)
+        source = GRID_ID if self.buy_venue is Venue.GRID else THIRD_PARTY_ID
+        for p in self.scenario.prosumers:
+            net = p.net_energy[self.slot]
+            if net > 0:
+                yield (Venue.GRID, p.id, GRID_ID, *net.as_integer_ratio(), fit, fit)
+            elif net < 0:
+                yield (self.buy_venue, source, p.id, *(-net).as_integer_ratio(), price, price)
+
+    def legs(self) -> Iterator[Leg]:
+        """Each row's one party that is a prosumer, with the one nonzero side of its cash."""
+        for venue, seller, buyer, num, den, price, _ in self.rows():
+            energy = Fraction(num, den)
+            if buyer == GRID_ID:
+                yield seller, venue, energy, price * energy, _ZERO
+            else:
+                yield buyer, venue, energy, _ZERO, price * energy
 
 
 def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:
@@ -233,7 +210,6 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
             Order(p.id, p.bid_price[slot], -p.net_energy[slot], OrderSide.BID)
             for p in buyers
         ),
-        slot=slot,
     )
     outcome = clear(book, market.auction_price_rule)
     active = [p.id for p in scenario.prosumers if p.net_energy[slot] != 0]
@@ -244,7 +220,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     p_auc = grid.fit_price if outcome.auction_price is None else outcome.auction_price
     mid_sell, _ = mid_market_prices(p_auc, grid.fit_price, market.beta)
     mid_ids = set(structure.midmarket_members)
-    mid_pool, mid_legs = match_midmarket(
+    mid_pool = match_midmarket(
         sellers=[(p.id, Fraction(p.net_energy[slot])) for p in sellers if p.id in mid_ids],
         buyers=[(p.id, Fraction(-p.net_energy[slot])) for p in buyers if p.id in mid_ids],
         mid_sell=mid_sell,
@@ -252,27 +228,22 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         fit_price=grid.fit_price,
         third_party_price=market.third_party_price,
     )
-
-    pools = [mid_pool]
-    legs: dict[str, Leg] = {}
+    ledger = (mid_pool,)
     if not outcome.is_empty:
-        auction_pool, legs = _auction_pool(outcome, grid.fit_price, market.third_party_price)
-        pools.insert(0, auction_pool)
-    legs.update(mid_legs)
-
-    venues = {pid: Venue.AUCTION.value for pid in structure.auction_members}
-    venues.update({pid: Venue.MID_MARKET.value for pid in structure.midmarket_members})
+        # Unsold burden goes to the grid at the feed-in tariff; unmet buyer
+        # demand is covered by the third party.
+        price = Fraction(outcome.auction_price)
+        ledger = (
+            Pool(outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION, price, price,
+                 Fraction(grid.fit_price), Fraction(market.third_party_price)),
+            mid_pool,
+        )
 
     # No prosumer buys from the system at the peak, so delivered demand is
     # zero and the slot costs the system exactly nothing.
     cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
     return SlotResult.deferred(
-        lambda: chain.from_iterable(pool.rows() for pool in pools),
-        slot=slot,
-        price_signal=signal,
-        structure=structure,
-        cps_cost=cost,
-        per_prosumer=_settle(scenario, slot, legs, venues),
+        scenario, ledger, slot=slot, price_signal=signal, structure=structure, cps_cost=cost
     )
 
 
@@ -294,12 +265,8 @@ def _baseline_slot(
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
 
     return SlotResult.deferred(
-        partial(_position_rows, scenario, slot, buy_price, buy_venue),
-        partial(_route_positions, scenario, slot, buy_price, buy_venue),
-        slot=slot,
-        price_signal=signal,
-        structure=None,
-        cps_cost=cost,
+        scenario, (Positions(scenario, slot, buy_price, buy_venue),),
+        slot=slot, price_signal=signal, structure=None, cps_cost=cost,
     )
 
 

@@ -113,11 +113,12 @@ def _read_csv(
     """The rows after ``header``, as tuples; a malformed row is a problem, not a row.
 
     A row is malformed when its width differs from the header's, its slot
-    (where the first column is one) is not an integer, or a ``numeric`` column
-    does not parse as a number. Each becomes one line in ``problems`` naming
-    the file and line. Each returned row ends with its ``numeric`` columns
-    parsed as floats, in ``numeric`` order. A missing or different header
-    raises ``ValueError``.
+    (where the first column is one) is not an integer, its peak flag (where
+    the last column is one) is not ``true`` or ``false``, or a ``numeric``
+    column does not parse as a number. Each becomes one line in ``problems``
+    naming the file and line. Each returned row ends with its ``numeric``
+    columns parsed as floats, in ``numeric`` order. A missing or different
+    header raises ``ValueError``.
     """
     columns = [header.index(name) for name in numeric]
     rows: list[tuple[str, ...]] = []
@@ -144,6 +145,8 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
             int(row[0])
         except ValueError:
             return f"slot {row[0]!r} is not an integer"
+    if header[-1] == "peak_flag" and row[-1] not in ("true", "false"):
+        return f"peak_flag {row[-1]!r} is not true or false"
     for i in columns:
         try:
             row.append(float(row[i]))
@@ -156,7 +159,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
     """Re-check an emitted run directory; returns a list of problems found.
 
     Verifies that every CSV parses under its fixed header, with rows of the
-    header's width, integer slots and numeric trade quantities and prices;
+    header's width, integer slots, true/false peak flags and numeric prices,
+    costs and trade quantities;
     that per-slot cash flows balance (payments equal receipts plus fees,
     within the rounding of the six-decimal output), that the coalition rows
     form a partition, that trades stay inside their coalition, and that
@@ -165,15 +169,15 @@ def audit_run(run_dir: str | Path) -> list[str]:
     run = Path(run_dir)
     problems: list[str] = []
     try:
-        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems)
-        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems)
+        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",))
+        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",))
         coalitions = _read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems)
         trades = _read_csv(run / "trades.csv", TRADES_HEADER, problems, ("qty", "seller_price", "buyer_price"))
     except (OSError, ValueError) as exc:
         return [str(exc)]
 
-    peak = {slot: flag == "true" for slot, _, flag in prices}
-    if {slot for slot, _ in costs} != set(peak):
+    peak = {slot: flag == "true" for slot, _, flag, _ in prices}
+    if {slot for slot, *_ in costs} != set(peak):
         problems.append("cps_cost.csv and prices.csv cover different slots")
 
     membership: dict[str, dict[str, str]] = {}

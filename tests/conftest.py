@@ -34,8 +34,8 @@ def bid(pid: str, price: float, qty: float) -> Order:
     return Order(pid, price, qty, OrderSide.BID)
 
 
-def book(asks, bids, slot: int = 0) -> OrderBook:
-    return OrderBook(asks=tuple(asks), bids=tuple(bids), slot=slot)
+def book(asks, bids) -> OrderBook:
+    return OrderBook(asks=tuple(asks), bids=tuple(bids))
 
 
 def random_book(rng: random.Random, max_side: int = 5, prices=(10.0, 12.0, 14.0), quantities=(1.0, 2.0, 3.0)) -> OrderBook:

@@ -15,6 +15,7 @@ from gridp2p.coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
     CoalitionStructure,
+    Pool,
     StabilityContext,
     Trade,
     Venue,
@@ -22,7 +23,6 @@ from gridp2p.coalition import (
     match_midmarket,
     mid_market_prices,
     partition,
-    pool_trades,
     trades_of,
 )
 from gridp2p.core import (
@@ -138,8 +138,7 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
 
 
 def _midmarket_trades(*args, **kwargs):
-    pool, _ = match_midmarket(*args, **kwargs)
-    return trades_of(pool.rows())
+    return trades_of(match_midmarket(*args, **kwargs).rows())
 
 
 def test_match_midmarket_exact_balance():
@@ -211,7 +210,7 @@ _KWH = st.one_of(
 
 @st.composite
 def _pools(draw):
-    """Arguments of ``pool_trades``: either side may be empty, fills may clear nothing."""
+    """Fields of a ``Pool``: either side may be empty, fills may clear nothing."""
     weights = [draw(st.lists(_KWH, max_size=4)) for _ in range(2)]
     matched = draw(_KWH) if all(sum(w) > 0 for w in weights) else Fraction(0)
     sides = []
@@ -246,7 +245,7 @@ _HALF = Fraction(1, 2)
 def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
-    pool, _ = pool_trades(*args)
+    pool = Pool(*args)
     trades = trades_of(pool.rows())
     assert trades == eager_pool_trades(*args)
     report = SimpleNamespace(slots=[SimpleNamespace(slot=7, rows=pool.rows)])
@@ -254,6 +253,15 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
         ["7", t.venue.value, t.seller_id, t.buyer_id, _fmt(t.quantity), _fmt(t.seller_price), _fmt(t.buyer_price)]
         for t in trades
     ]
+    # Each leg is its participant's kWh, receipts and payments summed over
+    # the eager trades, at the pool's venue.
+    summed = {}
+    for t in trades:
+        for pid, receipt, payment in ((t.seller_id, t.receipt, 0), (t.buyer_id, 0, t.payment)):
+            kwh, revenue, cost = summed.get(pid, (0, 0, 0))
+            summed[pid] = (kwh + t.quantity, revenue + receipt, cost + payment)
+    sellers, buyers, _, venue = args[:4]
+    assert list(pool.legs()) == [(f.prosumer_id, venue, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
 
 @given(

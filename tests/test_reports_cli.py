@@ -122,6 +122,27 @@ _MALFORMED_ROWS = {
         lambda r: ["zero"] + r[1:],
         ["prices.csv line 2: slot 'zero' is not an integer", "cps_cost.csv and prices.csv cover different slots"],
     ),
+    "peak_flag_not_a_flag": (
+        "prices.csv",
+        0,
+        lambda r: r[:2] + ["yes"],
+        ["prices.csv line 2: peak_flag 'yes' is not true or false",
+         "cps_cost.csv and prices.csv cover different slots"],
+    ),
+    "selling_price_not_a_number": (
+        "prices.csv",
+        0,
+        lambda r: r[:1] + ["n/a"] + r[2:],
+        ["prices.csv line 2: selling_price 'n/a' is not a number",
+         "cps_cost.csv and prices.csv cover different slots"],
+    ),
+    "cps_cost_not_a_number": (
+        "cps_cost.csv",
+        0,
+        lambda r: r[:1] + ["abc#0.000000"],
+        ["cps_cost.csv line 2: cps_cost 'abc#0.000000' is not a number",
+         "cps_cost.csv and prices.csv cover different slots"],
+    ),
 }
 
 
