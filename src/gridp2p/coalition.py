@@ -246,12 +246,12 @@ class StabilityContext:
 
 @dataclass(frozen=True)
 class Deviation:
-    """A candidate defection and the exact cash it would settle to."""
+    """One prosumer's move alone and the exact cash it settles to, before and after."""
 
     kind: str
-    members: tuple[str, ...]
-    cash_before: tuple[Fraction, ...]
-    cash_after: tuple[Fraction, ...]
+    member: str
+    cash_before: Fraction
+    cash_after: Fraction
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,5 @@ def check_dhp_stability(
             )
         for kind, after in moves:
             if after > before:
-                return StabilityVerdict(
-                    stable=False, witness=Deviation(kind, (pid,), (before,), (after,))
-                )
+                return StabilityVerdict(stable=False, witness=Deviation(kind, pid, before, after))
     return StabilityVerdict(stable=True)

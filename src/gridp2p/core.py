@@ -8,6 +8,14 @@ Quantities are kWh, prices are cents/kWh. A single signed ``net_energy``
 value per slot encodes the prosumer's position: positive means surplus
 offered for sale, negative means a deficit to be bought, zero means the
 prosumer sits the slot out.
+
+A scenario file is JSON in which each object holds exactly its record's
+fields: the top level a :class:`Scenario`'s, ``grid`` a :class:`GridPolicy`'s,
+``market`` a :class:`MarketConfig`'s and each entry of ``prosumers`` a
+:class:`ProsumerProfile`'s, with tuples as arrays and the price rule as its
+value. The grid object still accepts the two legacy keys of older files,
+``other_demand`` and ``supply_capacity``; they are checked as per-slot
+numbers, then dropped.
 """
 
 from __future__ import annotations
@@ -15,10 +23,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class GridP2PError(Exception):
@@ -144,6 +152,10 @@ class MarketConfig:
     auction_price_rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "auction_price_rule", AuctionPriceRule(self.auction_price_rule))
+        except ValueError as exc:
+            raise ScenarioError(f"market.auction_price_rule: unknown rule {self.auction_price_rule!r}") from exc
         _as_float(self.beta, "market.beta")
         _as_float(self.third_party_price, "market.third_party_price")
         if self.beta < 0:
@@ -323,111 +335,62 @@ def make_case_study_scenario(
 
 # --- JSON scenario format -------------------------------------------------
 
-_TOP_KEYS = {"slots", "slot_minutes", "seed", "grid", "market", "prosumers"}
-_GRID_KEYS = {"a", "b", "threshold", "offpeak_price", "fit_price"}
+# Every object lists its keys in field order, except the top level, which
+# lists them in this order.
+_TOP_KEYS = ("slots", "slot_minutes", "seed", "grid", "market", "prosumers")
 # Per-slot arrays that older files carry (the load of customers outside the
 # prosumer contract, and a supply ceiling) and that nothing reads: they are
 # checked as per-slot numbers, then dropped.
 _GRID_LEGACY = ("other_demand", "supply_capacity")
-_MARKET_KEYS = {"beta", "third_party_price", "auction_price_rule"}
-_PROSUMER_KEYS = {"id", "alpha", "net_energy", "reservation_price", "bid_price"}
 
 
-def _check_keys(mapping: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - mapping.keys()
+def _check_keys(mapping: dict, required: Sequence[str], where: str, optional: Sequence[str] = ()) -> None:
+    missing = [key for key in required if key not in mapping]
     if missing:
         raise ScenarioError(f"{where}: missing key {sorted(missing)[0]!r}")
-    unknown = mapping.keys() - required - optional
+    unknown = [key for key in mapping if key not in required and key not in optional]
     if unknown:
         raise ScenarioError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
+def _to_dict(record) -> dict:
+    """``record``'s fields in declaration order, with tuples as lists and enums as their values."""
+    data = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        data[f.name] = list(value) if isinstance(value, tuple) else value.value if isinstance(value, Enum) else value
+    return data
+
+
+def _from_dict(cls, raw, where: str, legacy: tuple[str, ...] = ()):
+    """A ``cls`` built from the JSON object ``raw``, which holds exactly its fields and any ``legacy`` keys."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object")
+    names = [f.name for f in fields(cls)]
+    _check_keys(raw, names, where, legacy)
+    return cls(**{name: raw[name] for name in names})
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "slots": scenario.slots,
-        "slot_minutes": scenario.slot_minutes,
-        "seed": scenario.seed,
-        "grid": {
-            "a": scenario.grid.a,
-            "b": scenario.grid.b,
-            "threshold": list(scenario.grid.threshold),
-            "offpeak_price": scenario.grid.offpeak_price,
-            "fit_price": scenario.grid.fit_price,
-        },
-        "market": {
-            "beta": scenario.market.beta,
-            "third_party_price": scenario.market.third_party_price,
-            "auction_price_rule": scenario.market.auction_price_rule.value,
-        },
-        "prosumers": [
-            {
-                "id": p.id,
-                "alpha": list(p.alpha) if isinstance(p.alpha, tuple) else p.alpha,
-                "net_energy": list(p.net_energy),
-                "reservation_price": list(p.reservation_price),
-                "bid_price": list(p.bid_price),
-            }
-            for p in scenario.prosumers
-        ],
+    data = _to_dict(scenario) | {
+        "grid": _to_dict(scenario.grid),
+        "market": _to_dict(scenario.market),
+        "prosumers": [_to_dict(p) for p in scenario.prosumers],
     }
+    return {key: data[key] for key in _TOP_KEYS}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
-    _check_keys(data, _TOP_KEYS, set(), "scenario")
+    _check_keys(data, _TOP_KEYS, "scenario")
     grid_raw = data["grid"]
-    if not isinstance(grid_raw, dict):
-        raise ScenarioError("grid must be an object")
-    _check_keys(grid_raw, _GRID_KEYS, set(_GRID_LEGACY), "grid")
-    market_raw = data["market"]
-    if not isinstance(market_raw, dict):
-        raise ScenarioError("market must be an object")
-    _check_keys(market_raw, _MARKET_KEYS, set(), "market")
-
-    try:
-        rule = AuctionPriceRule(market_raw["auction_price_rule"])
-    except ValueError as exc:
-        raise ScenarioError(
-            f"market.auction_price_rule: unknown rule {market_raw['auction_price_rule']!r}"
-        ) from exc
-
-    grid = GridPolicy(
-        a=grid_raw["a"],
-        b=grid_raw["b"],
-        threshold=grid_raw["threshold"],
-        offpeak_price=grid_raw["offpeak_price"],
-        fit_price=grid_raw["fit_price"],
-    )
-    market = MarketConfig(
-        beta=market_raw["beta"],
-        third_party_price=market_raw["third_party_price"],
-        auction_price_rule=rule,
-    )
-    prosumers = []
+    grid = _from_dict(GridPolicy, grid_raw, "grid", _GRID_LEGACY)
+    market = _from_dict(MarketConfig, data["market"], "market")
     if not isinstance(data["prosumers"], list):
         raise ScenarioError("prosumers must be an array")
-    for i, raw in enumerate(data["prosumers"]):
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"prosumers[{i}] must be an object")
-        _check_keys(raw, _PROSUMER_KEYS, set(), f"prosumers[{i}]")
-        prosumers.append(
-            ProsumerProfile(
-                id=raw["id"],
-                alpha=raw["alpha"],
-                net_energy=raw["net_energy"],
-                reservation_price=raw["reservation_price"],
-                bid_price=raw["bid_price"],
-            )
-        )
-    scenario = Scenario(
-        slots=data["slots"],
-        prosumers=tuple(prosumers),
-        grid=grid,
-        market=market,
-        slot_minutes=data["slot_minutes"],
-        seed=data["seed"],
-    )
+    prosumers = [_from_dict(ProsumerProfile, raw, f"prosumers[{i}]") for i, raw in enumerate(data["prosumers"])]
+    scenario = Scenario(**(data | {"grid": grid, "market": market, "prosumers": prosumers}))
     for name in _GRID_LEGACY:
         if name not in grid_raw or (name == "supply_capacity" and grid_raw[name] is None):
             continue

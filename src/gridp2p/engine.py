@@ -23,7 +23,7 @@ floats appear only in utilities and in emitted reports.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -369,43 +369,22 @@ class MetricsTable:
     avg_cost_per_prosumer_third_party: float
 
     def rows(self) -> list[tuple[str, str, str]]:
+        """The ``summary.csv`` rows as (metric, scope, value), in this order:
+        each per-prosumer table's rows, one per prosumer, tables in field
+        order; then each table's ``avg_<table>`` field, as scope ``average``;
+        then the ``cps_cost_*`` fields, as ``total``; then the
+        ``avg_cost_per_prosumer_*`` fields, as ``all``. A missing average is
+        an empty value.
+        """
         def fmt(x: float | None) -> str:
             return "" if x is None else f"{x:.6f}"
 
-        out: list[tuple[str, str, str]] = []
-        for name, table in (
-            ("seller_uplift_pct", self.seller_uplift_pct),
-            ("buyer_savings_vs_grid_pct", self.buyer_savings_vs_grid_pct),
-            ("buyer_savings_vs_third_party_pct", self.buyer_savings_vs_third_party_pct),
-            ("buyer_premium_vs_third_party_pct", self.buyer_premium_vs_third_party_pct),
-        ):
-            for pid, value in table.items():
-                out.append((name, pid, fmt(value)))
-        out.append(("seller_uplift_pct", "average", fmt(self.avg_seller_uplift_pct)))
-        out.append(("buyer_savings_vs_grid_pct", "average", fmt(self.avg_buyer_savings_vs_grid_pct)))
-        out.append(
-            (
-                "buyer_savings_vs_third_party_pct",
-                "average",
-                fmt(self.avg_buyer_savings_vs_third_party_pct),
-            )
-        )
-        out.append(
-            (
-                "buyer_premium_vs_third_party_pct",
-                "average",
-                fmt(self.avg_buyer_premium_vs_third_party_pct),
-            )
-        )
-        out.append(("cps_cost_with_p2p", "total", fmt(self.cps_cost_with_p2p)))
-        out.append(("cps_cost_without_p2p", "total", fmt(self.cps_cost_without_p2p)))
-        out.append(("avg_cost_per_prosumer_p2p", "all", fmt(self.avg_cost_per_prosumer_p2p)))
-        out.append(
-            ("avg_cost_per_prosumer_grid_only", "all", fmt(self.avg_cost_per_prosumer_grid_only))
-        )
-        out.append(
-            ("avg_cost_per_prosumer_third_party", "all", fmt(self.avg_cost_per_prosumer_third_party))
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        tables = [name for name, value in values.items() if isinstance(value, dict)]
+        out = [(name, pid, fmt(value)) for name in tables for pid, value in values[name].items()]
+        out += [(name, "average", fmt(values[f"avg_{name}"])) for name in tables]
+        for prefix, scope in (("cps_cost_", "total"), ("avg_cost_per_prosumer_", "all")):
+            out += [(name, scope, fmt(value)) for name, value in values.items() if name.startswith(prefix)]
         return out
 
 

@@ -10,6 +10,7 @@ directories.
 from __future__ import annotations
 
 import csv
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -115,10 +116,10 @@ def _read_csv(
     A row is malformed when its width differs from the header's, its slot
     (where the first column is one) is not an integer, its peak flag (where
     the last column is one) is not ``true`` or ``false``, or a ``numeric``
-    column does not parse as a number. Each becomes one line in ``problems``
-    naming the file and line. Each returned row ends with its ``numeric``
-    columns parsed as floats, in ``numeric`` order. A missing or different
-    header raises ``ValueError``.
+    column does not parse as a finite number. Each becomes one line in
+    ``problems`` naming the file and line. Each returned row ends with its
+    ``numeric`` columns parsed as floats, in ``numeric`` order. A missing or
+    different header raises ``ValueError``.
     """
     columns = [header.index(name) for name in numeric]
     rows: list[tuple[str, ...]] = []
@@ -149,9 +150,12 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
         return f"peak_flag {row[-1]!r} is not true or false"
     for i in columns:
         try:
-            row.append(float(row[i]))
+            value = float(row[i])
         except ValueError:
             return f"{header[i]} {row[i]!r} is not a number"
+        if not math.isfinite(value):
+            return f"{header[i]} {row[i]!r} is not a finite number"
+        row.append(value)
     return None
 
 
@@ -159,7 +163,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
     """Re-check an emitted run directory; returns a list of problems found.
 
     Verifies that every CSV parses under its fixed header, with rows of the
-    header's width, integer slots, true/false peak flags and numeric prices,
+    header's width, integer slots, true/false peak flags and finite prices,
     costs and trade quantities;
     that per-slot cash flows balance (payments equal receipts plus fees,
     within the rounding of the six-decimal output), that the coalition rows

@@ -317,11 +317,9 @@ def test_cheap_third_party_destabilizes():
     assert not verdict.stable
     witness = verdict.witness
     assert witness.kind == "third_party_alone"
-    assert len(witness.members) == 1
-    deviator = witness.members[0]
-    assert deviator in result.structure.auction_members
-    assert deviator in ctx.deficit
-    assert witness.cash_after[0] > witness.cash_before[0]
+    assert witness.member in result.structure.auction_members
+    assert witness.member in ctx.deficit
+    assert witness.cash_after > witness.cash_before
 
 
 def test_empty_structure_is_stable():
@@ -356,8 +354,8 @@ def test_stability_is_decided_exactly():
     verdict = check_dhp_stability(result.structure, stability_context(scenario, result))
     assert not verdict.stable
     assert verdict.witness.kind == "third_party_alone"
-    assert verdict.witness.members == ("p10",)
-    assert verdict.witness.cash_after[0] > verdict.witness.cash_before[0]
+    assert verdict.witness.member == "p10"
+    assert verdict.witness.cash_after > verdict.witness.cash_before
 
 
 _PRICES = st.one_of(st.floats(5.0, 25.0), st.integers(5, 25).map(float))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from gridp2p.cli import EXIT_VALIDATION, main
 from gridp2p.core import (
     GridPolicy,
     MarketConfig,
@@ -232,3 +233,30 @@ def test_loader_rejects_mistyped_prosumer_id(value):
         scenario_from_dict(data)
     with pytest.raises(ScenarioError, match="prosumer id"):
         ProsumerProfile(value, 1.0, (1.0,), (11.0,), (11.0,))
+
+
+
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (lambda d: [], "scenario root must be an object"),
+        (lambda d: d | {"grid": []}, "grid must be an object"),
+        (lambda d: d | {"market": 1}, "market must be an object"),
+        (lambda d: d | {"prosumers": {}}, "prosumers must be an array"),
+        (lambda d: d | {"prosumers": [d["prosumers"][0], "p02"]}, "prosumers[1] must be an object"),
+        (
+            lambda d: d | {"market": d["market"] | {"auction_price_rule": "x"}},
+            "market.auction_price_rule: unknown rule 'x'",
+        ),
+    ],
+)
+def test_loader_reports_each_structural_error(tmp_path, capsys, alter, message):
+    data = alter(scenario_to_dict(make_case_study_scenario(3, n_prosumers=2, slots=2)))
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(data)
+    assert str(exc.value) == message
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(scenario_path), "--mode", "p2p", "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"

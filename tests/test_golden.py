@@ -8,15 +8,21 @@ was still settled as it was run, so they pin the slots settled on first read
 to that result. The ``seed0-n192`` compare digests were taken while every
 pooled peak still built its pairwise trades eagerly, so they pin the rows
 formatted from the pools, at a larger integer width than the n96 cases.
+The ``scenario`` digests pin the JSON that ``gen-fixture`` and
+``emit_scenario`` write, taken while each record's keys were still written
+out by hand.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from gridp2p import fixtures
 from gridp2p.cli import EXIT_OK, main
+from gridp2p.core import emit_scenario, make_case_study_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
 BASELINES = [(mode, case) for mode in ("grid-only", "third-party") for case in sorted(GOLDEN[mode])]
@@ -37,3 +43,24 @@ def test_compare_csvs_match_golden_digests(case, tmp_path):
 @pytest.mark.parametrize("mode, case", BASELINES, ids=[f"{mode}-{case}" for mode, case in BASELINES])
 def test_baseline_csvs_match_golden_digests(mode, case, tmp_path):
     assert _simulate_digests(case, mode, tmp_path) == GOLDEN[mode][case]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_scenario_json_matches_golden_digests(tmp_path):
+    digests = {}
+    for name, args in (
+        ("gen-fixture-seed0-n12", ["--seed", "0"]),
+        ("gen-fixture-seed7-n96-s48", ["--seed", "7", "--prosumers", "96", "--slots", "48"]),
+    ):
+        assert main(["gen-fixture", *args, "--out", str(tmp_path / name)]) == EXIT_OK
+        digests[name] = _sha256((tmp_path / name).read_bytes())
+    for name in ("uniform_auction_scenario", "blended_price_scenario", "two_coalition_demo_scenario"):
+        digests[name] = _sha256(emit_scenario(getattr(fixtures, name)()).encode())
+    scenario = make_case_study_scenario(5, n_prosumers=4, slots=3)
+    first = replace(scenario.prosumers[0], alpha=(7.5, 8.25, 9.0))
+    per_slot_alpha = replace(scenario, prosumers=(first, *scenario.prosumers[1:]))
+    digests["per-slot-alpha"] = _sha256(emit_scenario(per_slot_alpha).encode())
+    assert digests == GOLDEN["scenario"]

@@ -143,6 +143,23 @@ _MALFORMED_ROWS = {
         ["cps_cost.csv line 2: cps_cost 'abc#0.000000' is not a number",
          "cps_cost.csv and prices.csv cover different slots"],
     ),
+    "qty_not_finite": (
+        "trades.csv", 0, lambda r: r[:4] + ["nan"] + r[5:], ["trades.csv line 2: qty 'nan' is not a finite number"]
+    ),
+    "selling_price_not_finite": (
+        "prices.csv",
+        0,
+        lambda r: r[:1] + ["inf"] + r[2:],
+        ["prices.csv line 2: selling_price 'inf' is not a finite number",
+         "cps_cost.csv and prices.csv cover different slots"],
+    ),
+    "cps_cost_not_finite": (
+        "cps_cost.csv",
+        0,
+        lambda r: r[:1] + ["-inf"],
+        ["cps_cost.csv line 2: cps_cost '-inf' is not a finite number",
+         "cps_cost.csv and prices.csv cover different slots"],
+    ),
 }
 
 
