@@ -271,6 +271,9 @@ def make_case_study_scenario(
     n_sellers = n_prosumers // 2 if sellers_per_slot is None else sellers_per_slot
     if not 0 <= n_sellers <= n_prosumers:
         raise DomainError("sellers_per_slot out of range")
+    if n_sellers == n_prosumers and slots > min(_PEAK_SLOTS_DEFAULT):
+        # A peak's threshold sits below its demand, which needs a buyer.
+        raise DomainError("sellers_per_slot must leave a buyer when the horizon has a peak slot")
 
     ids = [f"p{i + 1:02d}" for i in range(n_prosumers)]
     alphas = {pid: round(rng.uniform(7.0, 14.0), 4) for pid in ids}

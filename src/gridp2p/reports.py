@@ -5,17 +5,23 @@ One run writes one directory: ``prices.csv``, ``cps_cost.csv``,
 runs. Headers are fixed, floats carry six decimal places, and rows are
 emitted in a deterministic order, so identical runs produce byte-identical
 directories.
+
+``trades.csv``, the one file that grows with the pairs of a slot, is a stream
+at both ends. ``write_run`` writes it one finished line per trade, formatted
+from the slot's rows with each id quoted once per run and each price once per
+slot, and ``audit_run`` checks each row as it reads it, holding no row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .coalition import GRID_ID, Venue
+from .coalition import GRID_ID, THIRD_PARTY_ID, Venue
 from .engine import MetricsTable, SimulationReport
 
 PRICES_HEADER = ["slot", "selling_price", "peak_flag"]
@@ -24,6 +30,8 @@ COALITIONS_HEADER = ["slot", "coalition", "member"]
 TRADES_HEADER = ["slot", "venue", "seller", "buyer", "qty", "seller_price", "buyer_price"]
 SUMMARY_HEADER = ["metric", "scope", "value"]
 
+# Each venue as trades.csv spells it, read without the enum's value property.
+_VENUE_NAMES = {venue: venue.value for venue in Venue}
 # The coalition each peer venue's parties belong to.
 _GRID = Venue.GRID.value
 _MID_MARKET = Venue.MID_MARKET.value
@@ -41,22 +49,35 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
         writer.writerows(rows)
 
 
-def _trade_rows(report: SimulationReport) -> Iterator[list[str]]:
-    """Each slot's trade rows, formatted from its ledger without building its trades.
+def _csv_field(text: str) -> str:
+    """``text`` as the row writer of ``_write_csv`` writes it: quoted only where it must be."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text,))
+    return out.getvalue()[:-1]
+
+
+def _trade_lines(report: SimulationReport) -> Iterator[str]:
+    """Each slot's ``trades.csv`` lines, formatted from its rows without building its trades.
 
     Int true division is correctly rounded and a float's rational is exact,
-    so each string equals ``_fmt`` of the trade's ``Fraction``.
+    so each quantity equals ``_fmt`` of the trade's ``Fraction``. Each id is
+    quoted once per run, and each price object formatted once per slot.
     """
+    ids = {pid: _csv_field(pid) for pid in (GRID_ID, THIRD_PARTY_ID, *(p.id for p in report.scenario.prosumers))}
     for s in report.slots:
-        slot = str(s.slot)
-        sell_price = buy_price = None
+        # Each formatted price is held to the slot's end, so no other object
+        # can take its id meanwhile.
+        texts: dict[int, str] = {}
+        held: list[Fraction] = []
+
+        def text(price: Fraction) -> str:
+            held.append(price)
+            texts[id(price)] = formatted = _fmt(price)
+            return formatted
+
         for venue, seller, buyer, num, den, sell, buy in s.rows():
-            # Prices repeat across a pool's rows; format each one once.
-            if sell is not sell_price:
-                sell_price, sell_text = sell, _fmt(sell)
-            if buy is not buy_price:
-                buy_price, buy_text = buy, sell_text if buy is sell else _fmt(buy)
-            yield [slot, venue.value, seller, buyer, f"{num / den:.6f}", sell_text, buy_text]
+            yield (f"{s.slot},{_VENUE_NAMES[venue]},{ids[seller]},{ids[buyer]},{num / den:.6f},"
+                   f"{texts.get(id(sell)) or text(sell)},{texts.get(id(buy)) or text(buy)}\n")
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:
@@ -78,7 +99,9 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
     _write_csv(out / "prices.csv", PRICES_HEADER, prices)
     _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
     _write_csv(out / "coalitions.csv", COALITIONS_HEADER, coalitions)
-    _write_csv(out / "trades.csv", TRADES_HEADER, _trade_rows(report))
+    with (out / "trades.csv").open("w") as fh:
+        fh.write(",".join(TRADES_HEADER) + "\n")
+        fh.writelines(_trade_lines(report))
 
 
 def write_summary(metrics: MetricsTable, out_dir: str | Path) -> None:
@@ -110,19 +133,20 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
 
 def _read_csv(
     path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = ()
-) -> list[tuple[str, ...]]:
-    """The rows after ``header``, as tuples; a malformed row is a problem, not a row.
+) -> Iterator[list[str]]:
+    """Yield each row after ``header`` as it is read; a malformed row is a problem, not a row.
 
     A row is malformed when its width differs from the header's, its slot
     (where the first column is one) is not an integer, its peak flag (where
     the last column is one) is not ``true`` or ``false``, or a ``numeric``
     column does not parse as a finite number. Each becomes one line in
-    ``problems`` naming the file and line. Each returned row ends with its
-    ``numeric`` columns parsed as floats, in ``numeric`` order. A missing or
-    different header raises ``ValueError``.
+    ``problems`` naming the file and line, appended when the reader reaches
+    it. Each yielded row ends with its ``numeric`` columns parsed as floats,
+    in ``numeric`` order; an empty ``summary.csv`` average, the mean over no
+    prosumers, parses as None. A missing or different header raises
+    ``ValueError`` on the first read.
     """
     columns = [header.index(name) for name in numeric]
-    rows: list[tuple[str, ...]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -131,10 +155,9 @@ def _read_csv(
         for row in reader:
             problem = _row_problem(row, header, columns)
             if problem is None:
-                rows.append(tuple(row))
+                yield row
             else:
                 problems.append(f"{path.name} line {reader.line_num}: {problem}")
-    return rows
 
 
 def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
@@ -152,7 +175,10 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
         try:
             value = float(row[i])
         except ValueError:
-            return f"{header[i]} {row[i]!r} is not a number"
+            if row[i] or header[1] != "scope" or row[1] != "average":
+                return f"{header[i]} {row[i]!r} is not a number"
+            row.append(None)
+            continue
         if not math.isfinite(value):
             return f"{header[i]} {row[i]!r} is not a finite number"
         row.append(value)
@@ -163,58 +189,68 @@ def audit_run(run_dir: str | Path) -> list[str]:
     """Re-check an emitted run directory; returns a list of problems found.
 
     Verifies that every CSV parses under its fixed header, with rows of the
-    header's width, integer slots, true/false peak flags and finite prices,
-    costs and trade quantities;
+    header's width, integer slots, true/false peak flags, finite prices,
+    costs and trade quantities, and finite summary values (an empty one only
+    as a missing average);
     that per-slot cash flows balance (payments equal receipts plus fees,
     within the rounding of the six-decimal output), that the coalition rows
     form a partition, that trades stay inside their coalition, and that
     nobody buys from the grid at a peak slot.
+
+    ``prices.csv``, ``cps_cost.csv`` and ``coalitions.csv`` are read whole;
+    ``trades.csv`` is checked one row at a time as it is read, and only
+    per-slot cash sums are kept. Problems are listed in one fixed order:
+    malformed rows, file by file, then slot coverage, double membership,
+    each trade's problems, cash imbalances and ``summary.csv``'s problems.
     """
     run = Path(run_dir)
     problems: list[str] = []
+    # Every check's problem, listed after all the malformed rows.
+    found: list[str] = []
     try:
-        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",))
-        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",))
-        coalitions = _read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems)
+        prices = list(_read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",)))
+        costs = list(_read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",)))
+        coalitions = list(_read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems))
+
+        peak = {slot: flag == "true" for slot, _, flag, _ in prices}
+        if {slot for slot, *_ in costs} != set(peak):
+            found.append("cps_cost.csv and prices.csv cover different slots")
+
+        membership: dict[str, dict[str, str]] = {}
+        for slot, coalition, member in coalitions:
+            slot_members = membership.setdefault(slot, {})
+            if member in slot_members:
+                found.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
+            slot_members[member] = coalition
+
+        balance: dict[str, tuple[float, float, float]] = {}
         trades = _read_csv(run / "trades.csv", TRADES_HEADER, problems, ("qty", "seller_price", "buyer_price"))
+        for slot, venue, seller, buyer, qty_text, _, _, qty, sell, buy in trades:
+            if qty <= 0:
+                found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
+            if buy < sell:
+                found.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
+            if venue != _MID_MARKET and buy != sell:
+                found.append(f"slot {slot}: {venue} trade with a price spread")
+            # A structure for the slot means a peer-trading run, in which nobody
+            # may buy from the grid at the peak; baselines emit no coalitions.
+            if venue == _GRID and seller == GRID_ID and peak.get(slot) and membership.get(slot):
+                found.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
+            want = _COALITION_OF.get(venue)
+            if want is not None:
+                members = membership.get(slot, {})
+                for pid in (seller, buyer):
+                    if members.get(pid) != want:
+                        found.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
+            payments, receipts, fees = balance.get(slot, (0.0, 0.0, 0.0))
+            balance[slot] = (
+                payments + buy * qty,
+                receipts + sell * qty,
+                fees + (buy - sell) * qty,
+            )
     except (OSError, ValueError) as exc:
         return [str(exc)]
-
-    peak = {slot: flag == "true" for slot, _, flag, _ in prices}
-    if {slot for slot, *_ in costs} != set(peak):
-        problems.append("cps_cost.csv and prices.csv cover different slots")
-
-    membership: dict[str, dict[str, str]] = {}
-    for slot, coalition, member in coalitions:
-        slot_members = membership.setdefault(slot, {})
-        if member in slot_members:
-            problems.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
-        slot_members[member] = coalition
-
-    balance: dict[str, tuple[float, float, float]] = {}
-    for slot, venue, seller, buyer, qty_text, _, _, qty, sell, buy in trades:
-        if qty <= 0:
-            problems.append(f"slot {slot}: non-positive trade quantity {qty_text}")
-        if buy < sell:
-            problems.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
-        if venue != _MID_MARKET and buy != sell:
-            problems.append(f"slot {slot}: {venue} trade with a price spread")
-        # A structure for the slot means a peer-trading run, in which nobody
-        # may buy from the grid at the peak; baselines emit no coalitions.
-        if venue == _GRID and seller == GRID_ID and peak.get(slot) and membership.get(slot):
-            problems.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
-        want = _COALITION_OF.get(venue)
-        if want is not None:
-            members = membership.get(slot, {})
-            for pid in (seller, buyer):
-                if members.get(pid) != want:
-                    problems.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
-        payments, receipts, fees = balance.get(slot, (0.0, 0.0, 0.0))
-        balance[slot] = (
-            payments + buy * qty,
-            receipts + sell * qty,
-            fees + (buy - sell) * qty,
-        )
+    problems += found
 
     for slot, (payments, receipts, fees) in sorted(balance.items(), key=lambda kv: int(kv[0])):
         if abs(payments - (receipts + fees)) > 1e-2:
@@ -225,7 +261,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
     summary = run / "summary.csv"
     if summary.exists():
         try:
-            _read_csv(summary, SUMMARY_HEADER, problems)
+            for _ in _read_csv(summary, SUMMARY_HEADER, problems, ("value",)):
+                pass
         except ValueError as exc:
             problems.append(str(exc))
     return problems

@@ -40,7 +40,7 @@ from gridp2p.fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
-from gridp2p.reports import _fmt, _trade_rows
+from gridp2p.reports import _fmt, _trade_lines
 
 
 def _price_pair(same_object):
@@ -248,9 +248,12 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     pool = Pool(*args)
     trades = trades_of(pool.rows())
     assert trades == eager_pool_trades(*args)
-    report = SimpleNamespace(slots=[SimpleNamespace(slot=7, rows=pool.rows)])
-    assert list(_trade_rows(report)) == [
-        ["7", t.venue.value, t.seller_id, t.buyer_id, _fmt(t.quantity), _fmt(t.seller_price), _fmt(t.buyer_price)]
+    sellers, buyers = args[:2]
+    scenario = SimpleNamespace(prosumers=[SimpleNamespace(id=f.prosumer_id) for f in (*sellers, *buyers)])
+    report = SimpleNamespace(scenario=scenario, slots=[SimpleNamespace(slot=7, rows=pool.rows)])
+    assert list(_trade_lines(report)) == [
+        ",".join(["7", t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))])
+        + "\n"
         for t in trades
     ]
     # Each leg is its participant's kWh, receipts and payments summed over
@@ -260,7 +263,7 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
         for pid, receipt, payment in ((t.seller_id, t.receipt, 0), (t.buyer_id, 0, t.payment)):
             kwh, revenue, cost = summed.get(pid, (0, 0, 0))
             summed[pid] = (kwh + t.quantity, revenue + receipt, cost + payment)
-    sellers, buyers, _, venue = args[:4]
+    venue = args[3]
     assert list(pool.legs()) == [(f.prosumer_id, venue, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
 

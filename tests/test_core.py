@@ -8,6 +8,7 @@ import pytest
 
 from gridp2p.cli import EXIT_VALIDATION, main
 from gridp2p.core import (
+    DomainError,
     GridPolicy,
     MarketConfig,
     ProsumerProfile,
@@ -59,6 +60,17 @@ def test_case_study_ranges_over_many_seeds():
             assert all(11.0 <= x <= 15.0 for x in p.reservation_price)
             assert all(11.0 <= x <= 15.0 for x in p.bid_price)
             assert p.alpha > 0
+
+
+def test_case_study_rejects_all_sellers_when_the_horizon_has_a_peak():
+    with pytest.raises(DomainError, match="^sellers_per_slot must leave a buyer when the horizon has a peak slot$"):
+        make_case_study_scenario(0, n_prosumers=4, slots=3, sellers_per_slot=4)
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_case_study_allows_all_sellers_before_the_first_peak(slots):
+    scenario = make_case_study_scenario(0, n_prosumers=4, slots=slots, sellers_per_slot=4)
+    assert all(len(scenario.sellers_at(t)) == 4 for t in range(slots))
 
 
 def test_round_trip_through_json():

@@ -10,7 +10,9 @@ pooled peak still built its pairwise trades eagerly, so they pin the rows
 formatted from the pools, at a larger integer width than the n96 cases.
 The ``scenario`` digests pin the JSON that ``gen-fixture`` and
 ``emit_scenario`` write, taken while each record's keys were still written
-out by hand.
+out by hand. The ``quoted-ids`` digests pin a compare run whose prosumer ids
+need CSV quoting, taken while every ``trades.csv`` row still went through
+``csv.writer``.
 """
 
 import hashlib
@@ -22,7 +24,8 @@ import pytest
 
 from gridp2p import fixtures
 from gridp2p.cli import EXIT_OK, main
-from gridp2p.core import emit_scenario, make_case_study_scenario
+from gridp2p.core import emit_scenario, make_case_study_scenario, save_scenario
+from gridp2p.reports import audit_run
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
 BASELINES = [(mode, case) for mode in ("grid-only", "third-party") for case in sorted(GOLDEN[mode])]
@@ -64,3 +67,18 @@ def test_scenario_json_matches_golden_digests(tmp_path):
     per_slot_alpha = replace(scenario, prosumers=(first, *scenario.prosumers[1:]))
     digests["per-slot-alpha"] = _sha256(emit_scenario(per_slot_alpha).encode())
     assert digests == GOLDEN["scenario"]
+
+
+def test_quoted_ids_match_golden_digests(tmp_path):
+    # Ids holding a comma, a quote, a newline, a leading space and a
+    # semicolon; the sixth prosumer keeps its plain id.
+    scenario = make_case_study_scenario(5, n_prosumers=6, slots=6)
+    names = ("a,b", 'q"uote', "new\nline", " lead", "semi;colon")
+    renamed = tuple(replace(p, id=name) for p, name in zip(scenario.prosumers, names))
+    save_scenario(replace(scenario, prosumers=renamed + scenario.prosumers[5:]), tmp_path / "quoted.json")
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", str(tmp_path / "quoted.json"), "--mode", "compare", "--out", str(out)])
+    assert code == EXIT_OK
+    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
+    assert digests == GOLDEN["quoted-ids"]["seed5-n6-s6"]
+    assert audit_run(out) == []

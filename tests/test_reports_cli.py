@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,67 @@ def test_audit_reports_each_malformed_row(tmp_path, capsys, case):
     assert audit_run(tmp_path) == problems
     assert main(["audit", "--dir", str(tmp_path)]) == EXIT_FAILURE
     assert capsys.readouterr().err == "".join(f"audit: {p}\n" for p in problems)
+
+
+def test_audit_reports_read_problems_before_trade_checks(tmp_path):
+    # A grid sale at a peak as the first trade row, and a short row at the
+    # end: the read problem still comes first.
+    write_run(run_horizon(make_case_study_scenario(3, slots=6)), tmp_path)
+    path = tmp_path / "trades.csv"
+    header, *lines = path.read_text().splitlines()
+    lines = [header, "2,grid,grid,p01,1.000000,99.000000,99.000000", *lines, "5,grid,p01"]
+    path.write_text("\n".join(lines) + "\n")
+    assert audit_run(tmp_path) == [
+        "trades.csv line 117: expected 7 fields, got 3",
+        "slot 2: grid sale to p01 during a peak slot",
+    ]
+
+
+def test_audit_memory_stays_below_the_trades_file(tmp_path):
+    # The audit streams trades.csv: its peak allocation stays below the
+    # size of the file it checks (about 1.5 MB here).
+    write_run(run_horizon(make_case_study_scenario(0, n_prosumers=192)), tmp_path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert audit_run(tmp_path) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < (tmp_path / "trades.csv").stat().st_size
+
+
+def _compare_run(out: Path) -> list[list[str]]:
+    assert main(["simulate", "--seed", "3", "--mode", "compare", "--out", str(out)]) == EXIT_OK
+    return _read(out / "summary.csv")
+
+
+def _write_rows(path: Path, rows: list[list[str]]) -> None:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_audit_rejects_summary_values_that_are_not_finite_numbers(tmp_path):
+    header, *rows = _compare_run(tmp_path)
+    rows[0][2], rows[1][2] = "abc", "nan"
+    # A deleted row needs the scenario to be noticed, so it goes unreported.
+    del rows[-1]
+    _write_rows(tmp_path / "summary.csv", [header, *rows])
+    assert audit_run(tmp_path) == [
+        "summary.csv line 2: value 'abc' is not a number",
+        "summary.csv line 3: value 'nan' is not a finite number",
+    ]
+
+
+def test_audit_allows_an_empty_summary_value_only_as_a_missing_mean(tmp_path):
+    header, *rows = _compare_run(tmp_path)
+    average = next(i for i, row in enumerate(rows) if row[1] == "average")
+    rows[average][2] = ""
+    _write_rows(tmp_path / "summary.csv", [header, *rows])
+    assert audit_run(tmp_path) == []
+    rows[0][2] = ""
+    _write_rows(tmp_path / "summary.csv", [header, *rows])
+    assert audit_run(tmp_path) == ["summary.csv line 2: value '' is not a number"]
 
 
 def test_audit_flags_bad_header(tmp_path):
