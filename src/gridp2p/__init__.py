@@ -38,7 +38,6 @@ from .engine import (
     run_slot,
     stability_context,
 )
-from .leader import PriceSignal, cps_cost, decide_slot_price, min_b, peak_price
-from .prosumer import max_willingness_price, optimal_grid_purchase
+from .leader import PriceSignal, cps_cost, decide_slot_price, max_willingness_price, min_b, peak_price
 
 __version__ = "0.1.0"

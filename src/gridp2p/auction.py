@@ -62,7 +62,6 @@ class AuctionOutcome:
     auction_price: float | None
     seller_fills: tuple[Fill, ...]
     buyer_fills: tuple[Fill, ...]
-    excluded: tuple[str, ...]
 
     @property
     def is_empty(self) -> bool:
@@ -81,7 +80,7 @@ class AuctionOutcome:
         return sum((f.cleared for f in self.seller_fills), Fraction(0))
 
 
-EMPTY_OUTCOME = AuctionOutcome(None, (), (), ())
+EMPTY_OUTCOME = AuctionOutcome(None, (), ())
 
 
 def _sort_key(order: Order, ascending: bool):
@@ -147,8 +146,8 @@ def allocate(
 def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION) -> AuctionOutcome:
     """Run the uniform-price double auction on ``book``.
 
-    Returns an empty outcome (everyone excluded) when the curves do not
-    intersect or one side of the book is empty.
+    Returns :data:`EMPTY_OUTCOME`, in which nobody trades, when the curves do
+    not intersect or one side of the book is empty.
     """
     sorted_book = order_books(book)
     asks, bids = sorted_book.asks, sorted_book.bids
@@ -160,9 +159,7 @@ def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RES
         else:
             break
     if depth == 0:
-        return AuctionOutcome(
-            None, (), (), tuple(o.prosumer_id for o in (*asks, *bids))
-        )
+        return EMPTY_OUTCOME
 
     trading_asks = asks[:depth]
     trading_bids = bids[:depth]
@@ -181,8 +178,7 @@ def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RES
     buyer_fills = tuple(
         Fill(o.prosumer_id, Fraction(o.quantity), c) for o, c in zip(trading_bids, cleared_b)
     )
-    excluded = tuple(o.prosumer_id for o in (*asks[depth:], *bids[depth:]))
-    return AuctionOutcome(price, seller_fills, buyer_fills, excluded)
+    return AuctionOutcome(price, seller_fills, buyer_fills)
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,6 @@ class DeliveryReport:
     """Result of checking delivered quantities against the cleared ones."""
 
     deviators: tuple[str, ...]
-    deviations: Mapping[str, Fraction]
     inconsistency: Fraction
 
     @property
@@ -220,8 +215,4 @@ def verify_truthful_delivery(
         if delta != 0:
             deviations[pid] = delta
     inconsistency = abs(sum(deviations.values(), Fraction(0)))
-    return DeliveryReport(
-        deviators=tuple(sorted(deviations)),
-        deviations=deviations,
-        inconsistency=inconsistency,
-    )
+    return DeliveryReport(deviators=tuple(sorted(deviations)), inconsistency=inconsistency)

@@ -53,12 +53,12 @@ Leg = tuple[str, Venue, Fraction, Fraction, Fraction]
 class Trade:
     """A settled energy transfer between two parties.
 
-    Prices are exact rationals so that per-trade fee and conservation
-    identities hold exactly; ``buyer_price`` differs from ``seller_price``
-    only by the mid-market network fee. A slot builds its trades from its
-    ledger's rows, one per pair, so the checks are kept cheap: the quantity's
-    sign is read off its numerator, and a trade whose two prices are the same
-    object has no spread to test.
+    Prices are exact rationals so that conservation identities hold exactly;
+    ``buyer_price`` differs from ``seller_price`` only by the mid-market
+    network fee. A slot builds its trades from its ledger's rows, one per
+    pair, so the checks are kept cheap: the quantity's sign is read off its
+    numerator, and a trade whose two prices are the same object has no spread
+    to test.
     """
 
     seller_id: str
@@ -79,24 +79,11 @@ class Trade:
         elif self.buyer_price != self.seller_price:
             raise DomainError(f"{self.venue.value} trades settle at a single price")
 
-    @property
-    def payment(self) -> Fraction:
-        return self.buyer_price * self.quantity
-
-    @property
-    def receipt(self) -> Fraction:
-        return self.seller_price * self.quantity
-
-    @property
-    def fee(self) -> Fraction:
-        return self.payment - self.receipt
-
 
 @dataclass(frozen=True)
 class CoalitionStructure:
     """The two-coalition partition of the active prosumers at one slot."""
 
-    slot: int
     auction_members: tuple[str, ...]
     midmarket_members: tuple[str, ...]
     outcome: AuctionOutcome
@@ -116,14 +103,13 @@ def mid_market_prices(p_auc: float, p_fit: float, beta: float) -> tuple[float, f
     return sell, (1.0 + beta) * sell
 
 
-def partition(active: Sequence[str], outcome: AuctionOutcome, slot: int = 0) -> CoalitionStructure:
+def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStructure:
     """Split the active prosumers into the auction and mid-market coalitions."""
     trading = set(outcome.trading_sellers) | set(outcome.trading_buyers)
     stray = trading - set(active)
     if stray:
         raise DomainError(f"auction outcome references inactive prosumer {sorted(stray)[0]!r}")
     return CoalitionStructure(
-        slot=slot,
         auction_members=tuple(pid for pid in active if pid in trading),
         midmarket_members=tuple(pid for pid in active if pid not in trading),
         outcome=outcome,

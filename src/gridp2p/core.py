@@ -77,9 +77,10 @@ def _as_float(value: float, name: str) -> float:
 class ProsumerProfile:
     """One prosumer's identity, preference and per-slot market position.
 
-    ``alpha`` is the satisfaction weight on the logarithmic energy-usage term
-    of the utility functions; it may be a single value for the whole horizon
-    or one value per slot.
+    ``alpha`` weighs the satisfaction ``alpha*log2(1+e)`` of using ``e`` kWh,
+    and so sets the willingness price ``alpha/ln 2`` above which the prosumer
+    buys nothing; it may be a single value for the whole horizon or one value
+    per slot.
     """
 
     id: str

@@ -16,8 +16,8 @@ read off its own fill or position in O(S+B). ``write_run`` formats
 ``per_prosumer`` settled from the legs by ``_settle``, each when first read.
 The pairwise trades sum exactly to the legs. ``compare`` reads only peak
 slots, so a compare run settles the three runs' peaks and no off-peak slot;
-writing a run settles nothing. Cash amounts are exact rationals throughout;
-floats appear only in utilities and in emitted reports.
+writing a run settles nothing. Settled cash is exact rationals throughout;
+floats appear only in prices, system costs, metrics and emitted reports.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .coalition import (
 )
 from .core import DomainError, Order, OrderSide, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
-from .prosumer import position_value
 
 log = logging.getLogger("gridp2p.engine")
 _ZERO = Fraction(0)
@@ -58,9 +57,8 @@ MODE_THIRD_PARTY = "third-party"
 
 @dataclass(frozen=True)
 class ProsumerSlot:
-    """One prosumer's settled slot: utility, cash flows and primary venue."""
+    """One prosumer's settled slot: cash flows and primary venue."""
 
-    utility: float
     revenue: Fraction
     cost: Fraction
     venue: str
@@ -99,7 +97,7 @@ class SlotResult:
             if name == "trades":
                 object.__setattr__(self, "trades", tuple(trades_of(self.rows())))
             elif name == "per_prosumer":
-                object.__setattr__(self, "per_prosumer", _settle(self._scenario, self.slot, self._ledger))
+                object.__setattr__(self, "per_prosumer", _settle(self._scenario, self._ledger))
         return object.__getattribute__(self, name)
 
     def __getstate__(self) -> dict:
@@ -132,18 +130,15 @@ class SimulationReport:
     aggregates: ReportAggregates
 
 
-_IDLE = ProsumerSlot(utility=0.0, revenue=_ZERO, cost=_ZERO, venue="none")
+_IDLE = ProsumerSlot(revenue=_ZERO, cost=_ZERO, venue="none")
 
 
-def _settle(scenario: Scenario, slot: int, ledger: Iterable[Pool | Positions]) -> dict[str, ProsumerSlot]:
+def _settle(scenario: Scenario, ledger: Iterable[Pool | Positions]) -> dict[str, ProsumerSlot]:
     """Settle each leg of the slot's ledger; a prosumer without one is idle."""
-    alpha = {p.id: p.alpha_at(slot) for p in scenario.prosumers}
-    settled = dict.fromkeys(alpha, _IDLE)
+    settled = dict.fromkeys((p.id for p in scenario.prosumers), _IDLE)
     for part in ledger:
-        for pid, venue, energy, revenue, cost in part.legs():
-            # One side of every leg is zero, so this is float(revenue - cost) exactly.
-            utility = position_value(alpha[pid], float(energy), float(revenue) - float(cost))
-            settled[pid] = ProsumerSlot(utility, revenue, cost, venue.value)
+        for pid, venue, _, revenue, cost in part.legs():
+            settled[pid] = ProsumerSlot(revenue, cost, venue.value)
     return settled
 
 
@@ -213,7 +208,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     )
     outcome = clear(book, market.auction_price_rule)
     active = [p.id for p in scenario.prosumers if p.net_energy[slot] != 0]
-    structure = partition(active, outcome, slot)
+    structure = partition(active, outcome)
 
     # With no intersection there is no auction price; the mid-market formula
     # then degenerates to the feed-in tariff as its floor.

@@ -4,28 +4,39 @@ Serving prosumer demand beyond the slot threshold costs the system
 ``a*(overshoot)^2 + b*overshoot`` (reserve activation, extra generation),
 offset by sales revenue. Minimizing that cost over delivered demand yields a
 closed-form punitive price; as long as ``b`` clears the bound from
-``min_b`` the punitive price exceeds every prosumer's willingness to pay, so
-peak demand on the system collapses to zero and prosumers trade among
-themselves instead.
+``min_b`` the punitive price exceeds every prosumer's willingness to pay
+(``max_willingness_price``), so peak demand on the system collapses to zero
+and prosumers trade among themselves instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ConfigurationError, DomainError, GridPolicy, ProsumerProfile
-from .prosumer import LN2
+
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class PriceSignal:
-    """Prices announced by the system for one slot."""
+    """The system's selling price for one slot, and whether the slot is a peak."""
 
-    slot: int
     selling_price: float
-    buying_price: float
     peak_flag: bool
+
+
+def max_willingness_price(alpha: float) -> float:
+    """The price above which a prosumer with weight ``alpha`` buys nothing.
+
+    The marginal utility of ``alpha*log2(1+e)`` is at most ``alpha/ln 2``, at
+    ``e = 0``, so no purchase is worth a higher price.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be > 0")
+    return alpha / LN2
 
 
 def cps_cost(a: float, b: float, e_d: float, e_t: float, price: float) -> float:
@@ -86,12 +97,7 @@ def decide_slot_price(
         e_d = total_prosumer_demand(prosumers, slot)
     e_t = policy.threshold[slot]
     if e_d <= e_t:
-        return PriceSignal(
-            slot=slot,
-            selling_price=policy.offpeak_price,
-            buying_price=policy.fit_price,
-            peak_flag=False,
-        )
+        return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False)
     alpha_max = max(p.alpha_at(slot) for p in prosumers)
     bound = min_b(policy.a, alpha_max, e_d, e_t)
     if policy.b <= bound:
@@ -99,9 +105,4 @@ def decide_slot_price(
             f"slot {slot}: b={policy.b} does not exceed the required bound {bound:.6f} "
             f"(a={policy.a}, max alpha={alpha_max}, overshoot={e_d - e_t:.6f})"
         )
-    return PriceSignal(
-        slot=slot,
-        selling_price=peak_price(policy.a, policy.b, e_d, e_t),
-        buying_price=policy.fit_price,
-        peak_flag=True,
-    )
+    return PriceSignal(selling_price=peak_price(policy.a, policy.b, e_d, e_t), peak_flag=True)

@@ -32,6 +32,7 @@ SUMMARY_HEADER = ["metric", "scope", "value"]
 
 # Each venue as trades.csv spells it, read without the enum's value property.
 _VENUE_NAMES = {venue: venue.value for venue in Venue}
+_KNOWN_VENUES = frozenset(_VENUE_NAMES.values())
 # The coalition each peer venue's parties belong to.
 _GRID = Venue.GRID.value
 _MID_MARKET = Venue.MID_MARKET.value
@@ -191,17 +192,19 @@ def audit_run(run_dir: str | Path) -> list[str]:
     Verifies that every CSV parses under its fixed header, with rows of the
     header's width, integer slots, true/false peak flags, finite prices,
     costs and trade quantities, and finite summary values (an empty one only
-    as a missing average);
-    that per-slot cash flows balance (payments equal receipts plus fees,
-    within the rounding of the six-decimal output), that the coalition rows
-    form a partition, that trades stay inside their coalition, and that
-    nobody buys from the grid at a peak slot.
+    as a missing average); that the coalition rows form a partition; that
+    every trade has a known venue and a slot in ``prices.csv``, stays inside
+    its coalition and is priced like every other trade of its slot and venue
+    (grid sales and grid purchases apart); and that nobody buys from the grid
+    at a peak slot.
 
     ``prices.csv``, ``cps_cost.csv`` and ``coalitions.csv`` are read whole;
-    ``trades.csv`` is checked one row at a time as it is read, and only
-    per-slot cash sums are kept. Problems are listed in one fixed order:
-    malformed rows, file by file, then slot coverage, double membership,
-    each trade's problems, cash imbalances and ``summary.csv``'s problems.
+    ``trades.csv`` is checked one row at a time as it is read, keeping only
+    the first price pair of each slot and venue. Problems are listed in one fixed
+    order: malformed rows, file by file, then slot coverage, double
+    membership, the trade problems in row order (an unknown venue, a missing
+    slot or a second price once per slot and venue) and ``summary.csv``'s
+    problems.
     """
     run = Path(run_dir)
     problems: list[str] = []
@@ -223,9 +226,18 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 found.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
             slot_members[member] = coalition
 
-        balance: dict[str, tuple[float, float, float]] = {}
+        # The (seller price, buyer price) text of each (slot, venue, grid
+        # sells) group's first row, which every later row must repeat.
+        price_of: dict[tuple[str, str, bool], tuple[str, str]] = {}
+        once: set[str] = set()
+
+        def note(problem: str) -> None:
+            if problem not in once:
+                once.add(problem)
+                found.append(problem)
+
         trades = _read_csv(run / "trades.csv", TRADES_HEADER, problems, ("qty", "seller_price", "buyer_price"))
-        for slot, venue, seller, buyer, qty_text, _, _, qty, sell, buy in trades:
+        for slot, venue, seller, buyer, qty_text, sell_text, buy_text, qty, sell, buy in trades:
             if qty <= 0:
                 found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
             if buy < sell:
@@ -242,21 +254,18 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 for pid in (seller, buyer):
                     if members.get(pid) != want:
                         found.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
-            payments, receipts, fees = balance.get(slot, (0.0, 0.0, 0.0))
-            balance[slot] = (
-                payments + buy * qty,
-                receipts + sell * qty,
-                fees + (buy - sell) * qty,
-            )
+            pair = (sell_text, buy_text)
+            first = price_of.setdefault((slot, venue, seller == GRID_ID), pair)
+            if first is pair:
+                if venue not in _KNOWN_VENUES:
+                    note(f"slot {slot}: unknown venue {venue!r}")
+                if slot not in peak:
+                    note(f"slot {slot}: trades in a slot missing from prices.csv")
+            elif first != pair:
+                note(f"slot {slot}: {venue} trades at more than one price")
     except (OSError, ValueError) as exc:
         return [str(exc)]
     problems += found
-
-    for slot, (payments, receipts, fees) in sorted(balance.items(), key=lambda kv: int(kv[0])):
-        if abs(payments - (receipts + fees)) > 1e-2:
-            problems.append(
-                f"slot {slot}: cash imbalance payments={payments:.6f} receipts+fees={receipts + fees:.6f}"
-            )
 
     summary = run / "summary.csv"
     if summary.exists():

@@ -144,6 +144,16 @@ def oracle_dhp_stable(scenario, result) -> bool:
     return True
 
 
+def receipt(trade: Trade) -> Fraction:
+    """What the seller of ``trade`` receives."""
+    return trade.seller_price * trade.quantity
+
+
+def payment(trade: Trade) -> Fraction:
+    """What the buyer of ``trade`` pays, fee included."""
+    return trade.buyer_price * trade.quantity
+
+
 def eager_pool_trades(sellers, buyers, matched, venue, sell_price, buy_price, fit, third):
     """A pool's trades built one by one: the pairs, then seller and buyer residuals."""
     trades = []

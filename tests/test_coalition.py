@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ask, bid, book, eager_pool_trades, oracle_dhp_stable
+from conftest import ask, bid, book, eager_pool_trades, oracle_dhp_stable, payment, receipt
 from gridp2p.auction import EMPTY_OUTCOME, Fill, clear
 from gridp2p.coalition import (
     GRID_ID,
@@ -105,8 +105,7 @@ def test_partition_splits_around_trading_sets():
         [bid("b1", 14.0, 2.0), bid("b2", 13.0, 2.0), bid("b3", 11.0, 2.0)],
     )
     out = clear(b)
-    structure = partition(["s1", "s2", "s3", "b1", "b2", "b3"], out, slot=4)
-    assert structure.slot == 4
+    structure = partition(["s1", "s2", "s3", "b1", "b2", "b3"], out)
     assert structure.auction_members == ("s1", "s2", "b1", "b2")
     assert structure.midmarket_members == ("s3", "b3")
 
@@ -194,10 +193,9 @@ def test_midmarket_fee_is_exactly_beta_times_receipt():
     beta = Fraction(0.1)
     for t in trades:
         if t.venue is Venue.MID_MARKET:
-            assert t.fee == beta * t.receipt
-            assert t.fee >= 0
+            assert t.buyer_price == (1 + beta) * t.seller_price
         else:
-            assert t.fee == 0
+            assert t.buyer_price == t.seller_price
 
 
 # Kilowatt-hours as small rationals, and as floats read exactly, whose
@@ -260,9 +258,9 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     # the eager trades, at the pool's venue.
     summed = {}
     for t in trades:
-        for pid, receipt, payment in ((t.seller_id, t.receipt, 0), (t.buyer_id, 0, t.payment)):
+        for pid, received, paid in ((t.seller_id, receipt(t), 0), (t.buyer_id, 0, payment(t))):
             kwh, revenue, cost = summed.get(pid, (0, 0, 0))
-            summed[pid] = (kwh + t.quantity, revenue + receipt, cost + payment)
+            summed[pid] = (kwh + t.quantity, revenue + received, cost + paid)
     venue = args[3]
     assert list(pool.legs()) == [(f.prosumer_id, venue, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
@@ -326,7 +324,7 @@ def test_cheap_third_party_destabilizes():
 
 
 def test_empty_structure_is_stable():
-    structure = CoalitionStructure(0, (), (), EMPTY_OUTCOME)
+    structure = CoalitionStructure((), (), EMPTY_OUTCOME)
     ctx = StabilityContext(
         surplus={}, deficit={}, cash={},
         grid_selling_price=Fraction(548.8), fit_price=Fraction(10), third_party_price=Fraction(21),

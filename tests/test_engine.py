@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import eager_pool_trades
+from conftest import eager_pool_trades, payment, receipt
 from gridp2p.auction import Fill
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Venue, mid_market_prices
 from gridp2p.core import (
@@ -33,7 +33,6 @@ from gridp2p.fixtures import (
     two_coalition_demo_scenario,
     uniform_auction_scenario,
 )
-from gridp2p.prosumer import position_value
 from gridp2p.reports import write_run, write_summary
 
 
@@ -170,31 +169,22 @@ def test_reaggregation_idempotent():
 def _assert_settles_exactly(scenario, report):
     """Every settled leg equals what the prosumer's trades add up to, exactly."""
     for s in report.slots:
-        payments = sum((t.payment for t in s.trades), Fraction(0))
-        receipts = sum((t.receipt for t in s.trades), Fraction(0))
-        fees = sum((t.fee for t in s.trades), Fraction(0))
-        assert payments == receipts + fees
         # Per-prosumer cash and kWh in the settlement equal the trades it appears in.
         rev = {pid: Fraction(0) for pid in (p.id for p in scenario.prosumers)}
         cost = dict(rev)
         kwh = dict(rev)
         for t in s.trades:
             if t.seller_id in rev:
-                rev[t.seller_id] += t.receipt
+                rev[t.seller_id] += receipt(t)
                 kwh[t.seller_id] += t.quantity
             if t.buyer_id in cost:
-                cost[t.buyer_id] += t.payment
+                cost[t.buyer_id] += payment(t)
                 kwh[t.buyer_id] += t.quantity
         for p in scenario.prosumers:
             settled = s.per_prosumer[p.id]
             assert settled.revenue == rev[p.id]
             assert settled.cost == cost[p.id]
             assert kwh[p.id] == abs(Fraction(p.net_energy[s.slot]))
-            if kwh[p.id]:
-                alpha = p.alpha_at(s.slot)
-                assert settled.utility == position_value(alpha, float(kwh[p.id]), float(rev[p.id] - cost[p.id]))
-            else:
-                assert settled.utility == 0.0
 
 
 def test_settlement_conservation_exact():
@@ -463,21 +453,22 @@ def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
     calls = []
     settle = engine._settle
 
-    def counted(*args):
-        calls.append(args[1])
-        return settle(*args)
+    def counted(scenario, ledger):
+        calls.append(ledger)
+        return settle(scenario, ledger)
 
     monkeypatch.setattr(engine, "_settle", counted)
     scenario = make_case_study_scenario(8)
-    p2p = run_horizon(scenario)
-    table = compare(p2p, baseline_grid_only(scenario), baseline_third_party(scenario))
-    write_run(p2p, tmp_path)
+    runs = (run_horizon(scenario), baseline_grid_only(scenario), baseline_third_party(scenario))
+    table = compare(*runs)
+    write_run(runs[0], tmp_path)
     write_summary(table, tmp_path)
-    peaks = len(p2p.aggregates.peak_slots)
-    assert scenario.slots == 22 and peaks > 0
+    assert scenario.slots == 22 and runs[0].aggregates.peak_slots
     # The three runs' peaks, each settled once for the aggregates: trades.csv
     # is written from the ledgers, and no off-peak slot is ever settled.
-    assert sorted(calls) == sorted(3 * p2p.aggregates.peak_slots)
+    peak_ledgers = [s._ledger for run in runs for s in run.slots if s.price_signal.peak_flag]
+    assert len(peak_ledgers) == 3 * len(runs[0].aggregates.peak_slots)
+    assert sorted(map(id, calls)) == sorted(map(id, peak_ledgers))
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)

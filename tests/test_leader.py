@@ -11,8 +11,14 @@ from gridp2p.core import (
     GridPolicy,
     ProsumerProfile,
 )
-from gridp2p.leader import cps_cost, decide_slot_price, min_b, peak_price, total_prosumer_demand
-from gridp2p.prosumer import max_willingness_price
+from gridp2p.leader import (
+    cps_cost,
+    decide_slot_price,
+    max_willingness_price,
+    min_b,
+    peak_price,
+    total_prosumer_demand,
+)
 
 LN2 = math.log(2.0)
 
@@ -88,7 +94,6 @@ def _buyer(pid: str, deficit: float, alpha: float = 7.0) -> ProsumerProfile:
 def test_decide_slot_price_offpeak():
     signal = decide_slot_price(_one_slot_policy(8.0), (_buyer("p1", 5.0),), 0)
     assert signal.selling_price == 28.0
-    assert signal.buying_price == 10.0
     assert not signal.peak_flag
 
 
@@ -101,7 +106,6 @@ def test_decide_slot_price_peak():
     signal = decide_slot_price(_one_slot_policy(8.0), (_buyer("p1", 10.0),), 0)
     assert signal.peak_flag
     assert signal.selling_price == pytest.approx(548.8, abs=1e-9)
-    assert signal.buying_price == 10.0
 
 
 def test_decide_slot_price_second_parameterization():
@@ -117,6 +121,20 @@ def test_decide_slot_price_rejects_weak_b():
     prosumers = (_buyer("p1", 10.0, alpha=100.0),)
     with pytest.raises(ConfigurationError, match="slot 0"):
         decide_slot_price(policy, prosumers, 0)
+
+
+def test_max_willingness_price_examples():
+    assert max_willingness_price(LN2) == pytest.approx(1.0)
+    assert max_willingness_price(1.0) == pytest.approx(1.4426950408889634)
+    assert max_willingness_price(1e-9) == pytest.approx(0.0, abs=1e-8)
+
+
+@given(st.floats(0.1, 50.0), st.floats(0.01, 100.0), st.floats(1e-3, 20.0))
+def test_purchase_zero_above_willingness(alpha, margin, energy):
+    # Above the willingness price every purchase is worth less than none:
+    # alpha*log2(1+e) - price*e < 0 for every e > 0.
+    price = max_willingness_price(alpha) + margin
+    assert alpha * math.log2(1.0 + energy) - price * energy < 0
 
 
 def test_peak_price_exceeds_every_willingness_when_bound_holds():
@@ -138,7 +156,6 @@ def test_case_study_signals_never_undercut_offpeak():
             assert signal.selling_price >= scenario.grid.offpeak_price
             if not signal.peak_flag:
                 assert signal.selling_price == scenario.grid.offpeak_price
-            assert signal.buying_price == scenario.grid.fit_price
 
 
 def test_total_prosumer_demand_counts_only_deficits():

@@ -58,37 +58,53 @@ def test_audit_flags_imbalance(tmp_path):
     slot, venue, seller, buyer, qty, sp, bp = trades[1].split(",")
     trades[1] = ",".join([slot, venue, seller, buyer, qty, sp, "99.000000"])
     (tmp_path / "trades.csv").write_text("\n".join(trades) + "\n")
-    problems = audit_run(tmp_path)
-    assert any("imbalance" in p or "spread" in p for p in problems)
+    # The buyer pays 99 for what the seller sells at 10, and the other grid
+    # sales of the slot are priced at 10.
+    assert audit_run(tmp_path) == [
+        "slot 0: grid trade with a price spread",
+        "slot 0: grid trades at more than one price",
+    ]
 
 
 # One tampered trades.csv row per audit check: (venue of the row to tamper,
-# fields to overwrite, the problem the audit must report). The demo run is one
+# fields to overwrite, the problems the audit must report). The demo run is one
 # peak slot; its first auction row is p04 -> p07 and its first mid-market row
 # p01 -> p10, with auction members p04-p09 and mid-market members p01-p03, p10-p12.
+# A row priced apart from its venue's first row makes the next row a second price.
 _TAMPERED_ROWS = {
-    "zero_quantity": ("auction", {"qty": "0.000000"}, "slot 0: non-positive trade quantity 0.000000"),
+    "zero_quantity": ("auction", {"qty": "0.000000"}, ["slot 0: non-positive trade quantity 0.000000"]),
     "midmarket_undercut": (
-        "mid_market", {"buyer_price": "10.000000"}, "slot 0: buyer price 10.0 below seller price 11.0"
+        "mid_market",
+        {"buyer_price": "10.000000"},
+        ["slot 0: buyer price 10.0 below seller price 11.0", "slot 0: mid_market trades at more than one price"],
     ),
-    "auction_spread": ("auction", {"buyer_price": "12.500000"}, "slot 0: auction trade with a price spread"),
+    "auction_spread": (
+        "auction",
+        {"buyer_price": "12.500000"},
+        ["slot 0: auction trade with a price spread", "slot 0: auction trades at more than one price"],
+    ),
+    "second_auction_price": (
+        "auction",
+        {"seller_price": "0.010000", "buyer_price": "0.010000"},
+        ["slot 0: auction trades at more than one price"],
+    ),
     "grid_sale_at_peak": (
         "mid_market",
         {"venue": "grid", "seller": "grid", "buyer_price": "11.000000"},
-        "slot 0: grid sale to p10 during a peak slot",
+        ["slot 0: grid sale to p10 during a peak slot"],
     ),
     "auction_party_outside": (
-        "auction", {"buyer": "p10"}, "slot 0: auction trade party p10 not in the auction coalition"
+        "auction", {"buyer": "p10"}, ["slot 0: auction trade party p10 not in the auction coalition"]
     ),
     "midmarket_party_outside": (
-        "mid_market", {"seller": "p04"}, "slot 0: mid_market trade party p04 not in the mid_market coalition"
+        "mid_market", {"seller": "p04"}, ["slot 0: mid_market trade party p04 not in the mid_market coalition"]
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_TAMPERED_ROWS))
 def test_audit_flags_each_tampered_trade_row(tmp_path, case):
-    venue, fields, problem = _TAMPERED_ROWS[case]
+    venue, fields, problems = _TAMPERED_ROWS[case]
     write_run(run_horizon(two_coalition_demo_scenario()), tmp_path)
     assert audit_run(tmp_path) == []
     path = tmp_path / "trades.csv"
@@ -97,7 +113,7 @@ def test_audit_flags_each_tampered_trade_row(tmp_path, case):
     for name, value in fields.items():
         row[header.index(name)] = value
     path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
-    assert problem in audit_run(tmp_path)
+    assert audit_run(tmp_path) == problems
 
 
 # One malformed row per case: (file, data row to alter, how, the problems the
@@ -121,21 +137,25 @@ _MALFORMED_ROWS = {
         "prices.csv",
         0,
         lambda r: ["zero"] + r[1:],
-        ["prices.csv line 2: slot 'zero' is not an integer", "cps_cost.csv and prices.csv cover different slots"],
+        ["prices.csv line 2: slot 'zero' is not an integer",
+         "cps_cost.csv and prices.csv cover different slots",
+         "slot 0: trades in a slot missing from prices.csv"],
     ),
     "peak_flag_not_a_flag": (
         "prices.csv",
         0,
         lambda r: r[:2] + ["yes"],
         ["prices.csv line 2: peak_flag 'yes' is not true or false",
-         "cps_cost.csv and prices.csv cover different slots"],
+         "cps_cost.csv and prices.csv cover different slots",
+         "slot 0: trades in a slot missing from prices.csv"],
     ),
     "selling_price_not_a_number": (
         "prices.csv",
         0,
         lambda r: r[:1] + ["n/a"] + r[2:],
         ["prices.csv line 2: selling_price 'n/a' is not a number",
-         "cps_cost.csv and prices.csv cover different slots"],
+         "cps_cost.csv and prices.csv cover different slots",
+         "slot 0: trades in a slot missing from prices.csv"],
     ),
     "cps_cost_not_a_number": (
         "cps_cost.csv",
@@ -152,7 +172,8 @@ _MALFORMED_ROWS = {
         0,
         lambda r: r[:1] + ["inf"] + r[2:],
         ["prices.csv line 2: selling_price 'inf' is not a finite number",
-         "cps_cost.csv and prices.csv cover different slots"],
+         "cps_cost.csv and prices.csv cover different slots",
+         "slot 0: trades in a slot missing from prices.csv"],
     ),
     "cps_cost_not_finite": (
         "cps_cost.csv",
@@ -189,6 +210,38 @@ def test_audit_reports_read_problems_before_trade_checks(tmp_path):
     assert audit_run(tmp_path) == [
         "trades.csv line 117: expected 7 fields, got 3",
         "slot 2: grid sale to p01 during a peak slot",
+    ]
+
+
+def _p2p_run(out: Path) -> tuple[list[str], list[str]]:
+    """A seed-3, 6-slot p2p run whose peaks are slots 2, 3 and 5: its trades.csv and prices.csv lines."""
+    write_run(run_horizon(make_case_study_scenario(3, slots=6)), out)
+    assert audit_run(out) == []
+    return (out / "trades.csv").read_text().splitlines(), (out / "prices.csv").read_text().splitlines()
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_audit_rejects_an_unknown_venue(tmp_path):
+    # Every auction row renamed: one problem per slot and venue, not per row.
+    trades, _ = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "trades.csv", [line.replace(",auction,", ",bogus,") for line in trades])
+    assert audit_run(tmp_path) == [f"slot {slot}: unknown venue 'bogus'" for slot in (2, 3, 5)]
+
+
+def test_audit_checks_the_trades_of_a_slot_missing_from_prices(tmp_path):
+    # A malformed flag drops peak slot 2 from prices.csv; a grid sale appended
+    # to that slot cannot be judged against its flag, so the slot is reported.
+    trades, prices = _p2p_run(tmp_path)
+    prices[3] = "2,548.800000,yes"
+    _write_lines(tmp_path / "prices.csv", prices)
+    _write_lines(tmp_path / "trades.csv", [*trades, "2,grid,grid,p07,1.000000,99.000000,99.000000"])
+    assert audit_run(tmp_path) == [
+        "prices.csv line 4: peak_flag 'yes' is not true or false",
+        "cps_cost.csv and prices.csv cover different slots",
+        "slot 2: trades in a slot missing from prices.csv",
     ]
 
 
