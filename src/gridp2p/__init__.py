@@ -19,7 +19,6 @@ from .core import (
     GridPolicy,
     MarketConfig,
     Order,
-    OrderSide,
     ProsumerProfile,
     Scenario,
     ScenarioError,

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import AuctionPriceRule, DomainError, Order, OrderSide
+from .core import AuctionPriceRule, DomainError, Order
 
 
 @dataclass(frozen=True)
 class OrderBook:
-    """All asks and bids submitted for one slot."""
+    """All asks and bids submitted for one slot; an order's side is the one that holds it."""
 
     asks: tuple[Order, ...]
     bids: tuple[Order, ...]
@@ -31,10 +31,6 @@ class OrderBook:
     def __post_init__(self) -> None:
         object.__setattr__(self, "asks", tuple(self.asks))
         object.__setattr__(self, "bids", tuple(self.bids))
-        if any(o.side is not OrderSide.ASK for o in self.asks):
-            raise DomainError("asks must all have side=ASK")
-        if any(o.side is not OrderSide.BID for o in self.bids):
-            raise DomainError("bids must all have side=BID")
         ask_ids = {o.prosumer_id for o in self.asks}
         bid_ids = {o.prosumer_id for o in self.bids}
         if len(ask_ids) != len(self.asks) or len(bid_ids) != len(self.bids):

@@ -20,7 +20,6 @@ import sys
 
 from .core import (
     AuctionPriceRule,
-    ConfigurationError,
     GridP2PError,
     load_scenario,
     make_case_study_scenario,
@@ -147,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-fixture":
             return _cmd_gen_fixture(args)
         return _cmd_audit(args)
-    except (ConfigurationError, GridP2PError) as exc:
+    except GridP2PError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -45,8 +45,8 @@ class Venue(Enum):
 # One trade as a row: venue, seller, buyer, the quantity's numerator and
 # denominator, seller price and buyer price.
 Row = tuple[Venue, str, str, int, int, Fraction, Fraction]
-# One participant's settled slot: its id, venue, kWh routed, revenue and cost, exact.
-Leg = tuple[str, Venue, Fraction, Fraction, Fraction]
+# One participant's settled slot: its id, revenue and cost, exact.
+Leg = tuple[str, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,9 @@ class Pool:
         leg is computed in O(S+B) without building them.
         """
         for f in self.sellers:
-            yield f.prosumer_id, self.venue, f.submitted, self.sell_price * f.cleared + self.fit * f.unfilled, _ZERO
+            yield f.prosumer_id, self.sell_price * f.cleared + self.fit * f.unfilled, _ZERO
         for f in self.buyers:
-            yield f.prosumer_id, self.venue, f.submitted, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
+            yield f.prosumer_id, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
 
 
 def trades_of(rows: Iterable[Row]) -> list[Trade]:

@@ -52,17 +52,12 @@ class AuctionPriceRule(Enum):
     VICKREY = "vickrey"
 
 
-class OrderSide(Enum):
-    ASK = "ask"
-    BID = "bid"
-
-
 def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
     """Convert to floats, refusing booleans, strings, NaN and infinities."""
     try:
         values = tuple(values)
         floats = tuple(map(float, values))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{name}: expected numbers") from exc
     if set(map(type, values)) & {bool, str} or not all(map(math.isfinite, floats)):
         raise ScenarioError(f"{name}: expected finite numbers")
@@ -212,12 +207,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Order:
-    """One side of the auction book for a single slot."""
+    """One ask or bid of the auction book for a single slot."""
 
     prosumer_id: str
     price: float
     quantity: float
-    side: OrderSide
 
     def __post_init__(self) -> None:
         if self.quantity <= 0:
@@ -409,13 +403,15 @@ def emit_scenario(scenario: Scenario) -> str:
 
 
 def _reject_constant(token: str) -> float:
-    raise ScenarioError(f"invalid JSON: {token} is not a finite number")
+    raise ValueError(f"{token} is not a finite number")
 
 
 def load_scenario_text(text: str) -> Scenario:
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, NaN or Infinity, an integer too long to convert, or
+        # arrays nested too deep to parse.
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -425,5 +421,9 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario file, raising ``ScenarioError`` on any defect."""
-    return load_scenario_text(Path(path).read_text())
+    """Read and validate a UTF-8 scenario file, raising ``ScenarioError`` on any defect."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
+    return load_scenario_text(text)

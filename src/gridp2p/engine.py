@@ -10,14 +10,15 @@ cost and revenue metrics of interest.
 Every slot carries one ledger: a pooled peak its auction and mid-market
 pools, a whole-position slot (every off-peak slot, and both baselines' peaks)
 its :class:`Positions`. Each part of a ledger yields the slot's trades as
-rows, in one fixed order, and each participant's leg: kWh, revenue and cost,
+rows, in one fixed order, and each participant's leg: its revenue and cost,
 read off its own fill or position in O(S+B). ``write_run`` formats
 ``trades.csv`` from the rows; a slot's ``trades`` are built from them, and its
 ``per_prosumer`` settled from the legs by ``_settle``, each when first read.
-The pairwise trades sum exactly to the legs. ``compare`` reads only peak
-slots, so a compare run settles the three runs' peaks and no off-peak slot;
-writing a run settles nothing. Settled cash is exact rationals throughout;
-floats appear only in prices, system costs, metrics and emitted reports.
+The pairwise trades sum exactly to the legs. A run settles nothing, and nor
+does writing it; ``compare`` reads only peak slots, so a compare run settles
+the three runs' peaks and no off-peak slot. Settled cash is exact rationals
+throughout; floats appear only in prices, system costs, metrics and emitted
+reports.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .coalition import (
     partition,
     trades_of,
 )
-from .core import DomainError, Order, OrderSide, Scenario
+from .core import DomainError, Order, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
 
 log = logging.getLogger("gridp2p.engine")
@@ -57,11 +58,10 @@ MODE_THIRD_PARTY = "third-party"
 
 @dataclass(frozen=True)
 class ProsumerSlot:
-    """One prosumer's settled slot: cash flows and primary venue."""
+    """One prosumer's settled slot: its cash flows."""
 
     revenue: Fraction
     cost: Fraction
-    venue: str
 
 
 @dataclass(frozen=True)
@@ -115,30 +115,21 @@ class SlotResult:
 
 
 @dataclass(frozen=True)
-class ReportAggregates:
-    cps_cost_peak: float
-    peak_slots: tuple[int, ...]
-    seller_revenue_peak: dict[str, Fraction]
-    buyer_cost_peak: dict[str, Fraction]
-
-
-@dataclass(frozen=True)
 class SimulationReport:
     scenario: Scenario
     mode: str
     slots: tuple[SlotResult, ...]
-    aggregates: ReportAggregates
 
 
-_IDLE = ProsumerSlot(revenue=_ZERO, cost=_ZERO, venue="none")
+_IDLE = ProsumerSlot(_ZERO, _ZERO)
 
 
 def _settle(scenario: Scenario, ledger: Iterable[Pool | Positions]) -> dict[str, ProsumerSlot]:
     """Settle each leg of the slot's ledger; a prosumer without one is idle."""
     settled = dict.fromkeys((p.id for p in scenario.prosumers), _IDLE)
     for part in ledger:
-        for pid, venue, _, revenue, cost in part.legs():
-            settled[pid] = ProsumerSlot(revenue, cost, venue.value)
+        for pid, revenue, cost in part.legs():
+            settled[pid] = ProsumerSlot(revenue, cost)
     return settled
 
 
@@ -170,12 +161,12 @@ class Positions:
 
     def legs(self) -> Iterator[Leg]:
         """Each row's one party that is a prosumer, with the one nonzero side of its cash."""
-        for venue, seller, buyer, num, den, price, _ in self.rows():
-            energy = Fraction(num, den)
+        for _, seller, buyer, num, den, price, _ in self.rows():
+            cash = price * Fraction(num, den)
             if buyer == GRID_ID:
-                yield seller, venue, energy, price * energy, _ZERO
+                yield seller, cash, _ZERO
             else:
-                yield buyer, venue, energy, _ZERO, price * energy
+                yield buyer, _ZERO, cash
 
 
 def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:
@@ -197,14 +188,8 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     sellers = scenario.sellers_at(slot)
     buyers = scenario.buyers_at(slot)
     book = OrderBook(
-        asks=tuple(
-            Order(p.id, p.reservation_price[slot], p.net_energy[slot], OrderSide.ASK)
-            for p in sellers
-        ),
-        bids=tuple(
-            Order(p.id, p.bid_price[slot], -p.net_energy[slot], OrderSide.BID)
-            for p in buyers
-        ),
+        asks=tuple(Order(p.id, p.reservation_price[slot], p.net_energy[slot]) for p in sellers),
+        bids=tuple(Order(p.id, p.bid_price[slot], -p.net_energy[slot]) for p in buyers),
     )
     outcome = clear(book, market.auction_price_rule)
     active = [p.id for p in scenario.prosumers if p.net_energy[slot] != 0]
@@ -265,28 +250,21 @@ def _baseline_slot(
     )
 
 
-def aggregate_slots(scenario: Scenario, slots: Sequence[SlotResult]) -> ReportAggregates:
-    """Sum cost, revenue and spend over the peak slots, the only ones compared."""
-    ids = [p.id for p in scenario.prosumers]
-    rev_peak = {pid: Fraction(0) for pid in ids}
-    cost_peak = dict(rev_peak)
-    peak_slots = []
+def aggregate_slots(
+    scenario: Scenario, slots: Sequence[SlotResult]
+) -> tuple[float, dict[str, Fraction], dict[str, Fraction]]:
+    """The system cost, and each prosumer's revenue and cost, summed over the peak slots."""
+    revenue = {p.id: _ZERO for p in scenario.prosumers}
+    cost = dict(revenue)
     cps_peak = 0.0
     for s in slots:
         if not s.price_signal.peak_flag:
             continue
-        peak_slots.append(s.slot)
         cps_peak += s.cps_cost
-        for pid in ids:
-            ps = s.per_prosumer[pid]
-            rev_peak[pid] += ps.revenue
-            cost_peak[pid] += ps.cost
-    return ReportAggregates(
-        cps_cost_peak=cps_peak,
-        peak_slots=tuple(peak_slots),
-        seller_revenue_peak=rev_peak,
-        buyer_cost_peak=cost_peak,
-    )
+        for pid, settled in s.per_prosumer.items():
+            revenue[pid] += settled.revenue
+            cost[pid] += settled.cost
+    return cps_peak, revenue, cost
 
 
 def _run(scenario: Scenario, mode: str) -> SimulationReport:
@@ -295,12 +273,7 @@ def _run(scenario: Scenario, mode: str) -> SimulationReport:
     else:
         slots = tuple(_baseline_slot(scenario, t, mode, *_decide(scenario, t)) for t in range(scenario.slots))
     log.debug("mode=%s slots=%d peak=%d", mode, len(slots), sum(s.price_signal.peak_flag for s in slots))
-    return SimulationReport(
-        scenario=scenario,
-        mode=mode,
-        slots=slots,
-        aggregates=aggregate_slots(scenario, slots),
-    )
+    return SimulationReport(scenario, mode, slots)
 
 
 def run_horizon(scenario: Scenario) -> SimulationReport:
@@ -403,20 +376,21 @@ def compare(
     if (p2p.mode, grid_only.mode, third_party.mode) != (MODE_P2P, MODE_GRID_ONLY, MODE_THIRD_PARTY):
         raise DomainError("compare requires one report per mode, in order")
 
-    ids = [p.id for p in p2p.scenario.prosumers]
+    scenario = p2p.scenario
+    cps_p2p, rev_p2p, cost_p2p = aggregate_slots(scenario, p2p.slots)
+    cps_grid, rev_grid, cost_grid = aggregate_slots(scenario, grid_only.slots)
+    _, _, cost_tp = aggregate_slots(scenario, third_party.slots)
+    ids = [p.id for p in scenario.prosumers]
     n = len(ids)
     uplift: dict[str, float] = {}
     savings_grid: dict[str, float] = {}
     savings_tp: dict[str, float] = {}
     premium_tp: dict[str, float] = {}
     for pid in ids:
-        base_rev = grid_only.aggregates.seller_revenue_peak[pid]
-        p2p_rev = p2p.aggregates.seller_revenue_peak[pid]
+        base_rev, p2p_rev = rev_grid[pid], rev_p2p[pid]
         if base_rev > 0:
             uplift[pid] = float((p2p_rev - base_rev) / base_rev) * 100.0
-        base_cost = grid_only.aggregates.buyer_cost_peak[pid]
-        p2p_cost = p2p.aggregates.buyer_cost_peak[pid]
-        tp_cost = third_party.aggregates.buyer_cost_peak[pid]
+        base_cost, p2p_cost, tp_cost = cost_grid[pid], cost_p2p[pid], cost_tp[pid]
         if base_cost > 0:
             savings_grid[pid] = float((base_cost - p2p_cost) / base_cost) * 100.0
         if tp_cost > 0:
@@ -424,7 +398,7 @@ def compare(
         if p2p_cost > 0:
             premium_tp[pid] = float((tp_cost - p2p_cost) / p2p_cost) * 100.0
 
-    total_cost = lambda report: sum(report.aggregates.buyer_cost_peak.values(), Fraction(0))
+    total_cost = lambda cost: sum(cost.values(), _ZERO)
     return MetricsTable(
         seller_uplift_pct=uplift,
         buyer_savings_vs_grid_pct=savings_grid,
@@ -434,9 +408,9 @@ def compare(
         avg_buyer_savings_vs_grid_pct=_mean(savings_grid.values()),
         avg_buyer_savings_vs_third_party_pct=_mean(savings_tp.values()),
         avg_buyer_premium_vs_third_party_pct=_mean(premium_tp.values()),
-        cps_cost_with_p2p=p2p.aggregates.cps_cost_peak,
-        cps_cost_without_p2p=grid_only.aggregates.cps_cost_peak,
-        avg_cost_per_prosumer_p2p=float(total_cost(p2p)) / n,
-        avg_cost_per_prosumer_grid_only=float(total_cost(grid_only)) / n,
-        avg_cost_per_prosumer_third_party=float(total_cost(third_party)) / n,
+        cps_cost_with_p2p=cps_p2p,
+        cps_cost_without_p2p=cps_grid,
+        avg_cost_per_prosumer_p2p=float(total_cost(cost_p2p)) / n,
+        avg_cost_per_prosumer_grid_only=float(total_cost(cost_grid)) / n,
+        avg_cost_per_prosumer_third_party=float(total_cost(cost_tp)) / n,
     )

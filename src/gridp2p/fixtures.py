@@ -2,7 +2,7 @@
 
 These are single-slot peak scenarios whose books are constructed so the
 auction price, coalition split and settlement arithmetic can be computed by
-hand. They back the acceptance suite and the demo scripts.
+hand. They back the test suite.
 """
 
 from __future__ import annotations

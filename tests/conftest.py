@@ -18,7 +18,7 @@ from itertools import combinations
 
 from hypothesis import settings
 
-from gridp2p.core import Order, OrderSide
+from gridp2p.core import Order
 from gridp2p.auction import OrderBook
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
 
@@ -26,12 +26,8 @@ settings.register_profile("gridp2p", deadline=None)
 settings.load_profile("gridp2p")
 
 
-def ask(pid: str, price: float, qty: float) -> Order:
-    return Order(pid, price, qty, OrderSide.ASK)
-
-
-def bid(pid: str, price: float, qty: float) -> Order:
-    return Order(pid, price, qty, OrderSide.BID)
+# An order's side is the side of the book that holds it.
+ask = bid = Order
 
 
 def book(asks, bids) -> OrderBook:

@@ -41,7 +41,7 @@ def test_criterion_01_zero_peak_cost():
     for seed in range(100):
         scenario = make_case_study_scenario(seed)
         report = run_horizon(scenario)
-        assert report.aggregates.peak_slots, f"seed {seed} produced no peak slots"
+        assert any(s.price_signal.peak_flag for s in report.slots), f"seed {seed} produced no peak slots"
         for slot in report.slots:
             if slot.price_signal.peak_flag:
                 peak_slots_seen += 1

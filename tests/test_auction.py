@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ask, bid, book, oracle_allocate, oracle_price, oracle_trading_sets, random_book
 from gridp2p.auction import allocate, clear, order_books, verify_truthful_delivery
-from gridp2p.core import AuctionPriceRule, DomainError, Order, OrderSide
+from gridp2p.core import AuctionPriceRule, DomainError, Order
 
 HIGHEST = AuctionPriceRule.HIGHEST_RESERVATION
 VICKREY = AuctionPriceRule.VICKREY
@@ -38,7 +38,7 @@ def test_book_rejects_id_on_both_sides():
 
 def test_order_rejects_nonpositive_quantity():
     with pytest.raises(DomainError):
-        Order("x", 11.0, 0.0, OrderSide.ASK)
+        Order("x", 11.0, 0.0)
 
 
 def _excluded(b, out) -> set[str]:

@@ -254,15 +254,14 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
         + "\n"
         for t in trades
     ]
-    # Each leg is its participant's kWh, receipts and payments summed over
-    # the eager trades, at the pool's venue.
+    # Each leg is its participant's receipts and payments summed over the
+    # eager trades.
     summed = {}
     for t in trades:
         for pid, received, paid in ((t.seller_id, receipt(t), 0), (t.buyer_id, 0, payment(t))):
-            kwh, revenue, cost = summed.get(pid, (0, 0, 0))
-            summed[pid] = (kwh + t.quantity, revenue + received, cost + paid)
-    venue = args[3]
-    assert list(pool.legs()) == [(f.prosumer_id, venue, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
+            revenue, cost = summed.get(pid, (0, 0))
+            summed[pid] = (revenue + received, cost + paid)
+    assert list(pool.legs()) == [(f.prosumer_id, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
 
 @given(

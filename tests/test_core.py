@@ -260,6 +260,12 @@ def test_loader_rejects_mistyped_prosumer_id(value):
             lambda d: d | {"market": d["market"] | {"auction_price_rule": "x"}},
             "market.auction_price_rule: unknown rule 'x'",
         ),
+        # Numbers too large for a float.
+        (lambda d: d | {"grid": d["grid"] | {"a": 10**400}}, "grid.a: expected numbers"),
+        (
+            lambda d: d | {"prosumers": [d["prosumers"][0] | {"net_energy": [10**400, 1.0]}, d["prosumers"][1]]},
+            "net_energy: expected numbers",
+        ),
     ],
 )
 def test_loader_reports_each_structural_error(tmp_path, capsys, alter, message):
@@ -269,6 +275,34 @@ def test_loader_reports_each_structural_error(tmp_path, capsys, alter, message):
     assert str(exc.value) == message
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(scenario_path), "--mode", "p2p", "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe\x00", "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (
+            b'{"slots": ' + b"1" * 5000 + b"}",
+            "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (
+            b"[" * 100_000,
+            "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        ),
+    ],
+    ids=["not-utf8", "integer-too-long", "nested-too-deep"],
+)
+def test_loader_reports_a_file_it_cannot_parse(tmp_path, capsys, content, message):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_bytes(content)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(scenario_path)
+    assert str(exc.value) == message
     code = main(["simulate", "--scenario", str(scenario_path), "--mode", "p2p", "--out", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -55,7 +55,6 @@ def test_offpeak_slot_settles_with_grid():
     assert result.cps_cost == pytest.approx(-140.0)
     assert all(t.venue is Venue.GRID for t in result.trades)
     assert result.per_prosumer["b1"].cost == Fraction(28) * 5
-    assert result.per_prosumer["b1"].venue == "grid"
 
 
 def test_demo_fixture_partition_and_zero_cost():
@@ -95,7 +94,6 @@ def test_zero_net_prosumer_sits_out():
     result = run_slot(scenario, 0)
     members = set(result.structure.auction_members) | set(result.structure.midmarket_members)
     assert "idle" not in members
-    assert result.per_prosumer["idle"].venue == "none"
     assert result.per_prosumer["idle"].revenue == 0
 
 
@@ -142,17 +140,21 @@ def test_run_horizon_deterministic():
     assert run_horizon(scenario) == run_horizon(scenario)
 
 
+def _peak_slots(report):
+    return [s.slot for s in report.slots if s.price_signal.peak_flag]
+
+
 def test_run_horizon_single_slot():
     scenario = uniform_auction_scenario()
     report = run_horizon(scenario)
     assert len(report.slots) == 1
-    assert report.aggregates.peak_slots == (0,)
+    assert _peak_slots(report) == [0]
 
 
 def test_full_case_study_peaks_cost_zero_offpeak_revenue():
     scenario = make_case_study_scenario(8)
     report = run_horizon(scenario)
-    assert report.aggregates.peak_slots == (2, 3, 5, 12, 14, 18)
+    assert _peak_slots(report) == [2, 3, 5, 12, 14, 18]
     for s in report.slots:
         if s.price_signal.peak_flag:
             assert s.cps_cost == 0.0
@@ -160,10 +162,17 @@ def test_full_case_study_peaks_cost_zero_offpeak_revenue():
             assert s.cps_cost < 0.0
 
 
-def test_reaggregation_idempotent():
+def test_aggregate_slots_sums_the_peak_slots():
     scenario = make_case_study_scenario(21, slots=8)
     for report in (run_horizon(scenario), baseline_grid_only(scenario), baseline_third_party(scenario)):
-        assert aggregate_slots(scenario, report.slots) == report.aggregates
+        peaks = [report.slots[t] for t in _peak_slots(report)]
+        assert len(peaks) == 3
+        cps = 0.0
+        for s in peaks:  # in slot order, as float sums depend on it
+            cps += s.cps_cost
+        revenue = {p.id: sum((s.per_prosumer[p.id].revenue for s in peaks), Fraction(0)) for p in scenario.prosumers}
+        cost = {p.id: sum((s.per_prosumer[p.id].cost for s in peaks), Fraction(0)) for p in scenario.prosumers}
+        assert aggregate_slots(scenario, report.slots) == (cps, revenue, cost)
 
 
 def _assert_settles_exactly(scenario, report):
@@ -312,7 +321,6 @@ def test_third_party_baseline():
     assert slot.cps_cost == 0.0
     assert slot.per_prosumer["b01"].cost == Fraction(21) * 4
     assert slot.per_prosumer["s01"].revenue == Fraction(10) * 4
-    assert slot.per_prosumer["b01"].venue == "third_party"
 
 
 def test_compare_uniform_fixture_metrics():
@@ -449,7 +457,9 @@ def test_second_read_returns_the_same_objects(run):
     assert not hasattr(slot, "__setstate__")
 
 
-def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
+@pytest.fixture
+def settled_ledgers(monkeypatch):
+    """The ledger of each ``engine._settle`` call the test makes, in order."""
     calls = []
     settle = engine._settle
 
@@ -458,17 +468,28 @@ def test_compare_settles_only_the_slots_it_reads(monkeypatch, tmp_path):
         return settle(scenario, ledger)
 
     monkeypatch.setattr(engine, "_settle", counted)
+    return calls
+
+
+def test_single_mode_run_settles_nothing(settled_ledgers):
+    scenario = make_case_study_scenario(8)
+    for run in _RUNS:
+        assert _peak_slots(run(scenario))
+        assert settled_ledgers == [], run.__name__
+
+
+def test_compare_settles_only_the_slots_it_reads(settled_ledgers, tmp_path):
     scenario = make_case_study_scenario(8)
     runs = (run_horizon(scenario), baseline_grid_only(scenario), baseline_third_party(scenario))
     table = compare(*runs)
     write_run(runs[0], tmp_path)
     write_summary(table, tmp_path)
-    assert scenario.slots == 22 and runs[0].aggregates.peak_slots
-    # The three runs' peaks, each settled once for the aggregates: trades.csv
+    assert scenario.slots == 22 and _peak_slots(runs[0])
+    # The three runs' peaks, each settled once for the comparison: trades.csv
     # is written from the ledgers, and no off-peak slot is ever settled.
     peak_ledgers = [s._ledger for run in runs for s in run.slots if s.price_signal.peak_flag]
-    assert len(peak_ledgers) == 3 * len(runs[0].aggregates.peak_slots)
-    assert sorted(map(id, calls)) == sorted(map(id, peak_ledgers))
+    assert len(peak_ledgers) == 3 * len(_peak_slots(runs[0]))
+    assert sorted(map(id, settled_ledgers)) == sorted(map(id, peak_ledgers))
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
