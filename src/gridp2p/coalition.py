@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Fill
 from .core import DomainError
@@ -33,6 +33,7 @@ GRID_ID = "grid"
 THIRD_PARTY_ID = "third_party"
 
 _ZERO = Fraction(0)
+T = TypeVar("T")
 
 
 class Venue(Enum):
@@ -42,9 +43,13 @@ class Venue(Enum):
     THIRD_PARTY = "third_party"
 
 
-# One trade as a row: venue, seller, buyer, the quantity's numerator and
-# denominator, seller price and buyer price.
-Row = tuple[Venue, str, str, int, int, Fraction, Fraction]
+# One trade as a row: venue, seller, buyer, quantity, seller price and buyer price.
+Row = tuple[Venue, str, str, Fraction, Fraction, Fraction]
+# A ledger presents its trades a block at a time: it calls ``terms(venue,
+# seller_price, buyer_price)``, each price a Fraction or an exact float, once per
+# block, and what that returns once per trade, as ``(seller, buyer, num, den)``:
+# ``num / den`` is the quantity, ``num`` an int or a whole position's float over 1.
+Terms = Callable[[Venue, "float | Fraction", "float | Fraction"], Callable[[str, str, "int | float", int], T]]
 # One participant's settled slot: its id, revenue and cost, exact.
 Leg = tuple[str, Fraction, Fraction]
 
@@ -138,31 +143,33 @@ class Pool:
     fit: Fraction
     third: Fraction
 
-    def rows(self) -> Iterator[Row]:
+    def present(self, terms: Terms[T]) -> Iterator[T]:
         """The pool as pairwise trades: each pair, then each seller's and each buyer's residual.
 
         Seller ``s`` delivers ``cleared_s * cleared_b / matched`` to buyer
-        ``b``, computed as one integer numerator and denominator.
+        ``b``: each buyer's share of the match is one integer ratio per pool,
+        scaled by each seller's cleared ratio. The pairs form one block, the
+        residuals to each side one more.
         """
         m = self.matched
         if m > 0:
-            filled = [
+            pair = terms(self.venue, self.sell_price, self.buy_price)
+            shares = [
                 (f.prosumer_id, f.cleared.numerator * m.denominator, f.cleared.denominator * m.numerator)
                 for f in self.buyers if f.cleared > 0
             ]
             for f in self.sellers:
-                n, d = f.cleared.numerator, f.cleared.denominator
-                if n == 0:
-                    continue
-                for bid, b_num, b_den in filled:
-                    yield self.venue, f.prosumer_id, bid, n * b_num, d * b_den, self.sell_price, self.buy_price
+                n, d, sid = f.cleared.numerator, f.cleared.denominator, f.prosumer_id
+                if n:
+                    yield from [pair(sid, bid, n * b_num, d * b_den) for bid, b_num, b_den in shares]
+        sold = terms(Venue.GRID, self.fit, self.fit)
         for f in self.sellers:
             if (residual := f.unfilled) > 0:
-                yield Venue.GRID, f.prosumer_id, GRID_ID, *residual.as_integer_ratio(), self.fit, self.fit
+                yield sold(f.prosumer_id, GRID_ID, residual.numerator, residual.denominator)
+        bought = terms(Venue.THIRD_PARTY, self.third, self.third)
         for f in self.buyers:
             if (residual := f.unfilled) > 0:
-                yield (Venue.THIRD_PARTY, THIRD_PARTY_ID, f.prosumer_id,
-                       *residual.as_integer_ratio(), self.third, self.third)
+                yield bought(THIRD_PARTY_ID, f.prosumer_id, residual.numerator, residual.denominator)
 
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its own fill.
@@ -176,9 +183,17 @@ class Pool:
             yield f.prosumer_id, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
 
 
+def as_row(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Row]:
+    """The terms that present each trade as a :data:`Row`, its prices exact."""
+    sell = Fraction(seller_price)
+    buy = sell if buyer_price is seller_price else Fraction(buyer_price)
+    return lambda seller, buyer, num, den: (
+        venue, seller, buyer, Fraction(num) if den == 1 else Fraction(num, den), sell, buy)
+
+
 def trades_of(rows: Iterable[Row]) -> list[Trade]:
     """The trades that ``rows`` present, in order."""
-    return [Trade(s, b, Fraction(n, d), sp, bp, v) for v, s, b, n, d, sp, bp in rows]
+    return [Trade(s, b, q, sp, bp, v) for v, s, b, q, sp, bp in rows]
 
 
 def match_midmarket(

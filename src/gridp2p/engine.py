@@ -9,10 +9,11 @@ cost and revenue metrics of interest.
 
 Every slot carries one ledger: a pooled peak its auction and mid-market
 pools, a whole-position slot (every off-peak slot, and both baselines' peaks)
-its :class:`Positions`. Each part of a ledger yields the slot's trades as
-rows, in one fixed order, and each participant's leg: its revenue and cost,
-read off its own fill or position in O(S+B). ``write_run`` formats
-``trades.csv`` from the rows; a slot's ``trades`` are built from them, and its
+its :class:`Positions`. Each part of a ledger presents the slot's trades in
+one fixed order, a block of trades sharing a venue and prices at a time, and
+yields each participant's leg: its revenue and cost, read off its own fill or
+position in O(S+B). ``write_run`` formats ``trades.csv`` block by block; a
+slot's ``trades`` are built from its rows, the same blocks flattened, and its
 ``per_prosumer`` settled from the legs by ``_settle``, each when first read.
 The pairwise trades sum exactly to the legs. A run settles nothing, and nor
 does writing it; ``compare`` reads only peak slots, so a compare run settles
@@ -38,8 +39,11 @@ from .coalition import (
     Pool,
     Row,
     StabilityContext,
+    T,
+    Terms,
     Trade,
     Venue,
+    as_row,
     match_midmarket,
     mid_market_prices,
     partition,
@@ -106,12 +110,15 @@ class SlotResult:
         self.trades, self.per_prosumer
         return {name: value for name, value in self.__dict__.items() if not name.startswith("_")}
 
-    def rows(self) -> Iterator[Row]:
-        """The slot's trades as rows, in order: from its ledger, or from ``trades`` without one."""
+    def present(self, terms: Terms[T]) -> Iterator[T]:
+        """The slot's trades, presented by ``terms``: its ledger's blocks, or each of its ``trades`` as one."""
         if "_ledger" in self.__dict__:
-            return chain.from_iterable(part.rows() for part in self._ledger)
-        return ((t.venue, t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio(), t.seller_price, t.buyer_price)
+            return chain.from_iterable(part.present(terms) for part in self._ledger)
+        return (terms(t.venue, t.seller_price, t.buyer_price)(t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio())
                 for t in self.trades)
+
+    def rows(self) -> Iterator[Row]:
+        return self.present(as_row)
 
 
 @dataclass(frozen=True)
@@ -147,26 +154,26 @@ class Positions:
     buy_price: float
     buy_venue: Venue
 
-    def rows(self) -> Iterator[Row]:
-        """One row per active prosumer, in prosumer order."""
-        fit = Fraction(self.scenario.grid.fit_price)
-        price = Fraction(self.buy_price)
+    def present(self, terms: Terms[T]) -> Iterator[T]:
+        """One trade per active prosumer, in prosumer order: its float position, in the surplus or deficit block."""
+        fit = self.scenario.grid.fit_price
+        sold = terms(Venue.GRID, fit, fit)
+        bought = terms(self.buy_venue, self.buy_price, self.buy_price)
         source = GRID_ID if self.buy_venue is Venue.GRID else THIRD_PARTY_ID
         for p in self.scenario.prosumers:
             net = p.net_energy[self.slot]
             if net > 0:
-                yield (Venue.GRID, p.id, GRID_ID, *net.as_integer_ratio(), fit, fit)
+                yield sold(p.id, GRID_ID, net, 1)
             elif net < 0:
-                yield (self.buy_venue, source, p.id, *(-net).as_integer_ratio(), price, price)
+                yield bought(source, p.id, -net, 1)
 
     def legs(self) -> Iterator[Leg]:
-        """Each row's one party that is a prosumer, with the one nonzero side of its cash."""
-        for _, seller, buyer, num, den, price, _ in self.rows():
-            cash = price * Fraction(num, den)
+        """Each trade's one party that is a prosumer, with the one nonzero side of its cash."""
+        for _, seller, buyer, qty, price, _ in self.present(as_row):
             if buyer == GRID_ID:
-                yield seller, cash, _ZERO
+                yield seller, price * qty, _ZERO
             else:
-                yield buyer, _ZERO, cash
+                yield buyer, _ZERO, price * qty
 
 
 def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:
@@ -261,9 +268,12 @@ def aggregate_slots(
         if not s.price_signal.peak_flag:
             continue
         cps_peak += s.cps_cost
+        # Every settled leg has one zero side, and an idle prosumer two.
         for pid, settled in s.per_prosumer.items():
-            revenue[pid] += settled.revenue
-            cost[pid] += settled.cost
+            if settled.revenue:
+                revenue[pid] += settled.revenue
+            if settled.cost:
+                cost[pid] += settled.cost
     return cps_peak, revenue, cost
 
 

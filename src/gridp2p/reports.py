@@ -7,9 +7,10 @@ emitted in a deterministic order, so identical runs produce byte-identical
 directories.
 
 ``trades.csv``, the one file that grows with the pairs of a slot, is a stream
-at both ends. ``write_run`` writes it one finished line per trade, formatted
-from the slot's rows with each id quoted once per run and each price once per
-slot, and ``audit_run`` checks each row as it reads it, holding no row.
+at both ends. ``write_run`` writes it a block at a time: the text around the
+trades that share a slot, venue and prices is built once, so a line adds only
+its two ids and its quantity, and no more than one seller's lines are held.
+``audit_run`` checks each row as it reads it, holding no row.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import csv
 import io
 import math
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .coalition import GRID_ID, THIRD_PARTY_ID, Venue
 from .engine import MetricsTable, SimulationReport
@@ -30,9 +33,7 @@ COALITIONS_HEADER = ["slot", "coalition", "member"]
 TRADES_HEADER = ["slot", "venue", "seller", "buyer", "qty", "seller_price", "buyer_price"]
 SUMMARY_HEADER = ["metric", "scope", "value"]
 
-# Each venue as trades.csv spells it, read without the enum's value property.
-_VENUE_NAMES = {venue: venue.value for venue in Venue}
-_KNOWN_VENUES = frozenset(_VENUE_NAMES.values())
+_KNOWN_VENUES = frozenset(venue.value for venue in Venue)
 # The coalition each peer venue's parties belong to.
 _GRID = Venue.GRID.value
 _MID_MARKET = Venue.MID_MARKET.value
@@ -58,27 +59,20 @@ def _csv_field(text: str) -> str:
 
 
 def _trade_lines(report: SimulationReport) -> Iterator[str]:
-    """Each slot's ``trades.csv`` lines, formatted from its rows without building its trades.
+    """Each slot's ``trades.csv`` lines, formatted a block at a time without building its trades.
 
-    Int true division is correctly rounded and a float's rational is exact,
-    so each quantity equals ``_fmt`` of the trade's ``Fraction``. Each id is
-    quoted once per run, and each price object formatted once per slot.
+    Each id is quoted once per run, and each block's slot, venue and prices
+    once per block, so a trade adds only its two ids and its quantity. Int
+    true division is correctly rounded and a float position is exact, so each
+    quantity equals ``_fmt`` of the trade's ``Fraction``.
     """
     ids = {pid: _csv_field(pid) for pid in (GRID_ID, THIRD_PARTY_ID, *(p.id for p in report.scenario.prosumers))}
-    for s in report.slots:
-        # Each formatted price is held to the slot's end, so no other object
-        # can take its id meanwhile.
-        texts: dict[int, str] = {}
-        held: list[Fraction] = []
 
-        def text(price: Fraction) -> str:
-            held.append(price)
-            texts[id(price)] = formatted = _fmt(price)
-            return formatted
+    def terms(slot: int, venue: Venue, sell: float | Fraction, buy: float | Fraction) -> Callable[..., str]:
+        head, tail = f"{slot},{venue.value},", f",{_fmt(sell)},{_fmt(buy)}\n"
+        return lambda seller, buyer, num, den: f"{head}{ids[seller]},{ids[buyer]},{num / den:.6f}{tail}"
 
-        for venue, seller, buyer, num, den, sell, buy in s.rows():
-            yield (f"{s.slot},{_VENUE_NAMES[venue]},{ids[seller]},{ids[buyer]},{num / den:.6f},"
-                   f"{texts.get(id(sell)) or text(sell)},{texts.get(id(buy)) or text(buy)}\n")
+    return chain.from_iterable(s.present(partial(terms, s.slot)) for s in report.slots)
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:

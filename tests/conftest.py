@@ -7,7 +7,7 @@ engine's prefix scan and iterative redistribution, D_hp stability by
 trying every group of mid-market members, instead of the one-prosumer moves
 that ``check_dhp_stability`` proves sufficient, and a pool's pairwise trades
 built eagerly as fill ratio times each buyer's fill in ``Fraction``s, instead
-of the integer rows of ``Pool.rows``.
+of the integer ratios of ``Pool.present``.
 """
 
 from __future__ import annotations

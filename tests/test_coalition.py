@@ -19,6 +19,7 @@ from gridp2p.coalition import (
     StabilityContext,
     Trade,
     Venue,
+    as_row,
     check_dhp_stability,
     match_midmarket,
     mid_market_prices,
@@ -137,7 +138,7 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
 
 
 def _midmarket_trades(*args, **kwargs):
-    return trades_of(match_midmarket(*args, **kwargs).rows())
+    return trades_of(match_midmarket(*args, **kwargs).present(as_row))
 
 
 def test_match_midmarket_exact_balance():
@@ -244,11 +245,11 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
     pool = Pool(*args)
-    trades = trades_of(pool.rows())
+    trades = trades_of(pool.present(as_row))
     assert trades == eager_pool_trades(*args)
     sellers, buyers = args[:2]
     scenario = SimpleNamespace(prosumers=[SimpleNamespace(id=f.prosumer_id) for f in (*sellers, *buyers)])
-    report = SimpleNamespace(scenario=scenario, slots=[SimpleNamespace(slot=7, rows=pool.rows)])
+    report = SimpleNamespace(scenario=scenario, slots=[SimpleNamespace(slot=7, present=pool.present)])
     assert list(_trade_lines(report)) == [
         ",".join(["7", t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))])
         + "\n"

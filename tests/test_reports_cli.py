@@ -1,18 +1,34 @@
 """CSV emission, the audit re-checker and the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from gridp2p.core import emit_scenario, load_scenario, make_case_study_scenario, save_scenario
-from gridp2p.engine import baseline_grid_only, run_horizon
+from gridp2p.coalition import trades_of
+from gridp2p.core import (
+    GridPolicy,
+    MarketConfig,
+    ProsumerProfile,
+    Scenario,
+    emit_scenario,
+    load_scenario,
+    make_case_study_scenario,
+    save_scenario,
+)
+from gridp2p.engine import Positions, baseline_grid_only, baseline_third_party, run_horizon
 from gridp2p.fixtures import two_coalition_demo_scenario, uniform_auction_scenario
-from gridp2p.reports import audit_run, write_run
+from gridp2p.reports import _fmt, _trade_lines, audit_run, write_run
+
+_RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
 
 
 def _read(path: Path):
@@ -257,6 +273,55 @@ def test_audit_memory_stays_below_the_trades_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - start < (tmp_path / "trades.csv").stat().st_size
+
+
+def _reference_lines(slot) -> list[str]:
+    """The slot's trades.csv lines, rendered field by field from its eager trades."""
+    return [
+        ",".join([str(slot.slot), t.venue.value, t.seller_id, t.buyer_id,
+                  *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))]) + "\n"
+        for t in trades_of(slot.rows())
+    ]
+
+
+# Odd multiples of 1/128 sit exactly on a six-decimal half, so they round to
+# even; the rest are below 1e-6, above 1e6, or within an ulp of a half.
+_EDGE_NETS = (0.0078125, -0.0234375, 1234567.0078125, 4e-7, -5e-7, 1e-300, -3.5e6, 2.0000005, -1e6 - 5e-7)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_NETS), st.floats(-2e6, 2e6)), min_size=1, max_size=6))
+@example(list(_EDGE_NETS))
+def test_whole_position_lines_equal_the_rendered_trades(nets):
+    # Slot 0 is a peak whenever anyone buys, slot 1 never is; in the
+    # baselines both are whole positions, in the peer-trading run slot 1.
+    scenario = Scenario(
+        slots=2,
+        prosumers=tuple(ProsumerProfile(f"p{i}", 7.0, (net, net), (12.0, 12.0), (12.0, 12.0))
+                        for i, net in enumerate(nets)),
+        grid=GridPolicy(68.6, 274.4, (0.0, 1e300), 28.0, 10.0),
+        market=MarketConfig(),
+    )
+    for run in _RUNS:
+        for slot in run(scenario).slots:
+            if not isinstance(slot._ledger[0], Positions):
+                continue
+            lines = list(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
+            assert lines == _reference_lines(slot), run.__name__
+            assert len(lines) == sum(net != 0 for net in nets)
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_a_ledger_less_report_writes_the_same_bytes(run, tmp_path):
+    # A pickled slot, and one rebuilt with its trades, keep no ledger and
+    # write from their trades instead.
+    report = run(make_case_study_scenario(3, n_prosumers=24))
+    write_run(report, tmp_path / "fresh")
+    pickled = pickle.loads(pickle.dumps(report))
+    replaced = dataclasses.replace(report, slots=tuple(dataclasses.replace(s, trades=s.trades) for s in report.slots))
+    for name, ledger_less in (("pickled", pickled), ("replaced", replaced)):
+        assert not any("_ledger" in vars(s) for s in ledger_less.slots)
+        write_run(ledger_less, tmp_path / name)
+        assert _dir_bytes(tmp_path / name) == _dir_bytes(tmp_path / "fresh"), name
 
 
 def _compare_run(out: Path) -> list[list[str]]:
