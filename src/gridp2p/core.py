@@ -417,7 +417,7 @@ def load_scenario_text(text: str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(emit_scenario(scenario))
+    Path(path).write_text(emit_scenario(scenario), encoding="utf-8")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -10,7 +10,9 @@ directories.
 at both ends. ``write_run`` writes it a block at a time: the text around the
 trades that share a slot, venue and prices is built once, so a line adds only
 its two ids and its quantity, and no more than one seller's lines are held.
-``audit_run`` checks each row as it reads it, holding no row.
+``audit_run`` checks each row as it reads it, holding no row. A row that
+repeats the slot, venue and prices of a clean row before it is checked only
+for its quantity and parties.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -45,7 +48,7 @@ def _fmt(value: float | Fraction) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -94,7 +97,7 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
     _write_csv(out / "prices.csv", PRICES_HEADER, prices)
     _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
     _write_csv(out / "coalitions.csv", COALITIONS_HEADER, coalitions)
-    with (out / "trades.csv").open("w") as fh:
+    with (out / "trades.csv").open("w", encoding="utf-8") as fh:
         fh.write(",".join(TRADES_HEADER) + "\n")
         fh.writelines(_trade_lines(report))
 
@@ -126,6 +129,25 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
 # --- Audit -------------------------------------------------------------------
 
 
+@contextmanager
+def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over the rows of ``path`` after ``header``.
+
+    A missing or different header raises ``ValueError``. A ``csv.Error``
+    while reading, such as a field over the field size limit, ends the read
+    and becomes one line in ``problems`` naming the file and line.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise ValueError(f"{path.name}: expected header {header}, got {first if first is not None else 'nothing'}")
+            yield reader
+        except csv.Error as exc:
+            problems.append(f"{path.name} line {reader.line_num}: {exc}")
+
+
 def _read_csv(
     path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = ()
 ) -> Iterator[list[str]]:
@@ -138,15 +160,11 @@ def _read_csv(
     ``problems`` naming the file and line, appended when the reader reaches
     it. Each yielded row ends with its ``numeric`` columns parsed as floats,
     in ``numeric`` order; an empty ``summary.csv`` average, the mean over no
-    prosumers, parses as None. A missing or different header raises
-    ``ValueError`` on the first read.
+    prosumers, parses as None. ``_csv_rows`` checks the header and reports
+    a read error.
     """
     columns = [header.index(name) for name in numeric]
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise ValueError(f"{path.name}: expected header {header}, got {first if first is not None else 'nothing'}")
+    with _csv_rows(path, header, problems) as reader:
         for row in reader:
             problem = _row_problem(row, header, columns)
             if problem is None:
@@ -192,29 +210,35 @@ def audit_run(run_dir: str | Path) -> list[str]:
     (grid sales and grid purchases apart); and that nobody buys from the grid
     at a peak slot.
 
-    ``prices.csv``, ``cps_cost.csv`` and ``coalitions.csv`` are read whole;
-    ``trades.csv`` is checked one row at a time as it is read, keeping only
-    the first price pair of each slot and venue. Problems are listed in one fixed
-    order: malformed rows, file by file, then slot coverage, double
-    membership, the trade problems in row order (an unknown venue, a missing
-    slot or a second price once per slot and venue) and ``summary.csv``'s
-    problems.
+    Every file is checked one row at a time as it is read. The audit keeps
+    each slot's peak flag and coalitions, the first price pair of each slot
+    and venue, and the clean blocks of the ``trades.csv`` slot being read.
+    A trade row that passes the full check with no problem makes its (venue,
+    grid sells, seller price, buyer price) text a clean block of its slot.
+    A later row of the same slot with a clean block's text is checked only
+    for a positive finite quantity and for both parties in the block's
+    coalition: every other check depends only on that text and on state
+    fixed by then, so it would pass again. Any other row takes the full
+    check, so the problems are those of checking every row in full.
+
+    Problems are listed in one fixed order: malformed rows, file by file,
+    then slot coverage, double membership, the trade problems in row order
+    (an unknown venue, a missing slot or a second price once per slot and
+    venue) and ``summary.csv``'s problems.
     """
     run = Path(run_dir)
     problems: list[str] = []
     # Every check's problem, listed after all the malformed rows.
     found: list[str] = []
     try:
-        prices = list(_read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",)))
-        costs = list(_read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",)))
-        coalitions = list(_read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems))
-
+        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",))
         peak = {slot: flag == "true" for slot, _, flag, _ in prices}
+        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",))
         if {slot for slot, *_ in costs} != set(peak):
             found.append("cps_cost.csv and prices.csv cover different slots")
 
         membership: dict[str, dict[str, str]] = {}
-        for slot, coalition, member in coalitions:
+        for slot, coalition, member in _read_csv(run / "coalitions.csv", COALITIONS_HEADER, problems):
             slot_members = membership.setdefault(slot, {})
             if member in slot_members:
                 found.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
@@ -230,33 +254,59 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 once.add(problem)
                 found.append(problem)
 
-        trades = _read_csv(run / "trades.csv", TRADES_HEADER, problems, ("qty", "seller_price", "buyer_price"))
-        for slot, venue, seller, buyer, qty_text, sell_text, buy_text, qty, sell, buy in trades:
-            if qty <= 0:
-                found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
-            if buy < sell:
-                found.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
-            if venue != _MID_MARKET and buy != sell:
-                found.append(f"slot {slot}: {venue} trade with a price spread")
-            # A structure for the slot means a peer-trading run, in which nobody
-            # may buy from the grid at the peak; baselines emit no coalitions.
-            if venue == _GRID and seller == GRID_ID and peak.get(slot) and membership.get(slot):
-                found.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
-            want = _COALITION_OF.get(venue)
-            if want is not None:
+        # The clean blocks of slot ``block_slot``: each one's parties, or None
+        # where any party may trade.
+        block_slot = None
+        clean: dict[tuple[str, bool, str, str], frozenset[str] | None] = {}
+        columns = [TRADES_HEADER.index(name) for name in ("qty", "seller_price", "buyer_price")]
+        with _csv_rows(run / "trades.csv", TRADES_HEADER, problems) as reader:
+            for row in reader:
+                try:
+                    slot, venue, seller, buyer, qty_text, sell_text, buy_text = row
+                    if slot != block_slot:
+                        block_slot, clean = slot, {}
+                    block = (venue, seller == GRID_ID, sell_text, buy_text)
+                    parties = clean[block]
+                    if 0 < float(qty_text) < math.inf and (parties is None or seller in parties and buyer in parties):
+                        continue
+                except (ValueError, KeyError):
+                    # Not seven fields, not a clean block, or a quantity that is not a number.
+                    pass
+                problem = _row_problem(row, TRADES_HEADER, columns)
+                if problem is not None:
+                    problems.append(f"trades.csv line {reader.line_num}: {problem}")
+                    continue
+                seen = len(found)
+                slot, venue, seller, buyer, qty_text, sell_text, buy_text, qty, sell, buy = row
+                if qty <= 0:
+                    found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
+                if buy < sell:
+                    found.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
+                if venue != _MID_MARKET and buy != sell:
+                    found.append(f"slot {slot}: {venue} trade with a price spread")
+                # A structure for the slot means a peer-trading run, in which nobody
+                # may buy from the grid at the peak; baselines emit no coalitions.
+                if venue == _GRID and seller == GRID_ID and peak.get(slot) and membership.get(slot):
+                    found.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
+                want = _COALITION_OF.get(venue)
                 members = membership.get(slot, {})
-                for pid in (seller, buyer):
-                    if members.get(pid) != want:
-                        found.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
-            pair = (sell_text, buy_text)
-            first = price_of.setdefault((slot, venue, seller == GRID_ID), pair)
-            if first is pair:
-                if venue not in _KNOWN_VENUES:
-                    note(f"slot {slot}: unknown venue {venue!r}")
-                if slot not in peak:
-                    note(f"slot {slot}: trades in a slot missing from prices.csv")
-            elif first != pair:
-                note(f"slot {slot}: {venue} trades at more than one price")
+                if want is not None:
+                    for pid in (seller, buyer):
+                        if members.get(pid) != want:
+                            found.append(f"slot {slot}: {venue} trade party {pid} not in the {want} coalition")
+                pair = (sell_text, buy_text)
+                first = price_of.setdefault((slot, venue, seller == GRID_ID), pair)
+                if first is pair:
+                    if venue not in _KNOWN_VENUES:
+                        note(f"slot {slot}: unknown venue {venue!r}")
+                    if slot not in peak:
+                        note(f"slot {slot}: trades in a slot missing from prices.csv")
+                elif first != pair:
+                    note(f"slot {slot}: {venue} trades at more than one price")
+                if len(found) == seen:
+                    clean[block] = (
+                        None if want is None else frozenset(pid for pid, c in members.items() if c == want)
+                    )
     except (OSError, ValueError) as exc:
         return [str(exc)]
     problems += found

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -261,10 +264,90 @@ def test_audit_checks_the_trades_of_a_slot_missing_from_prices(tmp_path):
     ]
 
 
-def test_audit_memory_stays_below_the_trades_file(tmp_path):
+def _rows_of(trades: list[str]) -> list[tuple[int, list[str]]]:
+    """Each data row of ``trades`` with its index in ``trades``."""
+    return [(i, line.split(",")) for i, line in enumerate(trades) if i]
+
+
+def _audit_with(path: Path, trades: list[str], i: int, row: list[str]) -> list[str]:
+    """The audit after line ``i`` of ``trades`` is replaced by ``row``."""
+    _write_lines(path / "trades.csv", [*trades[:i], ",".join(row), *trades[i + 1:]])
+    return audit_run(path)
+
+
+# Most rows repeat the slot, venue and prices of a clean row before them, so
+# the audit checks them only for their quantity and parties; these cases reach
+# every row, each block's last row among them.
+def test_audit_flags_a_zero_quantity_in_any_row(tmp_path):
+    trades, _ = _p2p_run(tmp_path)
+    for i, row in _rows_of(trades):
+        slot = row[0]
+        row[4] = "0.000000"
+        assert _audit_with(tmp_path, trades, i, row) == [f"slot {slot}: non-positive trade quantity 0.000000"], i
+
+
+def test_audit_flags_an_outsider_in_any_peer_row(tmp_path):
+    trades, _ = _p2p_run(tmp_path)
+    coalitions = _read(tmp_path / "coalitions.csv")[1:]
+    peer_rows = [(i, row) for i, row in _rows_of(trades) if row[1] in ("auction", "mid_market")]
+    assert len(peer_rows) == 60
+    for i, row in peer_rows:
+        slot, venue = row[0], row[1]
+        outsider = next(member for s, c, member in coalitions if s == slot and c != venue)
+        for party in (2, 3):
+            tampered = row[:party] + [outsider] + row[party + 1:]
+            assert _audit_with(tmp_path, trades, i, tampered) == [
+                f"slot {slot}: {venue} trade party {outsider} not in the {venue} coalition"
+            ], (i, party)
+
+
+_BAD_QUANTITIES = {
+    "abc": "trades.csv line {line}: qty 'abc' is not a number",
+    "nan": "trades.csv line {line}: qty 'nan' is not a finite number",
+    "inf": "trades.csv line {line}: qty 'inf' is not a finite number",
+    "-1": "slot {slot}: non-positive trade quantity -1",
+}
+
+
+@pytest.mark.parametrize("qty", sorted(_BAD_QUANTITIES))
+def test_audit_flags_a_bad_quantity_in_each_blocks_last_row(tmp_path, qty):
+    # A block is a run of rows with one slot, venue, grid side and price pair.
+    trades, _ = _p2p_run(tmp_path)
+    rows = _rows_of(trades)
+    block = lambda row: (row[0], row[1], row[2] == "grid", row[5], row[6])
+    last = [(i, row) for (i, row), after in zip(rows, [*rows[1:], (None, None)])
+            if after[1] is None or block(after[1]) != block(row)]
+    assert len(last) == 28
+    for i, row in last:
+        slot = row[0]
+        row[4] = qty
+        assert _audit_with(tmp_path, trades, i, row) == [_BAD_QUANTITIES[qty].format(line=i + 1, slot=slot)], i
+
+
+@pytest.mark.parametrize(
+    "appended, problems",
+    [
+        # A clean mid-market row of slot 2, repeated after slot 5.
+        (lambda trades: trades[30], []),
+        # Slot 5's last mid-market row, moved to slot 2: slot 5's clean blocks
+        # do not carry over to it.
+        (lambda trades: "2" + trades[-5][1:],
+         ["slot 2: mid_market trade party p11 not in the mid_market coalition",
+          "slot 2: mid_market trades at more than one price"]),
+    ],
+    ids=["slot_2_row", "slot_5_row_as_slot_2"],
+)
+def test_audit_checks_a_row_appended_out_of_slot_order(tmp_path, appended, problems):
+    trades, _ = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "trades.csv", [*trades, appended(trades)])
+    assert audit_run(tmp_path) == problems
+
+
+@pytest.mark.parametrize("n_prosumers, slots", [(192, 22), (24, 1344)])
+def test_audit_memory_stays_below_the_trades_file(tmp_path, n_prosumers, slots):
     # The audit streams trades.csv: its peak allocation stays below the
-    # size of the file it checks (about 1.5 MB here).
-    write_run(run_horizon(make_case_study_scenario(0, n_prosumers=192)), tmp_path)
+    # size of the file it checks (about 1.5 MB in both runs).
+    write_run(run_horizon(make_case_study_scenario(0, n_prosumers=n_prosumers, slots=slots)), tmp_path)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -355,6 +438,21 @@ def test_audit_allows_an_empty_summary_value_only_as_a_missing_mean(tmp_path):
     rows[0][2] = ""
     _write_rows(tmp_path / "summary.csv", [header, *rows])
     assert audit_run(tmp_path) == ["summary.csv line 2: value '' is not a number"]
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [("trades.csv", "2,grid,{big},p01,1.000000,1.000000,1.000000"), ("summary.csv", "{big},all,1.000000")],
+)
+def test_audit_reports_a_field_over_the_csv_limit(tmp_path, capsys, name, row):
+    _compare_run(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    _write_lines(path, [*lines, row.format(big="x" * 200_000)])
+    problems = [f"{name} line {len(lines) + 1}: field larger than field limit ({csv.field_size_limit()})"]
+    assert audit_run(tmp_path) == problems
+    assert main(["audit", "--dir", str(tmp_path)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "".join(f"audit: {p}\n" for p in problems)
 
 
 def test_audit_flags_bad_header(tmp_path):
@@ -523,3 +621,21 @@ def test_cli_known_log_level_is_accepted_quietly(tmp_path, monkeypatch, capsys, 
     monkeypatch.setenv("GRIDP2P_LOG", value)
     assert main(["gen-fixture", "--seed", "1", "--out", str(tmp_path / "s.json")]) == EXIT_OK
     assert "GRIDP2P_LOG" not in capsys.readouterr().err
+
+
+def test_cli_names_the_encoding_of_every_file_it_opens(tmp_path):
+    # With default-encoding warnings as errors, a file opened in the locale's
+    # encoding fails the command.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run, fixture = str(tmp_path / "run"), str(tmp_path / "case.json")
+    for args in (
+        ["simulate", "--seed", "0", "--dump-orders", "--out", run],
+        ["audit", "--dir", run],
+        ["gen-fixture", "--seed", "0", "--out", fixture],
+        ["simulate", "--scenario", fixture, "--mode", "p2p", "--out", run],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "gridp2p.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, (args, done.stderr)
