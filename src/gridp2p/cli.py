@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--price-rule", choices=sorted(_PRICE_RULES), help="override the auction price rule")
     sim.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; slots run in one process")
-    sim.add_argument("--prosumers", type=int, default=12, help="prosumer count for --seed scenarios")
-    sim.add_argument("--slots", type=int, default=22, help="slot count for --seed scenarios")
+    sim.add_argument("--prosumers", type=int, help="prosumer count for --seed scenarios (default 12)")
+    sim.add_argument("--slots", type=int, help="slot count for --seed scenarios (default 22)")
     sim.add_argument("--dump-orders", action="store_true", help="also write the per-slot order dump")
 
     gen = sub.add_parser("gen-fixture", help="write a seeded case-study scenario")
@@ -83,10 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.jobs > 1:
         print(f"warning: --jobs {args.jobs} ignored; slots run in one process", file=sys.stderr)
+    sizes = {name: n for name, n in (("n_prosumers", args.prosumers), ("slots", args.slots)) if n is not None}
     if args.scenario is not None:
+        if sizes:
+            print("error: --prosumers and --slots apply only to --seed scenarios", file=sys.stderr)
+            return EXIT_VALIDATION
         scenario = load_scenario(args.scenario)
     else:
-        scenario = make_case_study_scenario(args.seed, n_prosumers=args.prosumers, slots=args.slots)
+        scenario = make_case_study_scenario(args.seed, **sizes)
     if args.price_rule is not None:
         scenario = dataclasses.replace(
             scenario,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Fill
 from .core import DomainError
@@ -43,8 +43,6 @@ class Venue(Enum):
     THIRD_PARTY = "third_party"
 
 
-# One trade as a row: venue, seller, buyer, quantity, seller price and buyer price.
-Row = tuple[Venue, str, str, Fraction, Fraction, Fraction]
 # A ledger presents its trades a block at a time: it calls ``terms(venue,
 # seller_price, buyer_price)``, each price a Fraction or an exact float, once per
 # block, and what that returns once per trade, as ``(seller, buyer, num, den)``:
@@ -60,8 +58,8 @@ class Trade:
 
     Prices are exact rationals so that conservation identities hold exactly;
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
-    network fee. A slot builds its trades from its ledger's rows, one per
-    pair, so the checks are kept cheap: the quantity's sign is read off its
+    network fee. A slot builds its trades from its ledger, one per pair, so
+    the checks are kept cheap: the quantity's sign is read off its
     numerator, and a trade whose two prices are the same object has no spread
     to test.
     """
@@ -130,7 +128,7 @@ class Pool:
     """A pro-rata pool: its fills, whose cleared amounts sum to ``matched`` on
     each side, its venue and prices, and the prices of its residuals: surplus
     sells to the grid at the feed-in tariff ``fit``, deficit comes from the
-    third party at ``third``. As a ledger it yields its trades as rows and
+    third party at ``third``. As a ledger it presents its trades and yields
     its participants' legs.
     """
 
@@ -174,7 +172,7 @@ class Pool:
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its own fill.
 
-        The pairwise trades of :meth:`rows` sum exactly to each fill, so every
+        The pairwise trades of :meth:`present` sum exactly to each fill, so every
         leg is computed in O(S+B) without building them.
         """
         for f in self.sellers:
@@ -183,17 +181,12 @@ class Pool:
             yield f.prosumer_id, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
 
 
-def as_row(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Row]:
-    """The terms that present each trade as a :data:`Row`, its prices exact."""
+def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
+    """The terms that present each trade as a :class:`Trade`, its prices exact."""
     sell = Fraction(seller_price)
     buy = sell if buyer_price is seller_price else Fraction(buyer_price)
-    return lambda seller, buyer, num, den: (
-        venue, seller, buyer, Fraction(num) if den == 1 else Fraction(num, den), sell, buy)
-
-
-def trades_of(rows: Iterable[Row]) -> list[Trade]:
-    """The trades that ``rows`` present, in order."""
-    return [Trade(s, b, q, sp, bp, v) for v, s, b, q, sp, bp in rows]
+    return lambda seller, buyer, num, den: Trade(
+        seller, buyer, Fraction(num) if den == 1 else Fraction(num, den), sell, buy, venue)
 
 
 def match_midmarket(
@@ -210,8 +203,8 @@ def match_midmarket(
     demands (and vice versa), so the matched total is the smaller of total
     surplus and total deficit, exactly. Leftover surplus is sold to the grid
     at the feed-in tariff; leftover deficit is bought from the third party.
-    Returns the pool, the slot's mid-market ledger: its rows are the trades
-    and its legs each participant's settlement.
+    Returns the pool, the slot's mid-market ledger: it presents the trades,
+    and its legs are each participant's settlement.
     """
     sellers = [(pid, Fraction(q)) for pid, q in sellers]
     buyers = [(pid, Fraction(q)) for pid, q in buyers]

@@ -13,13 +13,13 @@ its :class:`Positions`. Each part of a ledger presents the slot's trades in
 one fixed order, a block of trades sharing a venue and prices at a time, and
 yields each participant's leg: its revenue and cost, read off its own fill or
 position in O(S+B). ``write_run`` formats ``trades.csv`` block by block; a
-slot's ``trades`` are built from its rows, the same blocks flattened, and its
-``per_prosumer`` settled from the legs by ``_settle``, each when first read.
-The pairwise trades sum exactly to the legs. A run settles nothing, and nor
-does writing it; ``compare`` reads only peak slots, so a compare run settles
-the three runs' peaks and no off-peak slot. Settled cash is exact rationals
-throughout; floats appear only in prices, system costs, metrics and emitted
-reports.
+slot's ``trades`` are the same blocks presented by ``as_trade``, and its
+``per_prosumer`` is settled from the legs by ``_settle``, each when first
+read; a pickle keeps the ledger. The pairwise trades sum exactly to the legs.
+A run settles nothing, and nor does writing it; ``compare`` reads only peak
+slots, so a compare run settles the three runs' peaks and no off-peak slot.
+Settled cash is exact rationals throughout; floats appear only in prices,
+system costs, metrics and emitted reports.
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ from .coalition import (
     CoalitionStructure,
     Leg,
     Pool,
-    Row,
     StabilityContext,
     T,
     Terms,
     Trade,
     Venue,
-    as_row,
+    as_trade,
     match_midmarket,
     mid_market_prices,
     partition,
-    trades_of,
 )
 from .core import DomainError, Order, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
@@ -73,11 +71,11 @@ class SlotResult:
     """One slot's price signal, coalition structure, trades, system cost and settlement.
 
     A slot built by :meth:`deferred` keeps its scenario and its ledger, and
-    fills ``trades`` from the ledger's rows and ``per_prosumer`` from its legs
-    on first read. Each is then an ordinary field. Every reader of the fields
-    fills them first, so ``dataclasses.replace``, ``==``, ``repr``, ``copy``
-    and pickle see settled values, and a pickle carries the fields only,
-    never the ledger. Later reads return the stored objects.
+    fills ``trades`` from the ledger's presentation and ``per_prosumer`` from
+    its legs on first read. Each is then an ordinary field. Every reader of
+    the fields fills them first, so ``dataclasses.replace``, ``==`` and
+    ``repr`` see settled values; ``copy`` and pickle keep the ledger, so a
+    loaded slot stays lazy. Later reads return the stored objects.
     """
 
     slot: int
@@ -99,16 +97,10 @@ class SlotResult:
         # filled from the ledger, or for a name the slot does not have.
         if "_ledger" in self.__dict__:
             if name == "trades":
-                object.__setattr__(self, "trades", tuple(trades_of(self.rows())))
+                object.__setattr__(self, "trades", tuple(self.present(as_trade)))
             elif name == "per_prosumer":
                 object.__setattr__(self, "per_prosumer", _settle(self._scenario, self._ledger))
         return object.__getattribute__(self, name)
-
-    def __getstate__(self) -> dict:
-        # Reading the fields fills them, so the pickle carries the fields and
-        # never the scenario or the ledger.
-        self.trades, self.per_prosumer
-        return {name: value for name, value in self.__dict__.items() if not name.startswith("_")}
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
         """The slot's trades, presented by ``terms``: its ledger's blocks, or each of its ``trades`` as one."""
@@ -116,9 +108,6 @@ class SlotResult:
             return chain.from_iterable(part.present(terms) for part in self._ledger)
         return (terms(t.venue, t.seller_price, t.buyer_price)(t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio())
                 for t in self.trades)
-
-    def rows(self) -> Iterator[Row]:
-        return self.present(as_row)
 
 
 @dataclass(frozen=True)
@@ -168,12 +157,14 @@ class Positions:
                 yield bought(source, p.id, -net, 1)
 
     def legs(self) -> Iterator[Leg]:
-        """Each trade's one party that is a prosumer, with the one nonzero side of its cash."""
-        for _, seller, buyer, qty, price, _ in self.present(as_row):
-            if buyer == GRID_ID:
-                yield seller, price * qty, _ZERO
-            else:
-                yield buyer, _ZERO, price * qty
+        """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``."""
+        fit, buy = Fraction(self.scenario.grid.fit_price), Fraction(self.buy_price)
+        for p in self.scenario.prosumers:
+            net = p.net_energy[self.slot]
+            if net > 0:
+                yield p.id, fit * Fraction(net), _ZERO
+            elif net < 0:
+                yield p.id, _ZERO, buy * Fraction(-net)
 
 
 def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:

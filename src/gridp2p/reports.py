@@ -149,14 +149,15 @@ def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[It
 
 
 def _read_csv(
-    path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = ()
+    path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = (), key: int = 0
 ) -> Iterator[list[str]]:
     """Yield each row after ``header`` as it is read; a malformed row is a problem, not a row.
 
     A row is malformed when its width differs from the header's, its slot
     (where the first column is one) is not an integer, its peak flag (where
     the last column is one) is not ``true`` or ``false``, or a ``numeric``
-    column does not parse as a finite number. Each becomes one line in
+    column does not parse as a finite number, or its first ``key`` columns
+    repeat an earlier row's, which stands. Each becomes one line in
     ``problems`` naming the file and line, appended when the reader reaches
     it. Each yielded row ends with its ``numeric`` columns parsed as floats,
     in ``numeric`` order; an empty ``summary.csv`` average, the mean over no
@@ -164,9 +165,14 @@ def _read_csv(
     a read error.
     """
     columns = [header.index(name) for name in numeric]
+    first_line: dict[tuple[str, ...], int] = {}
     with _csv_rows(path, header, problems) as reader:
         for row in reader:
             problem = _row_problem(row, header, columns)
+            if problem is None and key:
+                first = first_line.setdefault(tuple(row[:key]), reader.line_num)
+                if first != reader.line_num:
+                    problem = f"{', '.join(f'{h} {v!r}' for h, v in zip(header[:key], row))} repeats line {first}"
             if problem is None:
                 yield row
             else:
@@ -204,11 +210,12 @@ def audit_run(run_dir: str | Path) -> list[str]:
     Verifies that every CSV parses under its fixed header, with rows of the
     header's width, integer slots, true/false peak flags, finite prices,
     costs and trade quantities, and finite summary values (an empty one only
-    as a missing average); that the coalition rows form a partition; that
-    every trade has a known venue and a slot in ``prices.csv``, stays inside
-    its coalition and is priced like every other trade of its slot and venue
-    (grid sales and grid purchases apart); and that nobody buys from the grid
-    at a peak slot.
+    as a missing average), one row per slot in ``prices.csv`` and
+    ``cps_cost.csv`` and per (metric, scope) in ``summary.csv``; that the
+    coalition rows form a partition; that every trade has a known venue and a
+    slot in ``prices.csv``, stays inside its coalition and is priced like
+    every other trade of its slot and venue (grid sales and grid purchases
+    apart); and that nobody buys from the grid at a peak slot.
 
     Every file is checked one row at a time as it is read. The audit keeps
     each slot's peak flag and coalitions, the first price pair of each slot
@@ -231,9 +238,9 @@ def audit_run(run_dir: str | Path) -> list[str]:
     # Every check's problem, listed after all the malformed rows.
     found: list[str] = []
     try:
-        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",))
+        prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",), key=1)
         peak = {slot: flag == "true" for slot, _, flag, _ in prices}
-        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",))
+        costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",), key=1)
         if {slot for slot, *_ in costs} != set(peak):
             found.append("cps_cost.csv and prices.csv cover different slots")
 
@@ -314,7 +321,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
     summary = run / "summary.csv"
     if summary.exists():
         try:
-            for _ in _read_csv(summary, SUMMARY_HEADER, problems, ("value",)):
+            for _ in _read_csv(summary, SUMMARY_HEADER, problems, ("value",), key=2):
                 pass
         except ValueError as exc:
             problems.append(str(exc))

@@ -19,12 +19,11 @@ from gridp2p.coalition import (
     StabilityContext,
     Trade,
     Venue,
-    as_row,
+    as_trade,
     check_dhp_stability,
     match_midmarket,
     mid_market_prices,
     partition,
-    trades_of,
 )
 from gridp2p.core import (
     AuctionPriceRule,
@@ -138,7 +137,7 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
 
 
 def _midmarket_trades(*args, **kwargs):
-    return trades_of(match_midmarket(*args, **kwargs).present(as_row))
+    return list(match_midmarket(*args, **kwargs).present(as_trade))
 
 
 def test_match_midmarket_exact_balance():
@@ -245,7 +244,7 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
     pool = Pool(*args)
-    trades = trades_of(pool.present(as_row))
+    trades = list(pool.present(as_trade))
     assert trades == eager_pool_trades(*args)
     sellers, buyers = args[:2]
     scenario = SimpleNamespace(prosumers=[SimpleNamespace(id=f.prosumer_id) for f in (*sellers, *buyers)])

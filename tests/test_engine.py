@@ -437,9 +437,10 @@ def test_replace_on_an_unread_slot_keeps_the_settlement(run):
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
-def test_unread_slot_pickles_settled(run):
+def test_unread_slot_pickles_its_ledger(run):
     loaded = pickle.loads(pickle.dumps(_unread_offpeak_slot(run)))
-    assert set(vars(loaded)) == {f.name for f in dataclasses.fields(SlotResult)}
+    assert "_ledger" in vars(loaded)
+    assert "trades" not in vars(loaded) and "per_prosumer" not in vars(loaded)
     assert loaded == _settled_form(run)
 
 

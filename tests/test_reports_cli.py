@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from gridp2p.coalition import trades_of
+from conftest import payment, receipt
+from gridp2p.coalition import GRID_ID, as_trade
 from gridp2p.core import (
     GridPolicy,
     MarketConfig,
@@ -264,6 +265,25 @@ def test_audit_checks_the_trades_of_a_slot_missing_from_prices(tmp_path):
     ]
 
 
+def test_audit_keeps_the_first_flag_of_a_repeated_prices_slot(tmp_path):
+    # A later off-peak flag for peak slot 2 is reported and ignored, so a grid
+    # sale appended to that slot is still judged against the peak flag.
+    trades, prices = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "prices.csv", [*prices, "2,28.000000,false"])
+    _write_lines(tmp_path / "trades.csv", [*trades, "2,grid,grid,p07,1.000000,28.000000,28.000000"])
+    assert audit_run(tmp_path) == [
+        "prices.csv line 8: slot '2' repeats line 4",
+        "slot 2: grid sale to p07 during a peak slot",
+    ]
+
+
+def test_audit_reports_a_repeated_cps_cost_slot(tmp_path):
+    _p2p_run(tmp_path)
+    path = tmp_path / "cps_cost.csv"
+    _write_lines(path, [*path.read_text().splitlines(), "3,1.000000"])
+    assert audit_run(tmp_path) == ["cps_cost.csv line 8: slot '3' repeats line 5"]
+
+
 def _rows_of(trades: list[str]) -> list[tuple[int, list[str]]]:
     """Each data row of ``trades`` with its index in ``trades``."""
     return [(i, line.split(",")) for i, line in enumerate(trades) if i]
@@ -375,7 +395,7 @@ def _reference_lines(slot) -> list[str]:
     return [
         ",".join([str(slot.slot), t.venue.value, t.seller_id, t.buyer_id,
                   *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))]) + "\n"
-        for t in trades_of(slot.rows())
+        for t in slot.present(as_trade)
     ]
 
 
@@ -403,19 +423,29 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
             lines = list(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
             assert lines == _reference_lines(slot), run.__name__
             assert len(lines) == sum(net != 0 for net in nets)
+            # Each leg, read off the position, is exactly what its trades pay.
+            summed = {}
+            for t in slot.present(as_trade):
+                pid, leg = (t.seller_id, (receipt(t), 0)) if t.buyer_id == GRID_ID else (t.buyer_id, (0, payment(t)))
+                assert pid not in summed
+                summed[pid] = leg
+            assert [(pid, revenue, cost) for pid, revenue, cost in slot._ledger[0].legs()] == [
+                (p.id, *summed[p.id]) for p in scenario.prosumers if p.id in summed
+            ], run.__name__
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
 def test_a_ledger_less_report_writes_the_same_bytes(run, tmp_path):
-    # A pickled slot, and one rebuilt with its trades, keep no ledger and
-    # write from their trades instead.
+    # A pickled slot keeps its ledger; one rebuilt with its trades keeps
+    # none and writes from its trades instead. Both write the same bytes.
     report = run(make_case_study_scenario(3, n_prosumers=24))
     write_run(report, tmp_path / "fresh")
     pickled = pickle.loads(pickle.dumps(report))
+    assert all("_ledger" in vars(s) for s in pickled.slots)
     replaced = dataclasses.replace(report, slots=tuple(dataclasses.replace(s, trades=s.trades) for s in report.slots))
-    for name, ledger_less in (("pickled", pickled), ("replaced", replaced)):
-        assert not any("_ledger" in vars(s) for s in ledger_less.slots)
-        write_run(ledger_less, tmp_path / name)
+    assert not any("_ledger" in vars(s) for s in replaced.slots)
+    for name, copy in (("pickled", pickled), ("replaced", replaced)):
+        write_run(copy, tmp_path / name)
         assert _dir_bytes(tmp_path / name) == _dir_bytes(tmp_path / "fresh"), name
 
 
@@ -439,6 +469,13 @@ def test_audit_rejects_summary_values_that_are_not_finite_numbers(tmp_path):
         "summary.csv line 2: value 'abc' is not a number",
         "summary.csv line 3: value 'nan' is not a finite number",
     ]
+
+
+def test_audit_reports_a_repeated_summary_metric_and_scope(tmp_path):
+    header, *rows = _compare_run(tmp_path)
+    metric, scope, _ = rows[0]
+    _write_rows(tmp_path / "summary.csv", [header, *rows, [metric, scope, "1.000000"]])
+    assert audit_run(tmp_path) == [f"summary.csv line {len(rows) + 2}: metric {metric!r}, scope {scope!r} repeats line 2"]
 
 
 def test_audit_allows_an_empty_summary_value_only_as_a_missing_mean(tmp_path):
@@ -557,6 +594,20 @@ def test_cli_jobs_flag_is_deterministic(tmp_path, capsys):
         "warning: --jobs 2 ignored; slots run in one process"
     ]
     assert _dir_bytes(tmp_path / "seq") == _dir_bytes(tmp_path / "par")
+
+
+@pytest.mark.parametrize("sizes", [["--slots", "3"], ["--prosumers", "24"], ["--prosumers", "12", "--slots", "22"]])
+def test_cli_rejects_sizes_given_with_a_scenario_file(tmp_path, capsys, sizes):
+    scenario_path = tmp_path / "case.json"
+    save_scenario(make_case_study_scenario(6), scenario_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario_path), *sizes, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --prosumers and --slots apply only to --seed scenarios\n"
+    assert not out.exists()
+    # A --seed run keeps its defaults, 12 prosumers over 22 slots.
+    assert main(["simulate", "--seed", "6", "--mode", "p2p", "--out", str(out)]) == EXIT_OK
+    write_run(run_horizon(make_case_study_scenario(6, n_prosumers=12, slots=22)), tmp_path / "expected")
+    assert _dir_bytes(out) == _dir_bytes(tmp_path / "expected")
 
 
 def test_cli_validation_error_exit_code(tmp_path):
