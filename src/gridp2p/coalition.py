@@ -27,10 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Fill
-from .core import DomainError
-
-GRID_ID = "grid"
-THIRD_PARTY_ID = "third_party"
+from .core import GRID_ID, THIRD_PARTY_ID, DomainError
 
 _ZERO = Fraction(0)
 T = TypeVar("T")

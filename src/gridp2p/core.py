@@ -52,6 +52,13 @@ class AuctionPriceRule(Enum):
     VICKREY = "vickrey"
 
 
+# Ids the reports give to parties other than the prosumers: the grid and the
+# third party trade in ``trades.csv``, and ``average`` is a ``summary.csv`` scope.
+GRID_ID = "grid"
+THIRD_PARTY_ID = "third_party"
+_RESERVED_IDS = (GRID_ID, THIRD_PARTY_ID, "average")
+
+
 def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
     """Convert to floats, refusing booleans, strings, NaN and infinities."""
     try:
@@ -87,6 +94,8 @@ class ProsumerProfile:
     def __post_init__(self) -> None:
         if type(self.id) is not str or not self.id:
             raise ScenarioError(f"prosumer id must be a non-empty string, got {self.id!r}")
+        if self.id in _RESERVED_IDS:
+            raise ScenarioError(f"prosumer id {self.id!r} is reserved")
         object.__setattr__(self, "net_energy", _as_float_tuple(self.net_energy, "net_energy"))
         object.__setattr__(
             self, "reservation_price", _as_float_tuple(self.reservation_price, "reservation_price")

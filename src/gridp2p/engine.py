@@ -48,7 +48,7 @@ from .coalition import (
     partition,
 )
 from .core import DomainError, Order, Scenario
-from .leader import PriceSignal, cps_cost, decide_slot_price, total_prosumer_demand
+from .leader import PriceSignal, cps_cost, decide_slot_price
 
 log = logging.getLogger("gridp2p.engine")
 _ZERO = Fraction(0)
@@ -167,21 +167,15 @@ class Positions:
                 yield p.id, _ZERO, buy * Fraction(-net)
 
 
-def _decide(scenario: Scenario, slot: int) -> tuple[PriceSignal, float]:
-    """The slot's price signal and the total prosumer demand it was decided on."""
-    e_d = total_prosumer_demand(scenario.prosumers, slot)
-    return decide_slot_price(scenario.grid, scenario.prosumers, slot, e_d), e_d
-
-
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     """Simulate one slot of the peer-trading scheme."""
     if not 0 <= slot < scenario.slots:
         raise DomainError(f"slot {slot} out of range")
     grid = scenario.grid
     market = scenario.market
-    signal, e_d = _decide(scenario, slot)
+    signal = decide_slot_price(grid, scenario.prosumers, slot)
     if not signal.peak_flag:
-        return _baseline_slot(scenario, slot, MODE_P2P, signal, e_d)
+        return _baseline_slot(scenario, slot, MODE_P2P, signal)
 
     sellers = scenario.sellers_at(slot)
     buyers = scenario.buyers_at(slot)
@@ -225,19 +219,17 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     )
 
 
-def _baseline_slot(
-    scenario: Scenario, slot: int, mode: str, signal: PriceSignal, e_d: float
-) -> SlotResult:
+def _baseline_slot(scenario: Scenario, slot: int, mode: str, signal: PriceSignal) -> SlotResult:
     """A slot settled by whole positions, on first read: any off-peak slot, and a baseline's peak."""
     grid = scenario.grid
     buy_price, buy_venue = signal.selling_price, Venue.GRID
     if not signal.peak_flag:
-        cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], signal.selling_price)
+        cost = cps_cost(grid.a, grid.b, signal.demand, grid.threshold[slot], signal.selling_price)
     elif mode == MODE_GRID_ONLY:
         # The punitive price is a deterrent, not a revenue stream: the cost
         # booked against the slot is the uncredited overage of serving the
         # full demand beyond the threshold.
-        cost = cps_cost(grid.a, grid.b, e_d, grid.threshold[slot], 0.0)
+        cost = cps_cost(grid.a, grid.b, signal.demand, grid.threshold[slot], 0.0)
     else:
         buy_price, buy_venue = scenario.market.third_party_price, Venue.THIRD_PARTY
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
@@ -272,7 +264,10 @@ def _run(scenario: Scenario, mode: str) -> SimulationReport:
     if mode == MODE_P2P:
         slots = tuple(run_slot(scenario, t) for t in range(scenario.slots))
     else:
-        slots = tuple(_baseline_slot(scenario, t, mode, *_decide(scenario, t)) for t in range(scenario.slots))
+        slots = tuple(
+            _baseline_slot(scenario, t, mode, decide_slot_price(scenario.grid, scenario.prosumers, t))
+            for t in range(scenario.slots)
+        )
     log.debug("mode=%s slots=%d peak=%d", mode, len(slots), sum(s.price_signal.peak_flag for s in slots))
     return SimulationReport(scenario, mode, slots)
 
@@ -357,11 +352,6 @@ class MetricsTable:
         return out
 
 
-def _mean(values: Iterable[float]) -> float | None:
-    seq = list(values)
-    return sum(seq) / len(seq) if seq else None
-
-
 def compare(
     p2p: SimulationReport, grid_only: SimulationReport, third_party: SimulationReport
 ) -> MetricsTable:
@@ -382,36 +372,25 @@ def compare(
     cps_grid, rev_grid, cost_grid = aggregate_slots(scenario, grid_only.slots)
     _, _, cost_tp = aggregate_slots(scenario, third_party.slots)
     ids = [p.id for p in scenario.prosumers]
-    n = len(ids)
-    uplift: dict[str, float] = {}
-    savings_grid: dict[str, float] = {}
-    savings_tp: dict[str, float] = {}
-    premium_tp: dict[str, float] = {}
-    for pid in ids:
-        base_rev, p2p_rev = rev_grid[pid], rev_p2p[pid]
-        if base_rev > 0:
-            uplift[pid] = float((p2p_rev - base_rev) / base_rev) * 100.0
-        base_cost, p2p_cost, tp_cost = cost_grid[pid], cost_p2p[pid], cost_tp[pid]
-        if base_cost > 0:
-            savings_grid[pid] = float((base_cost - p2p_cost) / base_cost) * 100.0
-        if tp_cost > 0:
-            savings_tp[pid] = float((tp_cost - p2p_cost) / tp_cost) * 100.0
-        if p2p_cost > 0:
-            premium_tp[pid] = float((tp_cost - p2p_cost) / p2p_cost) * 100.0
 
-    total_cost = lambda cost: sum(cost.values(), _ZERO)
+    def pct(high: dict[str, Fraction], low: dict[str, Fraction], base: dict[str, Fraction]) -> dict[str, float]:
+        """(high - low) / base as a percentage, for each prosumer whose base is > 0, in prosumer order."""
+        return {pid: float((high[pid] - low[pid]) / base[pid]) * 100.0 for pid in ids if base[pid] > 0}
+
+    tables = {
+        "seller_uplift_pct": pct(rev_p2p, rev_grid, rev_grid),
+        "buyer_savings_vs_grid_pct": pct(cost_grid, cost_p2p, cost_grid),
+        "buyer_savings_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_tp),
+        "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
+    }
+    averages = {f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()}
+    mean_cost = lambda cost: float(sum(cost.values(), _ZERO)) / len(ids)
     return MetricsTable(
-        seller_uplift_pct=uplift,
-        buyer_savings_vs_grid_pct=savings_grid,
-        buyer_savings_vs_third_party_pct=savings_tp,
-        buyer_premium_vs_third_party_pct=premium_tp,
-        avg_seller_uplift_pct=_mean(uplift.values()),
-        avg_buyer_savings_vs_grid_pct=_mean(savings_grid.values()),
-        avg_buyer_savings_vs_third_party_pct=_mean(savings_tp.values()),
-        avg_buyer_premium_vs_third_party_pct=_mean(premium_tp.values()),
+        **tables,
+        **averages,
         cps_cost_with_p2p=cps_p2p,
         cps_cost_without_p2p=cps_grid,
-        avg_cost_per_prosumer_p2p=float(total_cost(cost_p2p)) / n,
-        avg_cost_per_prosumer_grid_only=float(total_cost(cost_grid)) / n,
-        avg_cost_per_prosumer_third_party=float(total_cost(cost_tp)) / n,
+        avg_cost_per_prosumer_p2p=mean_cost(cost_p2p),
+        avg_cost_per_prosumer_grid_only=mean_cost(cost_grid),
+        avg_cost_per_prosumer_third_party=mean_cost(cost_tp),
     )

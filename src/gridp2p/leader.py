@@ -3,10 +3,13 @@
 Serving prosumer demand beyond the slot threshold costs the system
 ``a*(overshoot)^2 + b*overshoot`` (reserve activation, extra generation),
 offset by sales revenue. Minimizing that cost over delivered demand yields a
-closed-form punitive price; as long as ``b`` clears the bound from
-``min_b`` the punitive price exceeds every prosumer's willingness to pay
+closed-form punitive price of the prosumers' total demand beyond the
+threshold; as long as ``b`` clears the bound from ``min_b`` the punitive
+price exceeds every prosumer's willingness to pay
 (``max_willingness_price``), so peak demand on the system collapses to zero
-and prosumers trade among themselves instead.
+and prosumers trade among themselves instead. A slot's :class:`PriceSignal`
+carries the demand it was priced on, so the system cost is booked on the same
+sum.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PriceSignal:
-    """The system's selling price for one slot, and whether the slot is a peak."""
+    """The system's selling price for one slot, whether the slot is a peak,
+    and the total prosumer demand the decision was made on."""
 
     selling_price: float
     peak_flag: bool
+    demand: float
 
 
 def max_willingness_price(alpha: float) -> float:
@@ -82,22 +87,20 @@ def total_prosumer_demand(prosumers: Sequence[ProsumerProfile], slot: int) -> fl
     return float(sum(-p.net_energy[slot] for p in prosumers if p.net_energy[slot] < 0))
 
 
-def decide_slot_price(
-    policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int, e_d: float | None = None
-) -> PriceSignal:
+def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int) -> PriceSignal:
     """Announce the slot's prices: off-peak rate, or the punitive peak price.
 
-    The peak branch triggers only on a strict threshold crossing. Before
-    announcing a punitive price the configured ``b`` is checked against the
-    ``min_b`` bound; a violation means the scenario's parameters cannot
-    actually deter grid purchases, which is a configuration error.
+    The signal carries ``total_prosumer_demand`` at ``slot``, the demand it
+    was decided on. The peak branch triggers only on a strict threshold
+    crossing. Before announcing a punitive price the configured ``b`` is
+    checked against the ``min_b`` bound; a violation means the scenario's
+    parameters cannot actually deter grid purchases, which is a
+    configuration error.
     """
-    # A caller that already summed the slot's prosumer demand passes it as e_d.
-    if e_d is None:
-        e_d = total_prosumer_demand(prosumers, slot)
+    e_d = total_prosumer_demand(prosumers, slot)
     e_t = policy.threshold[slot]
     if e_d <= e_t:
-        return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False)
+        return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False, demand=e_d)
     alpha_max = max(p.alpha_at(slot) for p in prosumers)
     bound = min_b(policy.a, alpha_max, e_d, e_t)
     if policy.b <= bound:
@@ -105,4 +108,4 @@ def decide_slot_price(
             f"slot {slot}: b={policy.b} does not exceed the required bound {bound:.6f} "
             f"(a={policy.a}, max alpha={alpha_max}, overshoot={e_d - e_t:.6f})"
         )
-    return PriceSignal(selling_price=peak_price(policy.a, policy.b, e_d, e_t), peak_flag=True)
+    return PriceSignal(selling_price=peak_price(policy.a, policy.b, e_d, e_t), peak_flag=True, demand=e_d)

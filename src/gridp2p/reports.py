@@ -213,9 +213,10 @@ def audit_run(run_dir: str | Path) -> list[str]:
     as a missing average), one row per slot in ``prices.csv`` and
     ``cps_cost.csv`` and per (metric, scope) in ``summary.csv``; that the
     coalition rows form a partition; that every trade has a known venue and a
-    slot in ``prices.csv``, stays inside its coalition and is priced like
-    every other trade of its slot and venue (grid sales and grid purchases
-    apart); and that nobody buys from the grid at a peak slot.
+    slot in ``prices.csv``, is between two different parties, stays inside
+    its coalition and is priced like every other trade of its slot and venue
+    (grid sales and grid purchases apart); and that nobody buys from the grid
+    at a peak slot.
 
     Every file is checked one row at a time as it is read. The audit keeps
     each slot's peak flag and coalitions, the first price pair of each slot
@@ -223,10 +224,10 @@ def audit_run(run_dir: str | Path) -> list[str]:
     A trade row that passes the full check with no problem makes its (venue,
     grid sells, seller price, buyer price) text a clean block of its slot.
     A later row of the same slot with a clean block's text is checked only
-    for a positive finite quantity and for both parties in the block's
-    coalition: every other check depends only on that text and on state
-    fixed by then, so it would pass again. Any other row takes the full
-    check, so the problems are those of checking every row in full.
+    for a positive finite quantity and for two different parties, both in
+    the block's coalition: every other check depends only on that text and
+    on state fixed by then, so it would pass again. Any other row takes the
+    full check, so the problems are those of checking every row in full.
 
     Problems are listed in one fixed order: malformed rows, file by file,
     then slot coverage, double membership, the trade problems in row order
@@ -274,7 +275,9 @@ def audit_run(run_dir: str | Path) -> list[str]:
                         block_slot, clean = slot, {}
                     block = (venue, seller == GRID_ID, sell_text, buy_text)
                     parties = clean[block]
-                    if 0 < float(qty_text) < math.inf and (parties is None or seller in parties and buyer in parties):
+                    if 0 < float(qty_text) < math.inf and seller != buyer and (
+                        parties is None or seller in parties and buyer in parties
+                    ):
                         continue
                 except (ValueError, KeyError):
                     # Not seven fields, not a clean block, or a quantity that is not a number.
@@ -287,6 +290,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 slot, venue, seller, buyer, qty_text, sell_text, buy_text, qty, sell, buy = row
                 if qty <= 0:
                     found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
+                if seller == buyer:
+                    found.append(f"slot {slot}: {venue} trade from {seller} to itself")
                 if buy < sell:
                     found.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
                 if venue != _MID_MARKET and buy != sell:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import (
+from gridp2p.core import (
     CASE_STUDY_A,
     CASE_STUDY_B,
     AuctionPriceRule,

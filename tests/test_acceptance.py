@@ -11,6 +11,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 from conftest import ask, bid, book, oracle_price, oracle_trading_sets
+from fixtures import (
+    blended_price_scenario,
+    uniform_auction_scenario,
+    with_third_party_price,
+)
 from gridp2p.auction import allocate, clear, verify_truthful_delivery
 from gridp2p.cli import EXIT_OK, main
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, check_dhp_stability
@@ -22,11 +27,6 @@ from gridp2p.engine import (
     run_horizon,
     run_slot,
     stability_context,
-)
-from gridp2p.fixtures import (
-    blended_price_scenario,
-    uniform_auction_scenario,
-    with_third_party_price,
 )
 from gridp2p.leader import decide_slot_price
 

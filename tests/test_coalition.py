@@ -10,6 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ask, bid, book, eager_pool_trades, oracle_dhp_stable, payment, receipt
+from fixtures import (
+    two_coalition_demo_scenario,
+    uniform_auction_scenario,
+    with_third_party_price,
+)
 from gridp2p.auction import EMPTY_OUTCOME, Fill, clear
 from gridp2p.coalition import (
     GRID_ID,
@@ -35,11 +40,6 @@ from gridp2p.core import (
     make_case_study_scenario,
 )
 from gridp2p.engine import run_slot, stability_context
-from gridp2p.fixtures import (
-    two_coalition_demo_scenario,
-    uniform_auction_scenario,
-    with_third_party_price,
-)
 from gridp2p.reports import _fmt, _trade_lines
 
 

@@ -247,6 +247,22 @@ def test_loader_rejects_mistyped_prosumer_id(value):
         ProsumerProfile(value, 1.0, (1.0,), (11.0,), (11.0,))
 
 
+@pytest.mark.parametrize("reserved", ["grid", "third_party", "average"])
+def test_loader_rejects_a_reserved_prosumer_id(tmp_path, capsys, reserved):
+    # trades.csv names the grid and the third party by these ids, and
+    # summary.csv uses ``average`` as a scope, so a prosumer with one of them
+    # would write a run that its own audit rejects, or passes wrongly.
+    data = scenario_to_dict(make_case_study_scenario(3, slots=6))
+    data["prosumers"][0]["id"] = reserved
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: prosumer id {reserved!r} is reserved\n"
+    with pytest.raises(ScenarioError, match="reserved"):
+        ProsumerProfile(reserved, 1.0, (1.0,), (11.0,), (11.0,))
+
+
 
 @pytest.mark.parametrize(
     "alter, message",

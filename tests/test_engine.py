@@ -8,6 +8,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import eager_pool_trades, payment, receipt
+from fixtures import (
+    blended_price_scenario,
+    two_coalition_demo_scenario,
+    uniform_auction_scenario,
+)
 from gridp2p.auction import Fill
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Venue, mid_market_prices
 from gridp2p.core import (
@@ -28,11 +33,7 @@ from gridp2p.engine import (
     run_horizon,
     run_slot,
 )
-from gridp2p.fixtures import (
-    blended_price_scenario,
-    two_coalition_demo_scenario,
-    uniform_auction_scenario,
-)
+from gridp2p.leader import total_prosumer_demand
 from gridp2p.reports import write_run, write_summary
 
 
@@ -406,6 +407,15 @@ def test_pickled_report_equals_fresh_run():
 
 
 _RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_each_slot_signal_carries_the_demand_it_priced(run):
+    scenarios = [make_case_study_scenario(seed) for seed in range(4)]
+    scenarios += [uniform_auction_scenario(), blended_price_scenario(), two_coalition_demo_scenario()]
+    for scenario in scenarios:
+        for s in run(scenario).slots:
+            assert s.price_signal.demand == total_prosumer_demand(scenario.prosumers, s.slot), s.slot
 
 
 def _unread_offpeak_slot(run):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from gridp2p import fixtures
+import fixtures
 from gridp2p.cli import EXIT_OK, main
 from gridp2p.core import emit_scenario, make_case_study_scenario, save_scenario
 from gridp2p.reports import audit_run

@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from conftest import payment, receipt
+from fixtures import two_coalition_demo_scenario, uniform_auction_scenario
 from gridp2p.coalition import GRID_ID, as_trade
 from gridp2p.core import (
     GridPolicy,
@@ -29,7 +30,6 @@ from gridp2p.core import (
     save_scenario,
 )
 from gridp2p.engine import Positions, baseline_grid_only, baseline_third_party, run_horizon
-from gridp2p.fixtures import two_coalition_demo_scenario, uniform_auction_scenario
 from gridp2p.reports import _fmt, _trade_lines, audit_run, write_run
 
 _RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
@@ -319,6 +319,16 @@ def test_audit_flags_an_outsider_in_any_peer_row(tmp_path):
             assert _audit_with(tmp_path, trades, i, tampered) == [
                 f"slot {slot}: {venue} trade party {outsider} not in the {venue} coalition"
             ], (i, party)
+
+
+def test_audit_flags_a_self_trade_in_any_row(tmp_path):
+    # No valid run writes a trade from a party to itself: the grid and the
+    # third party are reserved ids, and a slot's sellers and buyers are apart.
+    trades, _ = _p2p_run(tmp_path)
+    for i, row in _rows_of(trades):
+        slot, venue, seller = row[:3]
+        row[3] = seller
+        assert _audit_with(tmp_path, trades, i, row) == [f"slot {slot}: {venue} trade from {seller} to itself"], i
 
 
 _BAD_QUANTITIES = {
