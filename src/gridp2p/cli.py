@@ -100,12 +100,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     if args.mode == "compare":
-        p2p = run_horizon(scenario)
-        grid_only = baseline_grid_only(scenario)
-        third_party = baseline_third_party(scenario)
-        write_run(p2p, args.out)
-        write_summary(compare(p2p, grid_only, third_party), args.out)
-        report = p2p
+        report = run_horizon(scenario)
+        # Compared before anything is written, so a run that cannot be
+        # compared leaves no files.
+        metrics = compare(report, baseline_grid_only(scenario), baseline_third_party(scenario))
+        write_run(report, args.out)
+        write_summary(metrics, args.out)
     else:
         runner = {
             MODE_P2P: run_horizon,

@@ -75,6 +75,11 @@ def _as_float(value: float, name: str) -> float:
     return _as_float_tuple((value,), name)[0]
 
 
+def _check_length(values: tuple, name: str, slots: int) -> None:
+    if len(values) != slots:
+        raise ScenarioError(f"{name} has length {len(values)}, expected {slots}")
+
+
 @dataclass(frozen=True)
 class ProsumerProfile:
     """One prosumer's identity, preference and per-slot market position.
@@ -96,23 +101,16 @@ class ProsumerProfile:
             raise ScenarioError(f"prosumer id must be a non-empty string, got {self.id!r}")
         if self.id in _RESERVED_IDS:
             raise ScenarioError(f"prosumer id {self.id!r} is reserved")
-        object.__setattr__(self, "net_energy", _as_float_tuple(self.net_energy, "net_energy"))
-        object.__setattr__(
-            self, "reservation_price", _as_float_tuple(self.reservation_price, "reservation_price")
-        )
-        object.__setattr__(self, "bid_price", _as_float_tuple(self.bid_price, "bid_price"))
-        if isinstance(self.alpha, (list, tuple)):
-            object.__setattr__(self, "alpha", _as_float_tuple(self.alpha, "alpha"))
-            if any(a <= 0 for a in self.alpha):
-                raise ScenarioError(f"prosumer {self.id}: alpha must be > 0 at every slot")
-        else:
-            object.__setattr__(self, "alpha", _as_float(self.alpha, "alpha"))
-            if self.alpha <= 0:
-                raise ScenarioError(f"prosumer {self.id}: alpha must be > 0")
-        if any(p < 0 for p in self.reservation_price):
-            raise ScenarioError(f"prosumer {self.id}: reservation_price must be >= 0")
-        if any(p < 0 for p in self.bid_price):
-            raise ScenarioError(f"prosumer {self.id}: bid_price must be >= 0")
+        for name in ("net_energy", "reservation_price", "bid_price"):
+            object.__setattr__(self, name, _as_float_tuple(getattr(self, name), name))
+        per_slot = isinstance(self.alpha, (list, tuple))
+        alphas = _as_float_tuple(self.alpha if per_slot else (self.alpha,), "alpha")
+        if any(a <= 0 for a in alphas):
+            raise ScenarioError(f"prosumer {self.id}: alpha must be > 0{' at every slot' if per_slot else ''}")
+        object.__setattr__(self, "alpha", alphas if per_slot else alphas[0])
+        for name in ("reservation_price", "bid_price"):
+            if any(p < 0 for p in getattr(self, name)):
+                raise ScenarioError(f"prosumer {self.id}: {name} must be >= 0")
 
     def alpha_at(self, slot: int) -> float:
         if isinstance(self.alpha, tuple):
@@ -138,22 +136,32 @@ class GridPolicy:
         object.__setattr__(self, "threshold", _as_float_tuple(self.threshold, "threshold"))
         for name in ("a", "b", "offpeak_price", "fit_price"):
             _as_float(getattr(self, name), f"grid.{name}")
-        if self.a <= 0:
-            raise ScenarioError("grid.a must be > 0")
-        if self.b <= 0:
-            raise ScenarioError("grid.b must be > 0")
+        for name in ("a", "b"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"grid.{name} must be > 0")
         if self.offpeak_price <= self.fit_price:
             raise ScenarioError("grid.offpeak_price must exceed grid.fit_price")
         if any(v < 0 for v in self.threshold):
             raise ScenarioError("grid.threshold entries must be >= 0")
 
 
+# Case-study defaults. The punitive price at a 2 kWh threshold overshoot is
+# 2 * 68.6 * 2 + 274.4 = 548.8 cents/kWh, i.e. 19.6x the off-peak rate.
+CASE_STUDY_A = 68.6
+CASE_STUDY_B = 274.4
+CASE_STUDY_OFFPEAK = 28.0
+CASE_STUDY_FIT = 10.0
+CASE_STUDY_THIRD_PARTY = 21.0
+CASE_STUDY_BETA = 0.1
+CASE_STUDY_SLOTS = 22
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Peer-market parameters shared by every slot."""
 
-    beta: float = 0.1
-    third_party_price: float = 21.0
+    beta: float = CASE_STUDY_BETA
+    third_party_price: float = CASE_STUDY_THIRD_PARTY
     auction_price_rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION
 
     def __post_init__(self) -> None:
@@ -180,10 +188,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prosumers", tuple(self.prosumers))
-        if type(self.slots) is not int or self.slots < 1:
-            raise ScenarioError("slots must be an integer >= 1")
-        if type(self.slot_minutes) is not int or self.slot_minutes < 1:
-            raise ScenarioError("slot_minutes must be an integer >= 1")
+        for name in ("slots", "slot_minutes"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ScenarioError(f"{name} must be an integer >= 1")
         if type(self.seed) is not int:
             raise ScenarioError("seed must be an integer")
         if not self.prosumers:
@@ -193,19 +201,11 @@ class Scenario:
             if p.id in seen:
                 raise ScenarioError(f"duplicate prosumer id {p.id!r}")
             seen.add(p.id)
-            for name in ("net_energy", "reservation_price", "bid_price"):
-                if len(getattr(p, name)) != self.slots:
-                    raise ScenarioError(
-                        f"prosumers[{p.id}].{name} has length {len(getattr(p, name))}, expected {self.slots}"
-                    )
-            if isinstance(p.alpha, tuple) and len(p.alpha) != self.slots:
-                raise ScenarioError(
-                    f"prosumers[{p.id}].alpha has length {len(p.alpha)}, expected {self.slots}"
-                )
-        if len(self.grid.threshold) != self.slots:
-            raise ScenarioError(
-                f"grid.threshold has length {len(self.grid.threshold)}, expected {self.slots}"
-            )
+            for name in ("net_energy", "reservation_price", "bid_price", "alpha"):
+                # A scalar alpha holds for every slot.
+                if isinstance(getattr(p, name), tuple):
+                    _check_length(getattr(p, name), f"prosumers[{p.id}].{name}", self.slots)
+        _check_length(self.grid.threshold, "grid.threshold", self.slots)
 
     def sellers_at(self, slot: int) -> list[ProsumerProfile]:
         return [p for p in self.prosumers if p.net_energy[slot] > 0]
@@ -228,16 +228,6 @@ class Order:
         if self.price < 0:
             raise DomainError(f"order price must be >= 0, got {self.price}")
 
-
-# Case-study defaults. The punitive price at a 2 kWh threshold overshoot is
-# 2 * 68.6 * 2 + 274.4 = 548.8 cents/kWh, i.e. 19.6x the off-peak rate.
-CASE_STUDY_A = 68.6
-CASE_STUDY_B = 274.4
-CASE_STUDY_OFFPEAK = 28.0
-CASE_STUDY_FIT = 10.0
-CASE_STUDY_THIRD_PARTY = 21.0
-CASE_STUDY_BETA = 0.1
-CASE_STUDY_SLOTS = 22
 
 # Peak pattern over the 22-slot horizon (0-indexed). The overshoot is 2 kWh
 # at every peak slot except index 5, which is sized so the punitive price
@@ -315,11 +305,6 @@ def make_case_study_scenario(
         offpeak_price=CASE_STUDY_OFFPEAK,
         fit_price=CASE_STUDY_FIT,
     )
-    market = MarketConfig(
-        beta=CASE_STUDY_BETA,
-        third_party_price=CASE_STUDY_THIRD_PARTY,
-        auction_price_rule=AuctionPriceRule.HIGHEST_RESERVATION,
-    )
     prosumers = tuple(
         ProsumerProfile(
             id=pid,
@@ -334,8 +319,7 @@ def make_case_study_scenario(
         slots=slots,
         prosumers=prosumers,
         grid=grid,
-        market=market,
-        slot_minutes=30,
+        market=MarketConfig(),
         seed=seed,
     )
 
@@ -401,9 +385,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for name in _GRID_LEGACY:
         if name not in grid_raw or (name == "supply_capacity" and grid_raw[name] is None):
             continue
-        values = _as_float_tuple(grid_raw[name], name)
-        if len(values) != scenario.slots:
-            raise ScenarioError(f"grid.{name} has length {len(values)}, expected {scenario.slots}")
+        _check_length(_as_float_tuple(grid_raw[name], name), f"grid.{name}", scenario.slots)
     return scenario
 
 

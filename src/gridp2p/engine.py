@@ -25,6 +25,7 @@ system costs, metrics and emitted reports.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
@@ -47,7 +48,7 @@ from .coalition import (
     mid_market_prices,
     partition,
 )
-from .core import DomainError, Order, Scenario
+from .core import ConfigurationError, DomainError, Order, Scenario
 from .leader import PriceSignal, cps_cost, decide_slot_price
 
 log = logging.getLogger("gridp2p.engine")
@@ -167,6 +168,14 @@ class Positions:
                 yield p.id, _ZERO, buy * Fraction(-net)
 
 
+def _float(value: Fraction) -> float:
+    """``value`` as a float, or an infinity of its sign where it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     """Simulate one slot of the peer-trading scheme."""
     if not 0 <= slot < scenario.slots:
@@ -200,6 +209,8 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         fit_price=grid.fit_price,
         third_party_price=market.third_party_price,
     )
+    if not math.isfinite(_float(mid_pool.buy_price)):
+        raise ConfigurationError(f"slot {slot}: the mid-market buying price overflows a float")
     ledger = (mid_pool,)
     if not outcome.is_empty:
         # Unsold burden goes to the grid at the feed-in tariff; unmet buyer
@@ -233,6 +244,8 @@ def _baseline_slot(scenario: Scenario, slot: int, mode: str, signal: PriceSignal
     else:
         buy_price, buy_venue = scenario.market.third_party_price, Venue.THIRD_PARTY
         cost = cps_cost(grid.a, grid.b, 0.0, grid.threshold[slot], signal.selling_price)
+    if not math.isfinite(cost):
+        raise ConfigurationError(f"slot {slot}: the system cost overflows a float")
 
     return SlotResult.deferred(
         scenario, (Positions(scenario, slot, buy_price, buy_venue),),
@@ -316,7 +329,8 @@ def stability_context(scenario: Scenario, result: SlotResult) -> StabilityContex
 
 @dataclass(frozen=True)
 class MetricsTable:
-    """Cross-run comparison over the peak slots of the horizon."""
+    """Cross-run comparison over the peak slots of the horizon. Every value is a
+    finite float, or None for a missing average; any other is a ``ConfigurationError``."""
 
     seller_uplift_pct: dict[str, float]
     buyer_savings_vs_grid_pct: dict[str, float]
@@ -331,6 +345,13 @@ class MetricsTable:
     avg_cost_per_prosumer_p2p: float
     avg_cost_per_prosumer_grid_only: float
     avg_cost_per_prosumer_third_party: float
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value.values() if isinstance(value, dict) else () if value is None else (value,)
+            if not all(map(math.isfinite, values)):
+                raise ConfigurationError(f"comparison metric {f.name} does not fit a float")
 
     def rows(self) -> list[tuple[str, str, str]]:
         """The ``summary.csv`` rows as (metric, scope, value), in this order:
@@ -375,7 +396,7 @@ def compare(
 
     def pct(high: dict[str, Fraction], low: dict[str, Fraction], base: dict[str, Fraction]) -> dict[str, float]:
         """(high - low) / base as a percentage, for each prosumer whose base is > 0, in prosumer order."""
-        return {pid: float((high[pid] - low[pid]) / base[pid]) * 100.0 for pid in ids if base[pid] > 0}
+        return {pid: _float((high[pid] - low[pid]) / base[pid]) * 100.0 for pid in ids if base[pid] > 0}
 
     tables = {
         "seller_uplift_pct": pct(rev_p2p, rev_grid, rev_grid),
@@ -384,7 +405,7 @@ def compare(
         "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
     }
     averages = {f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()}
-    mean_cost = lambda cost: float(sum(cost.values(), _ZERO)) / len(ids)
+    mean_cost = lambda cost: _float(sum(cost.values(), _ZERO)) / len(ids)
     return MetricsTable(
         **tables,
         **averages,

@@ -95,9 +95,11 @@ def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], 
     crossing. Before announcing a punitive price the configured ``b`` is
     checked against the ``min_b`` bound; a violation means the scenario's
     parameters cannot actually deter grid purchases, which is a
-    configuration error.
+    configuration error. So is a demand or a price too large for a float.
     """
     e_d = total_prosumer_demand(prosumers, slot)
+    if not math.isfinite(e_d):
+        raise ConfigurationError(f"slot {slot}: total prosumer demand overflows a float")
     e_t = policy.threshold[slot]
     if e_d <= e_t:
         return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False, demand=e_d)
@@ -108,4 +110,7 @@ def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], 
             f"slot {slot}: b={policy.b} does not exceed the required bound {bound:.6f} "
             f"(a={policy.a}, max alpha={alpha_max}, overshoot={e_d - e_t:.6f})"
         )
-    return PriceSignal(selling_price=peak_price(policy.a, policy.b, e_d, e_t), peak_flag=True, demand=e_d)
+    price = peak_price(policy.a, policy.b, e_d, e_t)
+    if not math.isfinite(price):
+        raise ConfigurationError(f"slot {slot}: the peak price overflows a float (a={policy.a}, overshoot={e_d - e_t:g})")
+    return PriceSignal(selling_price=price, peak_flag=True, demand=e_d)

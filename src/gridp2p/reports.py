@@ -159,10 +159,8 @@ def _read_csv(
     column does not parse as a finite number, or its first ``key`` columns
     repeat an earlier row's, which stands. Each becomes one line in
     ``problems`` naming the file and line, appended when the reader reaches
-    it. Each yielded row ends with its ``numeric`` columns parsed as floats,
-    in ``numeric`` order; an empty ``summary.csv`` average, the mean over no
-    prosumers, parses as None. ``_csv_rows`` checks the header and reports
-    a read error.
+    it. An empty ``summary.csv`` average, the mean over no prosumers, is
+    not malformed. ``_csv_rows`` checks the header and reports a read error.
     """
     columns = [header.index(name) for name in numeric]
     first_line: dict[tuple[str, ...], int] = {}
@@ -180,7 +178,7 @@ def _read_csv(
 
 
 def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
-    """Why ``row`` is malformed under ``header``, or None after appending its parsed ``columns``."""
+    """Why ``row`` is malformed under ``header``, or None."""
     if len(row) != len(header):
         return f"expected {len(header)} fields, got {len(row)}"
     if header[0] == "slot":
@@ -192,15 +190,11 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
         return f"peak_flag {row[-1]!r} is not true or false"
     for i in columns:
         try:
-            value = float(row[i])
+            if not math.isfinite(float(row[i])):
+                return f"{header[i]} {row[i]!r} is not a finite number"
         except ValueError:
             if row[i] or header[1] != "scope" or row[1] != "average":
                 return f"{header[i]} {row[i]!r} is not a number"
-            row.append(None)
-            continue
-        if not math.isfinite(value):
-            return f"{header[i]} {row[i]!r} is not a finite number"
-        row.append(value)
     return None
 
 
@@ -240,7 +234,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
     found: list[str] = []
     try:
         prices = _read_csv(run / "prices.csv", PRICES_HEADER, problems, ("selling_price",), key=1)
-        peak = {slot: flag == "true" for slot, _, flag, _ in prices}
+        peak = {slot: flag == "true" for slot, _, flag in prices}
         costs = _read_csv(run / "cps_cost.csv", CPS_COST_HEADER, problems, ("cps_cost",), key=1)
         if {slot for slot, *_ in costs} != set(peak):
             found.append("cps_cost.csv and prices.csv cover different slots")
@@ -287,7 +281,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
                     problems.append(f"trades.csv line {reader.line_num}: {problem}")
                     continue
                 seen = len(found)
-                slot, venue, seller, buyer, qty_text, sell_text, buy_text, qty, sell, buy = row
+                slot, venue, seller, buyer, qty_text, sell_text, buy_text = row
+                qty, sell, buy = float(qty_text), float(sell_text), float(buy_text)
                 if qty <= 0:
                     found.append(f"slot {slot}: non-positive trade quantity {qty_text}")
                 if seller == buyer:

@@ -322,3 +322,95 @@ def test_loader_reports_a_file_it_cannot_parse(tmp_path, capsys, content, messag
     code = main(["simulate", "--scenario", str(scenario_path), "--mode", "p2p", "--out", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# One scenario per rule of the loader, each changed from a valid 2-prosumer,
+# 2-slot case study by setting the values at the given paths. The two-fault
+# cases pin which rule fires first.
+_P0 = ("prosumers", 0)
+_LOADER_RULES = [
+    # ProsumerProfile
+    pytest.param({(*_P0, "id"): 7}, "prosumer id must be a non-empty string, got 7", id="id-type"),
+    pytest.param({(*_P0, "id"): "grid"}, "prosumer id 'grid' is reserved", id="id-reserved"),
+    pytest.param({(*_P0, "net_energy"): ["x", 1.0]}, "net_energy: expected numbers", id="net-energy-number"),
+    pytest.param({(*_P0, "net_energy"): [True, 1.0]}, "net_energy: expected finite numbers", id="net-energy-type"),
+    pytest.param(
+        {(*_P0, "reservation_price"): [12.0, "12"]}, "reservation_price: expected finite numbers", id="ask-type"
+    ),
+    pytest.param({(*_P0, "bid_price"): 12.0}, "bid_price: expected numbers", id="bid-not-array"),
+    pytest.param({(*_P0, "alpha"): "8"}, "alpha: expected finite numbers", id="alpha-type"),
+    pytest.param({(*_P0, "alpha"): [8.0, None]}, "alpha: expected numbers", id="alpha-slot-type"),
+    pytest.param({(*_P0, "alpha"): 0}, "prosumer p01: alpha must be > 0", id="alpha-positive"),
+    pytest.param({(*_P0, "alpha"): [8.0, -1.0]}, "prosumer p01: alpha must be > 0 at every slot", id="alpha-per-slot"),
+    pytest.param(
+        {(*_P0, "reservation_price"): [12.0, -1.0]}, "prosumer p01: reservation_price must be >= 0", id="ask-floor"
+    ),
+    pytest.param({(*_P0, "bid_price"): [-1.0, 12.0]}, "prosumer p01: bid_price must be >= 0", id="bid-floor"),
+    # GridPolicy
+    pytest.param({("grid", "threshold"): [1.0, False]}, "threshold: expected finite numbers", id="threshold-type"),
+    pytest.param({("grid", "a"): "68.6"}, "grid.a: expected finite numbers", id="a-type"),
+    pytest.param({("grid", "b"): None}, "grid.b: expected numbers", id="b-type"),
+    pytest.param({("grid", "offpeak_price"): True}, "grid.offpeak_price: expected finite numbers", id="offpeak-type"),
+    pytest.param({("grid", "fit_price"): []}, "grid.fit_price: expected numbers", id="fit-type"),
+    pytest.param({("grid", "a"): 0}, "grid.a must be > 0", id="a-positive"),
+    pytest.param({("grid", "b"): -1.0}, "grid.b must be > 0", id="b-positive"),
+    pytest.param({("grid", "offpeak_price"): 10.0}, "grid.offpeak_price must exceed grid.fit_price", id="offpeak-fit"),
+    pytest.param({("grid", "threshold"): [1.0, -1.0]}, "grid.threshold entries must be >= 0", id="threshold-floor"),
+    # MarketConfig
+    pytest.param(
+        {("market", "auction_price_rule"): "x"}, "market.auction_price_rule: unknown rule 'x'", id="price-rule"
+    ),
+    pytest.param({("market", "beta"): "0.1"}, "market.beta: expected finite numbers", id="beta-type"),
+    pytest.param(
+        {("market", "third_party_price"): {}}, "market.third_party_price: expected numbers", id="third-party-type"
+    ),
+    pytest.param({("market", "beta"): -0.1}, "market.beta must be >= 0", id="beta-floor"),
+    pytest.param({("market", "third_party_price"): 0}, "market.third_party_price must be > 0", id="third-party-positive"),
+    # Scenario
+    pytest.param({("slots",): 0}, "slots must be an integer >= 1", id="slots"),
+    pytest.param({("slot_minutes",): 1.5}, "slot_minutes must be an integer >= 1", id="slot-minutes"),
+    pytest.param({("seed",): "0"}, "seed must be an integer", id="seed"),
+    pytest.param({("prosumers",): []}, "scenario needs at least one prosumer", id="no-prosumers"),
+    pytest.param({("prosumers", 1, "id"): "p01"}, "duplicate prosumer id 'p01'", id="duplicate-id"),
+    # The seven per-slot lengths.
+    pytest.param(
+        {(*_P0, "net_energy"): [1.0]}, "prosumers[p01].net_energy has length 1, expected 2", id="net-energy-length"
+    ),
+    pytest.param(
+        {(*_P0, "reservation_price"): [12.0] * 3},
+        "prosumers[p01].reservation_price has length 3, expected 2",
+        id="ask-length",
+    ),
+    pytest.param({(*_P0, "bid_price"): []}, "prosumers[p01].bid_price has length 0, expected 2", id="bid-length"),
+    pytest.param({(*_P0, "alpha"): [8.0]}, "prosumers[p01].alpha has length 1, expected 2", id="alpha-length"),
+    pytest.param({("grid", "threshold"): [9.0] * 3}, "grid.threshold has length 3, expected 2", id="threshold-length"),
+    pytest.param(
+        {("grid", "other_demand"): [30.0]}, "grid.other_demand has length 1, expected 2", id="other-demand-length"
+    ),
+    pytest.param(
+        {("grid", "supply_capacity"): [80.0] * 3},
+        "grid.supply_capacity has length 3, expected 2",
+        id="supply-capacity-length",
+    ),
+    pytest.param({("grid", "other_demand"): [30.0, "x"]}, "other_demand: expected numbers", id="other-demand-type"),
+    # Two faults each: the first rule to fire names the error.
+    pytest.param(
+        {(*_P0, "net_energy"): [1.0], (*_P0, "alpha"): -1.0}, "prosumer p01: alpha must be > 0", id="length-and-alpha"
+    ),
+    pytest.param({("grid", "a"): -1.0, ("grid", "b"): -1.0}, "grid.a must be > 0", id="a-and-b"),
+]
+
+
+@pytest.mark.parametrize("changes, message", _LOADER_RULES)
+def test_loader_reports_each_rule_exactly(tmp_path, capsys, changes, message):
+    data = scenario_to_dict(make_case_study_scenario(3, n_prosumers=2, slots=2))
+    for path, value in changes.items():
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"

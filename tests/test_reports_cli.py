@@ -20,6 +20,7 @@ from conftest import payment, receipt
 from fixtures import two_coalition_demo_scenario, uniform_auction_scenario
 from gridp2p.coalition import GRID_ID, as_trade
 from gridp2p.core import (
+    ConfigurationError,
     GridPolicy,
     MarketConfig,
     ProsumerProfile,
@@ -659,6 +660,85 @@ def test_cli_rejects_mistyped_fields(tmp_path):
         bad.write_text(json.dumps(data))
         code = main(["simulate", "--scenario", str(bad), "--mode", "p2p", "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
+
+
+def _scale_net_energy(data: dict) -> None:
+    for p in data["prosumers"]:
+        p["net_energy"] = [x * 1e307 for x in p["net_energy"]]
+
+
+def _overflow_demand(data: dict) -> None:
+    for p in data["prosumers"]:
+        if p["net_energy"][0] < 0:
+            p["net_energy"][0] = -1e308
+
+
+def _overflow_payments(data: dict) -> None:
+    for p in data["prosumers"]:
+        p["reservation_price"][2], p["bid_price"][2] = 1e308, 1.5e308
+
+
+def _overflow_grid_only_cost(data: dict) -> None:
+    # A 4 kWh overshoot: the price 2a*4 + b fits a float, the cost a*4^2 does not.
+    data["grid"]["a"] = 2e307
+    data["grid"]["threshold"][2] -= 2
+
+
+# Finite scenario numbers whose demand, price, system cost or comparison does
+# not fit a float: each case's change, the modes that meet the overflow, and
+# the first overflow named.
+_OVERFLOWS = {
+    "grid-a": (
+        lambda d: d["grid"].update(a=1e308),
+        ("p2p", "compare"),
+        "slot 2: the peak price overflows a float (a=1e+308, overshoot=2)",
+    ),
+    "net-energy": (
+        _scale_net_energy,
+        ("p2p", "compare"),
+        "slot 0: the peak price overflows a float (a=68.6, overshoot=1.7165e+308)",
+    ),
+    "demand": (_overflow_demand, ("p2p", "compare"), "slot 0: total prosumer demand overflows a float"),
+    "payments": (_overflow_payments, ("compare",), "comparison metric seller_uplift_pct does not fit a float"),
+    "grid-only-cost": (_overflow_grid_only_cost, ("grid-only", "compare"), "slot 2: the system cost overflows a float"),
+    "offpeak-cost": (
+        lambda d: d["grid"].update(offpeak_price=1e308),
+        ("p2p", "grid-only", "third-party", "compare"),
+        "slot 0: the system cost overflows a float",
+    ),
+    "mid-market-fee": (
+        lambda d: d["market"].update(beta=1e308),
+        ("p2p", "compare"),
+        "slot 2: the mid-market buying price overflows a float",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, mode", [(case, mode) for case, (_, modes, _) in sorted(_OVERFLOWS.items()) for mode in modes]
+)
+def test_cli_rejects_a_value_that_overflows_a_float(tmp_path, capsys, case, mode):
+    alter, _, message = _OVERFLOWS[case]
+    data = json.loads(emit_scenario(make_case_study_scenario(0, n_prosumers=6, slots=4)))
+    alter(data)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", str(scenario_path), "--mode", mode, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_compare_that_fails_writes_nothing(tmp_path, monkeypatch, capsys):
+    def fail(*reports):
+        raise ConfigurationError("comparison failed")
+
+    monkeypatch.setattr("gridp2p.cli.compare", fail)
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "0", "--slots", "4", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: comparison failed\n"
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_missing_scenario_is_io_error(tmp_path):
