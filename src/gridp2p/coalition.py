@@ -21,7 +21,7 @@ unless one of its members already gains alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
@@ -49,16 +49,15 @@ Terms = Callable[[Venue, "float | Fraction", "float | Fraction"], Callable[[str,
 Leg = tuple[str, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trade:
     """A settled energy transfer between two parties.
 
     Prices are exact rationals so that conservation identities hold exactly;
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
-    network fee. A slot builds its trades from its ledger, one per pair, so
-    the checks are kept cheap: the quantity's sign is read off its
-    numerator, and a trade whose two prices are the same object has no spread
-    to test.
+    network fee. The quantity's sign is read off its numerator, and a trade
+    whose two prices are the same object has no spread to test. A slot's
+    trades come from :func:`as_trade`, which checks each block's prices once.
     """
 
     seller_id: str
@@ -78,6 +77,13 @@ class Trade:
                 raise DomainError("mid-market buyer price cannot undercut the seller price")
         elif self.buyer_price != self.seller_price:
             raise DomainError(f"{self.venue.value} trades settle at a single price")
+
+
+# Trade's slots, each set directly: a trade whose checks have passed needs
+# neither ``__init__`` nor the frozen ``__setattr__``.
+_SET_SELLER, _SET_BUYER, _SET_QUANTITY, _SET_SELL, _SET_BUY, _SET_VENUE = (
+    getattr(Trade, f.name).__set__ for f in fields(Trade)
+)
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,38 @@ class Pool:
 
 
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
-    """The terms that present each trade as a :class:`Trade`, its prices exact."""
+    """The terms that present each trade as a :class:`Trade`, its prices exact.
+
+    The block's prices are checked once, by a probe trade of one kWh. Where
+    they pass, each trade is built without ``Trade.__init__``, and only its
+    quantity's sign is checked. Any trade that would fail, by a non-positive
+    quantity or in a block whose prices fail, is built by ``Trade`` itself,
+    so it raises the same error in the same order; a block with no trades
+    raises nothing.
+    """
     sell = Fraction(seller_price)
     buy = sell if buyer_price is seller_price else Fraction(buyer_price)
-    return lambda seller, buyer, num, den: Trade(
-        seller, buyer, Fraction(num) if den == 1 else Fraction(num, den), sell, buy, venue)
+    try:
+        Trade(GRID_ID, GRID_ID, Fraction(1), sell, buy, venue)
+    except DomainError:
+        priced = False
+    else:
+        priced = True
+
+    def trade(seller: str, buyer: str, num: int | float, den: int) -> Trade:
+        quantity = Fraction(num) if den == 1 else Fraction(num, den)
+        if not priced or quantity.numerator <= 0:
+            return Trade(seller, buyer, quantity, sell, buy, venue)
+        t = object.__new__(Trade)
+        _SET_SELLER(t, seller)
+        _SET_BUYER(t, buyer)
+        _SET_QUANTITY(t, quantity)
+        _SET_SELL(t, sell)
+        _SET_BUY(t, buy)
+        _SET_VENUE(t, venue)
+        return t
+
+    return trade
 
 
 def match_midmarket(

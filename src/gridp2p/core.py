@@ -139,6 +139,8 @@ class GridPolicy:
         for name in ("a", "b"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"grid.{name} must be > 0")
+        if self.fit_price < 0:
+            raise ScenarioError("grid.fit_price must be >= 0")
         if self.offpeak_price <= self.fit_price:
             raise ScenarioError("grid.offpeak_price must exceed grid.fit_price")
         if any(v < 0 for v in self.threshold):

@@ -13,9 +13,11 @@ its :class:`Positions`. Each part of a ledger presents the slot's trades in
 one fixed order, a block of trades sharing a venue and prices at a time, and
 yields each participant's leg: its revenue and cost, read off its own fill or
 position in O(S+B). ``write_run`` formats ``trades.csv`` block by block; a
-slot's ``trades`` are the same blocks presented by ``as_trade``, and its
-``per_prosumer`` is settled from the legs by ``_settle``, each when first
-read; a pickle keeps the ledger. The pairwise trades sum exactly to the legs.
+slot's ``trades`` are the same blocks presented by ``as_trade``, which checks
+each block's prices once, and its ``per_prosumer`` is settled from the legs
+by ``_settle``, each when first read; a pickle keeps the ledger. A
+whole-position leg is one ``Fraction`` built from its price's and position's
+integer ratios. The pairwise trades sum exactly to the legs.
 A run settles nothing, and nor does writing it; ``compare`` reads only peak
 slots, so a compare run settles the three runs' peaks and no off-peak slot.
 Settled cash is exact rationals throughout; floats appear only in prices,
@@ -158,14 +160,21 @@ class Positions:
                 yield bought(source, p.id, -net, 1)
 
     def legs(self) -> Iterator[Leg]:
-        """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``."""
-        fit, buy = Fraction(self.scenario.grid.fit_price), Fraction(self.buy_price)
+        """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``.
+
+        A leg is its price times its position, both exact floats, built as one
+        ``Fraction`` from their two integer ratios.
+        """
+        fit_num, fit_den = self.scenario.grid.fit_price.as_integer_ratio()
+        buy_num, buy_den = self.buy_price.as_integer_ratio()
         for p in self.scenario.prosumers:
             net = p.net_energy[self.slot]
             if net > 0:
-                yield p.id, fit * Fraction(net), _ZERO
+                num, den = net.as_integer_ratio()
+                yield p.id, Fraction(fit_num * num, fit_den * den), _ZERO
             elif net < 0:
-                yield p.id, _ZERO, buy * Fraction(-net)
+                num, den = (-net).as_integer_ratio()
+                yield p.id, _ZERO, Fraction(buy_num * num, buy_den * den)
 
 
 def _float(value: Fraction) -> float:

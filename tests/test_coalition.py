@@ -81,6 +81,44 @@ def test_trade_midmarket_buyer_price_cannot_undercut(same_object):
         Trade("s", "b", Fraction(1), sell, sell - Fraction(1, 10), Venue.MID_MARKET)
 
 
+# A block's terms, as a ledger presents them: ``as_trade`` checks the prices
+# once per block, and each trade's quantity on its own.
+def test_as_trade_block_with_an_undercut_raises_on_its_first_trade():
+    terms = as_trade(Venue.MID_MARKET, Fraction(12), Fraction(11))
+    with pytest.raises(DomainError, match="undercut"):
+        terms("s", "b", 1, 3)
+
+
+@pytest.mark.parametrize("venue", [Venue.AUCTION, Venue.GRID, Venue.THIRD_PARTY])
+def test_as_trade_single_price_block_with_a_spread_raises(venue):
+    terms = as_trade(venue, 12.0, 12.5)
+    with pytest.raises(DomainError, match="single price"):
+        terms("s", "b", 1, 3)
+    # A non-positive quantity in a failing block names the quantity, as ``Trade`` does.
+    with pytest.raises(DomainError, match="quantity"):
+        terms("s", "b", 0, 1)
+
+
+@pytest.mark.parametrize("venue", list(Venue))
+def test_as_trade_block_with_no_trades_raises_nothing(venue):
+    as_trade(venue, Fraction(12), Fraction(11))
+    as_trade(venue, 12.0, 12.5)
+
+
+@pytest.mark.parametrize("venue", list(Venue))
+@pytest.mark.parametrize("num, den", [(0, 1), (-1, 3), (0.0, 1), (-0.5, 1)])
+def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
+    price = Fraction(12)
+    terms = as_trade(venue, price, price)
+    before = terms("s", "b", 1, 3)
+    with pytest.raises(DomainError, match="quantity"):
+        terms("s", "b", num, den)
+    after = terms("s", "b", 2.5, 1)
+    assert before == Trade("s", "b", Fraction(1, 3), price, price, venue)
+    assert after == Trade("s", "b", Fraction(5, 2), price, price, venue)
+    assert hash(after) == hash(Trade("s", "b", Fraction(5, 2), price, price, venue))
+
+
 def test_mid_market_examples():
     sell, buy = mid_market_prices(14.0, 10.0, 0.1)
     assert sell == pytest.approx(12.0)

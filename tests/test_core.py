@@ -354,6 +354,7 @@ _LOADER_RULES = [
     pytest.param({("grid", "fit_price"): []}, "grid.fit_price: expected numbers", id="fit-type"),
     pytest.param({("grid", "a"): 0}, "grid.a must be > 0", id="a-positive"),
     pytest.param({("grid", "b"): -1.0}, "grid.b must be > 0", id="b-positive"),
+    pytest.param({("grid", "fit_price"): -5.0}, "grid.fit_price must be >= 0", id="fit-floor"),
     pytest.param({("grid", "offpeak_price"): 10.0}, "grid.offpeak_price must exceed grid.fit_price", id="offpeak-fit"),
     pytest.param({("grid", "threshold"): [1.0, -1.0]}, "grid.threshold entries must be >= 0", id="threshold-floor"),
     # MarketConfig
@@ -398,6 +399,11 @@ _LOADER_RULES = [
         {(*_P0, "net_energy"): [1.0], (*_P0, "alpha"): -1.0}, "prosumer p01: alpha must be > 0", id="length-and-alpha"
     ),
     pytest.param({("grid", "a"): -1.0, ("grid", "b"): -1.0}, "grid.a must be > 0", id="a-and-b"),
+    pytest.param(
+        {("grid", "fit_price"): -5.0, ("grid", "offpeak_price"): -6.0},
+        "grid.fit_price must be >= 0",
+        id="fit-and-offpeak",
+    ),
 ]
 
 
@@ -414,3 +420,15 @@ def test_loader_reports_each_rule_exactly(tmp_path, capsys, changes, message):
     code = main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["p2p", "grid-only", "third-party", "compare"])
+def test_negative_feed_in_tariff_exits_2_in_every_mode(tmp_path, capsys, mode):
+    data = scenario_to_dict(make_case_study_scenario(0, n_prosumers=6, slots=4))
+    data["grid"]["fit_price"] = -5.0
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(scenario_path), "--mode", mode, "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: grid.fit_price must be >= 0\n"
+    assert not (tmp_path / "run").exists()

@@ -1,11 +1,15 @@
 """Slot orchestration, baselines, settlement and comparison metrics."""
 
 import dataclasses
+import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import eager_pool_trades, payment, receipt
 from fixtures import (
@@ -14,7 +18,7 @@ from fixtures import (
     uniform_auction_scenario,
 )
 from gridp2p.auction import Fill
-from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Venue, mid_market_prices
+from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue, mid_market_prices
 from gridp2p.core import (
     DomainError,
     GridPolicy,
@@ -406,6 +410,18 @@ def test_pickled_report_equals_fresh_run():
         assert pickle.loads(pickle.dumps(run(scenario))) == run(scenario)
 
 
+def test_a_report_with_read_peak_trades_pickles_equal_trades():
+    report = run_horizon(make_case_study_scenario(3, n_prosumers=24))
+    read = {s.slot: s.trades for s in report.slots if s.structure is not None}
+    assert sum(map(len, read.values())) > 50
+    loaded = pickle.loads(pickle.dumps(report))
+    for s in loaded.slots:
+        if s.slot in read:
+            assert "trades" in vars(s)
+            assert s.trades == read[s.slot]
+            assert all(type(t) is Trade for t in s.trades)
+
+
 _RUNS = [run_horizon, baseline_grid_only, baseline_third_party]
 
 
@@ -416,6 +432,46 @@ def test_each_slot_signal_carries_the_demand_it_priced(run):
     for scenario in scenarios:
         for s in run(scenario).slots:
             assert s.price_signal.demand == total_prosumer_demand(scenario.prosumers, s.slot), s.slot
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MAX = 1.7976931348623157e308
+
+
+@given(price=_FINITE, net=_FINITE.filter(bool))
+@example(price=5e-324, net=5e-324)
+@example(price=2.2250738585072014e-308, net=-4.9e-322)
+@example(price=_MAX, net=_MAX)
+@example(price=_MAX, net=-1e308)
+@example(price=1e-300, net=-_MAX)
+def test_whole_position_leg_is_the_exact_product(price, net):
+    # Any finite floats, whether or not a scenario would accept them.
+    prosumer = SimpleNamespace(id="p", net_energy=(net,))
+    scenario = SimpleNamespace(grid=SimpleNamespace(fit_price=price), prosumers=(prosumer,))
+    ((pid, revenue, cost),) = engine.Positions(scenario, 0, price, Venue.GRID).legs()
+    leg = Fraction(price) * Fraction(abs(net))
+    assert (pid, revenue, cost) == (("p", leg, 0) if net > 0 else ("p", 0, leg))
+
+
+_GOLDEN_COMPARE = sorted(json.loads((Path(__file__).parent / "golden_sha256.json").read_text())["compare"])
+
+
+@pytest.mark.parametrize("case", _GOLDEN_COMPARE)
+def test_peak_totals_equal_the_one_at_a_time_sums_of_the_trades(case):
+    seed, n = map(int, case.removeprefix("seed").split("-n"))
+    scenario = make_case_study_scenario(seed, n_prosumers=n)
+    for run in _RUNS:
+        report = run(scenario)
+        revenue = {p.id: Fraction(0) for p in scenario.prosumers}
+        cost = dict(revenue)
+        for s in report.slots:
+            if s.price_signal.peak_flag:
+                for t in s.trades:
+                    if t.seller_id in revenue:
+                        revenue[t.seller_id] += receipt(t)
+                    if t.buyer_id in cost:
+                        cost[t.buyer_id] += payment(t)
+        assert aggregate_slots(scenario, report.slots)[1:] == (revenue, cost), run.__name__
 
 
 def _unread_offpeak_slot(run):
