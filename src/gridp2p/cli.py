@@ -17,6 +17,7 @@ import dataclasses
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .core import (
     AuctionPriceRule,
@@ -99,23 +100,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ),
         )
 
+    runner = {
+        "compare": run_horizon,
+        MODE_P2P: run_horizon,
+        MODE_GRID_ONLY: baseline_grid_only,
+        MODE_THIRD_PARTY: baseline_third_party,
+    }[args.mode]
+    report = runner(scenario)
+    metrics = None
     if args.mode == "compare":
-        report = run_horizon(scenario)
         # Compared before anything is written, so a run that cannot be
         # compared leaves no files.
         metrics = compare(report, baseline_grid_only(scenario), baseline_third_party(scenario))
+    try:
         write_run(report, args.out)
-        write_summary(metrics, args.out)
-    else:
-        runner = {
-            MODE_P2P: run_horizon,
-            MODE_GRID_ONLY: baseline_grid_only,
-            MODE_THIRD_PARTY: baseline_third_party,
-        }[args.mode]
-        report = runner(scenario)
-        write_run(report, args.out)
-    if args.dump_orders:
-        write_order_dump(report, args.out)
+        if metrics is not None:
+            write_summary(metrics, args.out)
+        if args.dump_orders:
+            write_order_dump(report, args.out)
+    except BaseException:
+        # A run that fails after its trades are written leaves none either,
+        # so the audit rejects its directory.
+        Path(args.out, "trades.csv").unlink(missing_ok=True)
+        raise
     log.info("wrote %s run to %s", args.mode, args.out)
     return EXIT_OK
 

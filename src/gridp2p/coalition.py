@@ -157,7 +157,7 @@ class Pool:
             pair = terms(self.venue, self.sell_price, self.buy_price)
             shares = [
                 (f.prosumer_id, f.cleared.numerator * m.denominator, f.cleared.denominator * m.numerator)
-                for f in self.buyers if f.cleared > 0
+                for f in self.buyers if f.cleared.numerator > 0
             ]
             for f in self.sellers:
                 n, d, sid = f.cleared.numerator, f.cleared.denominator, f.prosumer_id
@@ -165,23 +165,40 @@ class Pool:
                     yield from [pair(sid, bid, n * b_num, d * b_den) for bid, b_num, b_den in shares]
         sold = terms(Venue.GRID, self.fit, self.fit)
         for f in self.sellers:
-            if (residual := f.unfilled) > 0:
-                yield sold(f.prosumer_id, GRID_ID, residual.numerator, residual.denominator)
+            if (residual := _unfilled(f))[0] > 0:
+                yield sold(f.prosumer_id, GRID_ID, *residual)
         bought = terms(Venue.THIRD_PARTY, self.third, self.third)
         for f in self.buyers:
-            if (residual := f.unfilled) > 0:
-                yield bought(THIRD_PARTY_ID, f.prosumer_id, residual.numerator, residual.denominator)
+            if (residual := _unfilled(f))[0] > 0:
+                yield bought(THIRD_PARTY_ID, f.prosumer_id, *residual)
 
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its own fill.
 
         The pairwise trades of :meth:`present` sum exactly to each fill, so every
-        leg is computed in O(S+B) without building them.
+        leg is computed in O(S+B) without building them, each as one ``Fraction``
+        from its fill's and prices' integer ratios.
         """
         for f in self.sellers:
-            yield f.prosumer_id, self.sell_price * f.cleared + self.fit * f.unfilled, _ZERO
+            yield f.prosumer_id, _fill_value(f, self.sell_price, self.fit), _ZERO
         for f in self.buyers:
-            yield f.prosumer_id, _ZERO, self.buy_price * f.cleared + self.third * f.unfilled
+            yield f.prosumer_id, _ZERO, _fill_value(f, self.buy_price, self.third)
+
+
+def _unfilled(fill: Fill) -> tuple[int, int]:
+    """``fill.submitted - fill.cleared`` as an integer ratio, not reduced: ``(num, den)`` with ``den > 0``."""
+    sn, sd = fill.submitted.as_integer_ratio()
+    cn, cd = fill.cleared.as_integer_ratio()
+    return sn * cd - cn * sd, sd * cd
+
+
+def _fill_value(fill: Fill, price: Fraction, residual_price: Fraction) -> Fraction:
+    """``price * cleared + residual_price * (submitted - cleared)`` over one denominator, as one ``Fraction``."""
+    pn, pd = price.as_integer_ratio()
+    rn, rd = residual_price.as_integer_ratio()
+    cn, cd = fill.cleared.as_integer_ratio()
+    un, ud = _unfilled(fill)
+    return Fraction(pn * cn * rd * ud + rn * un * pd * cd, pd * cd * rd * ud)
 
 
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
@@ -313,18 +330,22 @@ def check_dhp_stability(
 
     So whenever some group gains strictly, some prosumer gains strictly alone,
     and the one-prosumer moves decide stability.
+
+    Each move's cash, ``±price * qty``, is compared with the cash before by
+    integer cross-multiplication; a ``Fraction`` is built only for a witness.
     """
     for pid in structure.auction_members + structure.midmarket_members:
         before = ctx.cash[pid]
+        bn, bd = before.as_integer_ratio()
         if pid in ctx.surplus:
-            moves = (("grid_alone", ctx.fit_price * ctx.surplus[pid]),)
+            sign, qty, moves = 1, ctx.surplus[pid], (("grid_alone", ctx.fit_price),)
         else:
-            qty = ctx.deficit[pid]
-            moves = (
-                ("grid_alone", -ctx.grid_selling_price * qty),
-                ("third_party_alone", -ctx.third_party_price * qty),
-            )
-        for kind, after in moves:
-            if after > before:
-                return StabilityVerdict(stable=False, witness=Deviation(kind, pid, before, after))
+            sign, qty = -1, ctx.deficit[pid]
+            moves = (("grid_alone", ctx.grid_selling_price), ("third_party_alone", ctx.third_party_price))
+        qn, qd = qty.as_integer_ratio()
+        for kind, price in moves:
+            pn, pd = price.as_integer_ratio()
+            num, den = sign * pn * qn, pd * qd
+            if num * bd > bn * den:
+                return StabilityVerdict(stable=False, witness=Deviation(kind, pid, before, Fraction(num, den)))
     return StabilityVerdict(stable=True)

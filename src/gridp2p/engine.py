@@ -15,13 +15,16 @@ yields each participant's leg: its revenue and cost, read off its own fill or
 position in O(S+B). ``write_run`` formats ``trades.csv`` block by block; a
 slot's ``trades`` are the same blocks presented by ``as_trade``, which checks
 each block's prices once, and its ``per_prosumer`` is settled from the legs
-by ``_settle``, each when first read; a pickle keeps the ledger. A
-whole-position leg is one ``Fraction`` built from its price's and position's
-integer ratios. The pairwise trades sum exactly to the legs.
+by ``_settle``, each when first read; a pickle keeps the ledger. The
+pairwise trades sum exactly to the legs.
 A run settles nothing, and nor does writing it; ``compare`` reads only peak
 slots, so a compare run settles the three runs' peaks and no off-peak slot.
-Settled cash is exact rationals throughout; floats appear only in prices,
-system costs, metrics and emitted reports.
+Settled cash is exact rationals throughout, computed from integer ratios
+with one ``Fraction`` per settled value: a pool or whole-position leg from its
+prices' and quantities' integer ratios, a prosumer's peak total from a
+reduced integer ratio, and ``compare``'s floats each from one correctly
+rounded int division. Floats appear only in prices, system costs, metrics
+and emitted reports.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -177,12 +181,27 @@ class Positions:
                 yield p.id, _ZERO, Fraction(buy_num * num, buy_den * den)
 
 
-def _float(value: Fraction) -> float:
-    """``value`` as a float, or an infinity of its sign where it is too large for one."""
+def _ratio(num: int, den: int) -> float:
+    """``num / den``, for ``den > 0``, as a float, or an infinity of its sign where it is too large for one.
+
+    Int true division is correctly rounded, so this is ``float(Fraction(num, den))`` bit for bit.
+    """
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
+
+
+def _add_ratio(total: tuple[int, int], value: Fraction) -> tuple[int, int]:
+    """``total + value`` as a reduced integer ratio ``(num, den)``, ``den > 0``.
+
+    Reducing at every add keeps a long sum's integers as small as its value's.
+    """
+    n, d = total
+    vn, vd = value.as_integer_ratio()
+    n, d = n * vd + vn * d, d * vd
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
@@ -218,7 +237,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         fit_price=grid.fit_price,
         third_party_price=market.third_party_price,
     )
-    if not math.isfinite(_float(mid_pool.buy_price)):
+    if not math.isfinite(_ratio(*mid_pool.buy_price.as_integer_ratio())):
         raise ConfigurationError(f"slot {slot}: the mid-market buying price overflows a float")
     ledger = (mid_pool,)
     if not outcome.is_empty:
@@ -265,8 +284,11 @@ def _baseline_slot(scenario: Scenario, slot: int, mode: str, signal: PriceSignal
 def aggregate_slots(
     scenario: Scenario, slots: Sequence[SlotResult]
 ) -> tuple[float, dict[str, Fraction], dict[str, Fraction]]:
-    """The system cost, and each prosumer's revenue and cost, summed over the peak slots."""
-    revenue = {p.id: _ZERO for p in scenario.prosumers}
+    """The system cost, and each prosumer's revenue and cost, summed over the peak slots.
+
+    Each sum is kept as a reduced integer ratio and built as one ``Fraction`` at the end.
+    """
+    revenue = {p.id: (0, 1) for p in scenario.prosumers}
     cost = dict(revenue)
     cps_peak = 0.0
     for s in slots:
@@ -276,9 +298,10 @@ def aggregate_slots(
         # Every settled leg has one zero side, and an idle prosumer two.
         for pid, settled in s.per_prosumer.items():
             if settled.revenue:
-                revenue[pid] += settled.revenue
+                revenue[pid] = _add_ratio(revenue[pid], settled.revenue)
             if settled.cost:
-                cost[pid] += settled.cost
+                cost[pid] = _add_ratio(cost[pid], settled.cost)
+    revenue, cost = ({pid: Fraction(*ratio) for pid, ratio in sums.items()} for sums in (revenue, cost))
     return cps_peak, revenue, cost
 
 
@@ -324,8 +347,9 @@ def stability_context(scenario: Scenario, result: SlotResult) -> StabilityContex
             surplus[p.id] = Fraction(net)
         else:
             deficit[p.id] = Fraction(-net)
+        # A settled leg has one zero side, so its cash is the other side.
         settled = result.per_prosumer[p.id]
-        cash[p.id] = settled.revenue - settled.cost
+        cash[p.id] = settled.revenue or -settled.cost
     return StabilityContext(
         surplus=surplus,
         deficit=deficit,
@@ -404,8 +428,18 @@ def compare(
     ids = [p.id for p in scenario.prosumers]
 
     def pct(high: dict[str, Fraction], low: dict[str, Fraction], base: dict[str, Fraction]) -> dict[str, float]:
-        """(high - low) / base as a percentage, for each prosumer whose base is > 0, in prosumer order."""
-        return {pid: _float((high[pid] - low[pid]) / base[pid]) * 100.0 for pid in ids if base[pid] > 0}
+        """(high - low) / base as a percentage, for each prosumer whose base is > 0, in prosumer order.
+
+        Each ratio is one int division of the three values' integer cross-products.
+        """
+        out = {}
+        for pid in ids:
+            bn, bd = base[pid].as_integer_ratio()
+            if bn > 0:
+                hn, hd = high[pid].as_integer_ratio()
+                ln, ld = low[pid].as_integer_ratio()
+                out[pid] = _ratio((hn * ld - ln * hd) * bd, hd * ld * bn) * 100.0
+        return out
 
     tables = {
         "seller_uplift_pct": pct(rev_p2p, rev_grid, rev_grid),
@@ -414,7 +448,7 @@ def compare(
         "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
     }
     averages = {f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()}
-    mean_cost = lambda cost: _float(sum(cost.values(), _ZERO)) / len(ids)
+    mean_cost = lambda cost: _ratio(*reduce(_add_ratio, cost.values(), (0, 1))) / len(ids)
     return MetricsTable(
         **tables,
         **averages,

@@ -79,8 +79,19 @@ def _trade_lines(report: SimulationReport) -> Iterator[str]:
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:
+    """Write the run's four CSVs into ``out_dir``, each created new.
+
+    The files a run writes, and the ``summary.csv`` and ``orders.csv`` an
+    earlier run may have left, are removed first. ``trades.csv`` is written under a temporary name
+    and renamed into place once complete, so a run cut while writing leaves
+    no ``trades.csv``, and the audit rejects its directory.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    partial = out / "trades.csv.partial"
+    for name in ("prices.csv", "cps_cost.csv", "coalitions.csv", "trades.csv", partial.name,
+                 "summary.csv", "orders.csv"):
+        (out / name).unlink(missing_ok=True)
 
     prices = []
     costs = []
@@ -97,9 +108,10 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
     _write_csv(out / "prices.csv", PRICES_HEADER, prices)
     _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
     _write_csv(out / "coalitions.csv", COALITIONS_HEADER, coalitions)
-    with (out / "trades.csv").open("w", encoding="utf-8") as fh:
+    with partial.open("w", encoding="utf-8") as fh:
         fh.write(",".join(TRADES_HEADER) + "\n")
         fh.writelines(_trade_lines(report))
+    partial.rename(out / "trades.csv")
 
 
 def write_summary(metrics: MetricsTable, out_dir: str | Path) -> None:

@@ -302,6 +302,39 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     assert list(pool.legs()) == [(f.prosumer_id, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
 
+# Any non-negative finite float, subnormals and the largest included, or any
+# non-negative rational, as a fee-bearing price or a pro-rata share is.
+_ANY_FLOAT = st.floats(min_value=0.0, allow_infinity=False)
+_ANY_AMOUNT = st.one_of(_ANY_FLOAT.map(Fraction), st.fractions(min_value=0))
+_MAX = Fraction(1.7976931348623157e308)
+_TINY = Fraction(5e-324)
+
+
+@st.composite
+def _fills(draw, side):
+    """Fills that clear nothing, everything, or a part of what they submitted."""
+    fills = []
+    for i in range(draw(st.integers(0, 3))):
+        submitted = draw(_ANY_AMOUNT)
+        cleared = draw(st.sampled_from([Fraction(0), submitted]) | st.fractions(0, 1).map(submitted.__mul__))
+        fills.append(Fill(f"{side}{i}", submitted, cleared))
+    return fills
+
+
+@given(_fills("s"), _fills("b"), *[_ANY_AMOUNT] * 4)
+@example([Fill("s0", _MAX, _TINY)], [Fill("b0", _MAX, _MAX - _TINY)], _MAX, _MAX, _TINY, _MAX)
+@example([Fill("s0", _TINY, Fraction(0))], [Fill("b0", _TINY, _TINY)], _TINY, _MAX, _MAX, _TINY)
+@example([Fill("s0", Fraction(3), Fraction(1))], [Fill("b0", Fraction(2), Fraction(1))], Fraction(0), Fraction(1),
+         Fraction(0), Fraction(0))
+def test_pool_leg_is_the_fraction_operator_form(sellers, buyers, sell, buy, fit, third):
+    # Each leg, built from integer ratios, equals the same sum taken through
+    # Fraction operators; the matched total does not enter a leg.
+    pool = Pool(sellers, buyers, Fraction(0), Venue.MID_MARKET, sell, buy, fit, third)
+    assert list(pool.legs()) == [
+        (f.prosumer_id, sell * f.cleared + fit * (f.submitted - f.cleared), 0) for f in sellers
+    ] + [(f.prosumer_id, 0, buy * f.cleared + third * (f.submitted - f.cleared)) for f in buyers]
+
+
 @given(
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),

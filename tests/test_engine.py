@@ -474,6 +474,93 @@ def test_peak_totals_equal_the_one_at_a_time_sums_of_the_trades(case):
         assert aggregate_slots(scenario, report.slots)[1:] == (revenue, cost), run.__name__
 
 
+def _fraction_totals(scenario, report):
+    """Each prosumer's peak revenue and cost, added one ``Fraction`` at a time."""
+    revenue = {p.id: Fraction(0) for p in scenario.prosumers}
+    cost = dict(revenue)
+    for s in report.slots:
+        if s.price_signal.peak_flag:
+            for pid, settled in s.per_prosumer.items():
+                revenue[pid] += settled.revenue
+                cost[pid] += settled.cost
+    return revenue, cost
+
+
+def _oracle_metrics(scenario, p2p, grid_only, third_party):
+    """``compare`` through ``Fraction`` operators and ``float()``: the reference its integer forms match bit for bit."""
+    ids = [p.id for p in scenario.prosumers]
+    (rev_p2p, cost_p2p), (rev_grid, cost_grid), (_, cost_tp) = (
+        _fraction_totals(scenario, r) for r in (p2p, grid_only, third_party)
+    )
+
+    def pct(high, low, base):
+        return {pid: float((high[pid] - low[pid]) / base[pid]) * 100.0 for pid in ids if base[pid] > 0}
+
+    tables = {
+        "seller_uplift_pct": pct(rev_p2p, rev_grid, rev_grid),
+        "buyer_savings_vs_grid_pct": pct(cost_grid, cost_p2p, cost_grid),
+        "buyer_savings_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_tp),
+        "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
+    }
+    cps = {}
+    for name, report in (("with_p2p", p2p), ("without_p2p", grid_only)):
+        cps[f"cps_cost_{name}"] = 0.0
+        for s in report.slots:
+            if s.price_signal.peak_flag:
+                cps[f"cps_cost_{name}"] += s.cps_cost
+    return engine.MetricsTable(
+        **tables,
+        **{f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()},
+        **cps,
+        **{
+            f"avg_cost_per_prosumer_{name}": float(sum(cost.values(), Fraction(0))) / len(ids)
+            for name, cost in (("p2p", cost_p2p), ("grid_only", cost_grid), ("third_party", cost_tp))
+        },
+    )
+
+
+def _bits(table):
+    """Every field of a ``MetricsTable``, each float as its exact bits, dicts in order."""
+    def exact(value):
+        return None if value is None else value.hex()
+
+    return {
+        f.name: [(k, exact(v)) for k, v in value.items()] if isinstance(value, dict) else exact(value)
+        for f in dataclasses.fields(table)
+        for value in (getattr(table, f.name),)
+    }
+
+
+@pytest.mark.parametrize("case", _GOLDEN_COMPARE)
+def test_compare_is_bit_identical_to_the_fraction_operator_oracle(case):
+    seed, n = map(int, case.removeprefix("seed").split("-n"))
+    scenario = make_case_study_scenario(seed, n_prosumers=n)
+    reports = [run(scenario) for run in _RUNS]
+    assert _bits(compare(*reports)) == _bits(_oracle_metrics(scenario, *reports))
+
+
+def test_many_peak_sums_stay_reduced(monkeypatch):
+    # Every one of 300 slots peaks, so each prosumer's sums take hundreds of adds.
+    base = make_case_study_scenario(11, slots=300)
+    scenario = dataclasses.replace(base, grid=dataclasses.replace(base.grid, threshold=(0.0,) * 300))
+    add = engine._add_ratio
+    adds = []
+
+    def checked(total, value):
+        result = add(total, value)
+        adds.append((Fraction(*total) + value, result))
+        return result
+
+    monkeypatch.setattr(engine, "_add_ratio", checked)
+    for run in _RUNS:
+        report = run(scenario)
+        assert sum(s.price_signal.peak_flag for s in report.slots) == 300
+        assert aggregate_slots(scenario, report.slots)[1:] == _fraction_totals(scenario, report), run.__name__
+    # Each intermediate pair is the running sum with a denominator no larger than the reduced one's.
+    assert len(adds) >= 3 * 300 * 6
+    assert all(result == (exact.numerator, exact.denominator) for exact, result in adds)
+
+
 def _unread_offpeak_slot(run):
     """An off-peak slot of ``run`` on a case study that nothing has read yet."""
     report = run(make_case_study_scenario(8))

@@ -30,6 +30,7 @@ from gridp2p.core import (
     make_case_study_scenario,
     save_scenario,
 )
+from gridp2p import reports
 from gridp2p.engine import Positions, baseline_grid_only, baseline_third_party, run_horizon
 from gridp2p.reports import _fmt, _trade_lines, audit_run, write_run
 
@@ -739,6 +740,55 @@ def test_cli_compare_that_fails_writes_nothing(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--seed", "0", "--slots", "4", "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: comparison failed\n"
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def _cut_trades(monkeypatch):
+    """Make every ``trades.csv`` stream raise ``OSError`` halfway, after whole lines."""
+    whole = reports._trade_lines
+
+    def cut(report):
+        lines = list(whole(report))
+        yield from lines[: len(lines) // 2]
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(reports, "_trade_lines", cut)
+
+
+def test_a_run_cut_while_writing_its_trades_fails_the_audit(tmp_path, monkeypatch):
+    report = run_horizon(make_case_study_scenario(3))
+    write_run(report, tmp_path)  # an earlier, complete run in the same directory
+    assert audit_run(tmp_path) == []
+    _cut_trades(monkeypatch)
+    with pytest.raises(OSError):
+        write_run(report, tmp_path)
+    assert not (tmp_path / "trades.csv").exists()
+    assert audit_run(tmp_path)
+
+
+def _fail_summary(monkeypatch):
+    def fail(metrics, out_dir):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("gridp2p.cli.write_summary", fail)
+
+
+@pytest.mark.parametrize("fail", [_cut_trades, _fail_summary], ids=["trades", "summary"])
+def test_cli_run_that_fails_while_writing_leaves_a_directory_the_audit_rejects(tmp_path, monkeypatch, fail):
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "0", "--slots", "6", "--out", str(out)]) == EXIT_OK
+    fail(monkeypatch)
+    assert main(["simulate", "--seed", "1", "--slots", "6", "--out", str(out)]) == EXIT_IO
+    assert not (out / "trades.csv").exists()
+    assert main(["audit", "--dir", str(out)]) == EXIT_FAILURE
+
+
+def test_a_single_mode_run_into_a_compare_run_leaves_no_stale_files(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--seed", "0", "--dump-orders", "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.csv").exists() and (out / "orders.csv").exists()
+    assert main(["simulate", "--seed", "0", "--mode", "p2p", "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["coalitions.csv", "cps_cost.csv", "prices.csv", "trades.csv"]
+    assert audit_run(out) == []
 
 
 def test_cli_missing_scenario_is_io_error(tmp_path):
