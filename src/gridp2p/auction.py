@@ -48,10 +48,6 @@ class Fill:
     submitted: Fraction
     cleared: Fraction
 
-    @property
-    def unfilled(self) -> Fraction:
-        return self.submitted - self.cleared
-
 
 @dataclass(frozen=True)
 class AuctionOutcome:

@@ -49,15 +49,21 @@ Terms = Callable[[Venue, "float | Fraction", "float | Fraction"], Callable[[str,
 Leg = tuple[str, Fraction, Fraction]
 
 
+def _price_error(venue: Venue, seller_price: Fraction, buyer_price: Fraction) -> str | None:
+    """Why a trade's prices fail, or None: a mid-market buyer may not undercut the seller; other venues have one price."""
+    if venue is Venue.MID_MARKET:
+        return "mid-market buyer price cannot undercut the seller price" if buyer_price < seller_price else None
+    return f"{venue.value} trades settle at a single price" if buyer_price != seller_price else None
+
+
 @dataclass(frozen=True, slots=True)
 class Trade:
     """A settled energy transfer between two parties.
 
     Prices are exact rationals so that conservation identities hold exactly;
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
-    network fee. The quantity's sign is read off its numerator, and a trade
-    whose two prices are the same object has no spread to test. A slot's
-    trades come from :func:`as_trade`, which checks each block's prices once.
+    network fee, as :func:`_price_error` checks. A slot's trades come from
+    :func:`as_trade`, which checks each block's prices once, by the same rule.
     """
 
     seller_id: str
@@ -70,13 +76,8 @@ class Trade:
     def __post_init__(self) -> None:
         if self.quantity.numerator <= 0:
             raise DomainError("trade quantity must be > 0")
-        if self.buyer_price is self.seller_price:
-            return
-        if self.venue is Venue.MID_MARKET:
-            if self.buyer_price < self.seller_price:
-                raise DomainError("mid-market buyer price cannot undercut the seller price")
-        elif self.buyer_price != self.seller_price:
-            raise DomainError(f"{self.venue.value} trades settle at a single price")
+        if error := _price_error(self.venue, self.seller_price, self.buyer_price):
+            raise DomainError(error)
 
 
 # Trade's slots, each set directly: a trade whose checks have passed needs
@@ -204,26 +205,21 @@ def _fill_value(fill: Fill, price: Fraction, residual_price: Fraction) -> Fracti
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
     """The terms that present each trade as a :class:`Trade`, its prices exact.
 
-    The block's prices are checked once, by a probe trade of one kWh. Where
-    they pass, each trade is built without ``Trade.__init__``, and only its
-    quantity's sign is checked. Any trade that would fail, by a non-positive
-    quantity or in a block whose prices fail, is built by ``Trade`` itself,
-    so it raises the same error in the same order; a block with no trades
-    raises nothing.
+    The block's prices are checked once, by :func:`_price_error`, and each
+    trade is built without ``Trade.__init__``. A trade raises what ``Trade``
+    would, in its order: a non-positive quantity, then the block's price
+    error; a block with no trades raises nothing.
     """
     sell = Fraction(seller_price)
     buy = sell if buyer_price is seller_price else Fraction(buyer_price)
-    try:
-        Trade(GRID_ID, GRID_ID, Fraction(1), sell, buy, venue)
-    except DomainError:
-        priced = False
-    else:
-        priced = True
+    error = _price_error(venue, sell, buy)
 
     def trade(seller: str, buyer: str, num: int | float, den: int) -> Trade:
         quantity = Fraction(num) if den == 1 else Fraction(num, den)
-        if not priced or quantity.numerator <= 0:
-            return Trade(seller, buyer, quantity, sell, buy, venue)
+        if quantity.numerator <= 0:
+            raise DomainError("trade quantity must be > 0")
+        if error:
+            raise DomainError(error)
         t = object.__new__(Trade)
         _SET_SELLER(t, seller)
         _SET_BUYER(t, buyer)

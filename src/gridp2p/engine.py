@@ -7,16 +7,16 @@ horizon without peer trading (everything through the grid, or deficits
 through the third party), and ``compare`` distills the three runs into the
 cost and revenue metrics of interest.
 
-Every slot carries one ledger: a pooled peak its auction and mid-market
-pools, a whole-position slot (every off-peak slot, and both baselines' peaks)
-its :class:`Positions`. Each part of a ledger presents the slot's trades in
-one fixed order, a block of trades sharing a venue and prices at a time, and
-yields each participant's leg: its revenue and cost, read off its own fill or
-position in O(S+B). ``write_run`` formats ``trades.csv`` block by block; a
-slot's ``trades`` are the same blocks presented by ``as_trade``, which checks
-each block's prices once, and its ``per_prosumer`` is settled from the legs
-by ``_settle``, each when first read; a pickle keeps the ledger. The
-pairwise trades sum exactly to the legs.
+Every slot carries one ledger, its ``ledger`` field: a pooled peak its
+auction and mid-market pools, a whole-position slot (every off-peak slot, and
+both baselines' peaks) its :class:`Positions`. Each part of a ledger presents
+the slot's trades in one fixed order, a block of trades sharing a venue and
+prices at a time, and yields each participant's leg: its revenue and cost,
+read off its own fill or position in O(S+B). ``write_run`` formats every
+slot's ``trades.csv`` lines from its ledger, block by block; its ``trades``
+are the same blocks presented by ``as_trade``, and its ``per_prosumer`` is
+settled from the legs by ``_settle``, each when first read. ``replace``,
+``copy`` and a pickle keep the ledger. The trades sum exactly to the legs.
 A run settles nothing, and nor does writing it; ``compare`` reads only peak
 slots, so a compare run settles the three runs' peaks and no off-peak slot.
 Settled cash is exact rationals throughout, computed from integer ratios
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -75,14 +75,15 @@ class ProsumerSlot:
 
 @dataclass(frozen=True)
 class SlotResult:
-    """One slot's price signal, coalition structure, trades, system cost and settlement.
+    """One slot's price signal, coalition structure, system cost and ledger, with its trades and settlement.
 
-    A slot built by :meth:`deferred` keeps its scenario and its ledger, and
-    fills ``trades`` from the ledger's presentation and ``per_prosumer`` from
-    its legs on first read. Each is then an ordinary field. Every reader of
-    the fields fills them first, so ``dataclasses.replace``, ``==`` and
-    ``repr`` see settled values; ``copy`` and pickle keep the ledger, so a
-    loaded slot stays lazy. Later reads return the stored objects.
+    The ledger is the slot's one source: ``present`` reads only it, and
+    ``trades`` and ``per_prosumer`` are views of it. A slot built by
+    :meth:`deferred` fills each view on first read, from the ledger's
+    presentation and its legs, then keeps it as an ordinary, replaceable
+    field; every reader of the fields fills them first, so ``==`` and
+    ``repr`` see settled values. ``dataclasses.replace``, ``copy`` and pickle
+    keep the ledger, so a loaded slot stays lazy.
     """
 
     slot: int
@@ -91,30 +92,27 @@ class SlotResult:
     trades: tuple[Trade, ...]
     cps_cost: float
     per_prosumer: dict[str, ProsumerSlot]
+    ledger: Sequence[Pool | Positions] = field(compare=False, repr=False)
 
     @classmethod
     def deferred(cls, scenario: Scenario, ledger: Sequence[Pool | Positions], **fields) -> SlotResult:
         """A slot given every field but ``trades`` and ``per_prosumer``, which ``ledger`` yields."""
         result = object.__new__(cls)
-        result.__dict__.update(fields, _scenario=scenario, _ledger=ledger)
+        result.__dict__.update(fields, _scenario=scenario, ledger=ledger)
         return result
 
     def __getattr__(self, name: str):
         # Reached only when the normal lookup fails: for a field not yet
         # filled from the ledger, or for a name the slot does not have.
-        if "_ledger" in self.__dict__:
-            if name == "trades":
-                object.__setattr__(self, "trades", tuple(self.present(as_trade)))
-            elif name == "per_prosumer":
-                object.__setattr__(self, "per_prosumer", _settle(self._scenario, self._ledger))
+        if name == "trades":
+            object.__setattr__(self, "trades", tuple(self.present(as_trade)))
+        elif name == "per_prosumer":
+            object.__setattr__(self, "per_prosumer", _settle(self._scenario, self.ledger))
         return object.__getattribute__(self, name)
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
-        """The slot's trades, presented by ``terms``: its ledger's blocks, or each of its ``trades`` as one."""
-        if "_ledger" in self.__dict__:
-            return chain.from_iterable(part.present(terms) for part in self._ledger)
-        return (terms(t.venue, t.seller_price, t.buyer_price)(t.seller_id, t.buyer_id, *t.quantity.as_integer_ratio())
-                for t in self.trades)
+        """The slot's trades, presented by ``terms``: its ledger's blocks, in order."""
+        return chain.from_iterable(part.present(terms) for part in self.ledger)
 
 
 @dataclass(frozen=True)

@@ -221,8 +221,9 @@ def audit_run(run_dir: str | Path) -> list[str]:
     coalition rows form a partition; that every trade has a known venue and a
     slot in ``prices.csv``, is between two different parties, stays inside
     its coalition and is priced like every other trade of its slot and venue
-    (grid sales and grid purchases apart); and that nobody buys from the grid
-    at a peak slot.
+    (grid sales and grid purchases apart); that nobody buys from the grid
+    at a peak slot; and, in a run that lists coalitions, that the slots
+    ``prices.csv`` flags as peaks are exactly those with coalition rows.
 
     Every file is checked one row at a time as it is read. The audit keeps
     each slot's peak flag and coalitions, the first price pair of each slot
@@ -236,7 +237,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
     full check, so the problems are those of checking every row in full.
 
     Problems are listed in one fixed order: malformed rows, file by file,
-    then slot coverage, double membership, the trade problems in row order
+    then slot coverage, double membership, peak flags that disagree with the
+    coalitions, the trade problems in row order
     (an unknown venue, a missing slot or a second price once per slot and
     venue) and ``summary.csv``'s problems.
     """
@@ -257,6 +259,13 @@ def audit_run(run_dir: str | Path) -> list[str]:
             if member in slot_members:
                 found.append(f"slot {slot}: prosumer {member} appears in more than one coalition")
             slot_members[member] = coalition
+        # A peer-trading run lists coalitions at exactly its peak slots; a baseline lists none.
+        if membership:
+            for slot, flag in peak.items():
+                if flag and slot not in membership:
+                    found.append(f"slot {slot}: a peak slot without coalitions")
+                elif not flag and slot in membership:
+                    found.append(f"slot {slot}: coalitions at an off-peak slot")
 
         # The (seller price, buyer price) text of each (slot, venue, grid
         # sells) group's first row, which every later row must repeat.

@@ -162,9 +162,9 @@ def eager_pool_trades(sellers, buyers, matched, venue, sell_price, buy_price, fi
             for bid, b_cleared in filled:
                 trades.append(Trade(f.prosumer_id, bid, ratio * b_cleared, sell_price, buy_price, venue))
     for f in sellers:
-        if f.unfilled > 0:
-            trades.append(Trade(f.prosumer_id, GRID_ID, f.unfilled, fit, fit, Venue.GRID))
+        if (unfilled := f.submitted - f.cleared) > 0:
+            trades.append(Trade(f.prosumer_id, GRID_ID, unfilled, fit, fit, Venue.GRID))
     for f in buyers:
-        if f.unfilled > 0:
-            trades.append(Trade(THIRD_PARTY_ID, f.prosumer_id, f.unfilled, third, third, Venue.THIRD_PARTY))
+        if (unfilled := f.submitted - f.cleared) > 0:
+            trades.append(Trade(THIRD_PARTY_ID, f.prosumer_id, unfilled, third, third, Venue.THIRD_PARTY))
     return trades

@@ -235,3 +235,13 @@ def test_delivery_dimension_mismatch():
     out = clear(book([ask("s1", 11.0, 5.0)], [bid("b1", 15.0, 4.0)]))
     with pytest.raises(DomainError):
         verify_truthful_delivery(out, {"s1": 4.0, "ghost": 1.0})
+
+
+@pytest.mark.parametrize("asks, bids", [
+    ([ask("a", 11.0, 1.0), ask("a", 12.0, 1.0)], [bid("b", 13.0, 1.0)]),
+    ([ask("a", 11.0, 1.0)], [bid("b", 13.0, 1.0), bid("b", 14.0, 2.0)]),
+], ids=["asks", "bids"])
+def test_a_duplicate_id_on_one_side_of_the_book_is_rejected(asks, bids):
+    with pytest.raises(DomainError) as info:
+        book(asks, bids)
+    assert info.type is DomainError and str(info.value) == "duplicate prosumer id on one side of the book"

@@ -15,7 +15,7 @@ from fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
-from gridp2p.auction import EMPTY_OUTCOME, Fill, clear
+from gridp2p.auction import EMPTY_OUTCOME, AuctionOutcome, Fill, clear
 from gridp2p.coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
@@ -117,6 +117,37 @@ def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
     assert before == Trade("s", "b", Fraction(1, 3), price, price, venue)
     assert after == Trade("s", "b", Fraction(5, 2), price, price, venue)
     assert hash(after) == hash(Trade("s", "b", Fraction(5, 2), price, price, venue))
+
+
+# Price pairs: one shared object, equal values in two objects, and any two
+# values (an undercut or a spread), as exact floats or as rationals.
+_PRICES = st.one_of(st.fractions(0, 100), st.floats(0, 100))
+_PRICE_PAIRS = st.one_of(
+    _PRICES.map(lambda p: (p, p)),
+    _PRICES.map(lambda p: (p, p + 0)),
+    st.tuples(_PRICES, _PRICES),
+)
+_QUANTITIES = st.one_of(st.tuples(st.integers(-5, 5), st.integers(1, 7)), st.tuples(st.floats(-5, 5), st.just(1)))
+
+
+@given(st.sampled_from(list(Venue)), _PRICE_PAIRS, _QUANTITIES)
+@example(Venue.MID_MARKET, (Fraction(12), Fraction(11)), (1, 3))
+@example(Venue.MID_MARKET, (Fraction(12), Fraction(11)), (0, 1))
+@example(Venue.AUCTION, (12.0, 12.5), (-0.5, 1))
+@example(Venue.GRID, (12.0, 11.5), (1, 3))
+def test_as_trade_raises_iff_trade_does_with_the_same_message(venue, prices, quantity):
+    seller_price, buyer_price = prices
+    num, den = quantity
+    sell = Fraction(seller_price)
+    buy = sell if buyer_price is seller_price else Fraction(buyer_price)
+    outcomes = []
+    for build in (lambda: as_trade(venue, seller_price, buyer_price)("s", "b", num, den),
+                  lambda: Trade("s", "b", Fraction(num) / den, sell, buy, venue)):
+        try:
+            outcomes.append(build())
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_mid_market_examples():
@@ -458,3 +489,22 @@ def test_stability_matches_exhaustive_group_search(scenario):
     result = _peak_result(scenario)
     verdict = check_dhp_stability(result.structure, stability_context(scenario, result))
     assert verdict.stable == oracle_dhp_stable(scenario, result)
+
+
+_INACTIVE_OUTCOME = AuctionOutcome(12.0, (Fill("s", Fraction(1), Fraction(1)),), ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mid_market_prices(-1.0, 10.0, 0.1), "prices must be >= 0"),
+    (lambda: mid_market_prices(14.0, -1.0, 0.1), "prices must be >= 0"),
+    (lambda: mid_market_prices(14.0, 10.0, -0.1), "beta must be >= 0"),
+    (lambda: partition(["b"], _INACTIVE_OUTCOME), "auction outcome references inactive prosumer 's'"),
+    (lambda: match_midmarket([("s", Fraction(0))], [("b", Fraction(1))], 11.0, 0.1, 10.0, 30.0),
+     "mid-market quantities must be > 0"),
+    (lambda: match_midmarket([("s", Fraction(1))], [("b", Fraction(-1))], 11.0, 0.1, 10.0, 30.0),
+     "mid-market quantities must be > 0"),
+], ids=["auction-price", "fit-price", "beta", "inactive", "seller-quantity", "buyer-quantity"])
+def test_each_guard_raises_its_domain_error(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.type is DomainError and str(info.value) == message

@@ -11,6 +11,7 @@ from gridp2p.core import (
     DomainError,
     GridPolicy,
     MarketConfig,
+    Order,
     ProsumerProfile,
     Scenario,
     ScenarioError,
@@ -432,3 +433,16 @@ def test_negative_feed_in_tariff_exits_2_in_every_mode(tmp_path, capsys, mode):
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: grid.fit_price must be >= 0\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Order("p01", -1.0, 1.0), "order price must be >= 0, got -1.0"),
+    (lambda: make_case_study_scenario(0, n_prosumers=1), "n_prosumers must be >= 2"),
+    (lambda: make_case_study_scenario(0, slots=0), "slots must be >= 1"),
+    (lambda: make_case_study_scenario(0, sellers_per_slot=-1), "sellers_per_slot out of range"),
+    (lambda: make_case_study_scenario(0, sellers_per_slot=13), "sellers_per_slot out of range"),
+], ids=["order-price", "n_prosumers", "slots", "sellers-below", "sellers-above"])
+def test_each_guard_raises_its_domain_error(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.type is DomainError and str(info.value) == message

@@ -592,7 +592,7 @@ def test_replace_on_an_unread_slot_keeps_the_settlement(run):
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
 def test_unread_slot_pickles_its_ledger(run):
     loaded = pickle.loads(pickle.dumps(_unread_offpeak_slot(run)))
-    assert "_ledger" in vars(loaded)
+    assert "ledger" in vars(loaded)
     assert "trades" not in vars(loaded) and "per_prosumer" not in vars(loaded)
     assert loaded == _settled_form(run)
 
@@ -603,7 +603,7 @@ def test_second_read_returns_the_same_objects(run):
     trades = slot.trades
     # Each field is filled on its own: reading the trades settles nothing,
     # and the ledger stays for the settlement.
-    assert "per_prosumer" not in vars(slot) and "_ledger" in vars(slot)
+    assert "per_prosumer" not in vars(slot) and "ledger" in vars(slot)
     per_prosumer = slot.per_prosumer
     assert slot.trades is trades and slot.per_prosumer is per_prosumer
     with pytest.raises(AttributeError):
@@ -641,7 +641,7 @@ def test_compare_settles_only_the_slots_it_reads(settled_ledgers, tmp_path):
     assert scenario.slots == 22 and _peak_slots(runs[0])
     # The three runs' peaks, each settled once for the comparison: trades.csv
     # is written from the ledgers, and no off-peak slot is ever settled.
-    peak_ledgers = [s._ledger for run in runs for s in run.slots if s.price_signal.peak_flag]
+    peak_ledgers = [s.ledger for run in runs for s in run.slots if s.price_signal.peak_flag]
     assert len(peak_ledgers) == 3 * len(_peak_slots(runs[0]))
     assert sorted(map(id, settled_ledgers)) == sorted(map(id, peak_ledgers))
 
@@ -657,3 +657,19 @@ def test_write_run_leaves_whole_position_slots_unsettled(run, tmp_path):
     unsettled = [s for s in report.slots if not s.price_signal.peak_flag]
     assert unsettled and all("per_prosumer" not in vars(s) for s in unsettled)
 
+
+def test_stability_context_needs_a_coalition_structure():
+    scenario = _one_slot_scenario([_prosumer("b1", -5.0)], threshold=8.0)
+    with pytest.raises(DomainError) as info:
+        engine.stability_context(scenario, run_slot(scenario, 0))
+    assert info.type is DomainError
+    assert str(info.value) == "stability is defined for peak slots with a coalition structure"
+
+
+def test_stability_context_leaves_out_a_prosumer_idle_at_the_peak():
+    scenario = _one_slot_scenario([_prosumer("s1", 4.0), _prosumer("i1", 0.0), _prosumer("b1", -6.0)], threshold=4.0)
+    result = run_slot(scenario, 0)
+    assert result.price_signal.peak_flag and result.per_prosumer["i1"] == engine.ProsumerSlot(0, 0)
+    ctx = engine.stability_context(scenario, result)
+    assert ctx.surplus == {"s1": 4} and ctx.deficit == {"b1": 6}
+    assert set(ctx.cash) == {"s1", "b1"}

@@ -165,3 +165,20 @@ def test_total_prosumer_demand_counts_only_deficits():
         _buyer("b2", 2.5),
     )
     assert total_prosumer_demand(prosumers, 0) == pytest.approx(5.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: max_willingness_price(0.0), "alpha must be > 0"),
+    (lambda: cps_cost(0.0, 1.0, 1.0, 1.0, 1.0), "a and b must be > 0"),
+    (lambda: cps_cost(1.0, -1.0, 1.0, 1.0, 1.0), "a and b must be > 0"),
+    (lambda: cps_cost(1.0, 1.0, 1.0, -0.5, 1.0), "threshold must be >= 0"),
+    (lambda: peak_price(-1.0, 1.0, 2.0, 1.0), "a and b must be > 0"),
+    (lambda: peak_price(1.0, 0.0, 2.0, 1.0), "a and b must be > 0"),
+    (lambda: min_b(0.0, 1.0, 2.0, 1.0), "a must be > 0"),
+    (lambda: min_b(1.0, -1.0, 2.0, 1.0), "alpha_max must be > 0"),
+], ids=["alpha", "cps_cost-a", "cps_cost-b", "cps_cost-threshold", "peak_price-a", "peak_price-b",
+        "min_b-a", "min_b-alpha_max"])
+def test_each_guard_raises_its_domain_error(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.type is DomainError and str(info.value) == message

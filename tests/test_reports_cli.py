@@ -267,6 +267,18 @@ def test_audit_checks_the_trades_of_a_slot_missing_from_prices(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("slot, flag, problem", [
+    (2, "false", "slot 2: coalitions at an off-peak slot"),
+    (0, "true", "slot 0: a peak slot without coalitions"),
+])
+def test_audit_flags_a_peak_flag_that_disagrees_with_the_coalitions(tmp_path, slot, flag, problem):
+    # A peer-trading run lists coalitions at exactly its peak slots (2, 3 and 5).
+    _, prices = _p2p_run(tmp_path)
+    prices[slot + 1] = f"{prices[slot + 1].rsplit(',', 1)[0]},{flag}"
+    _write_lines(tmp_path / "prices.csv", prices)
+    assert audit_run(tmp_path) == [problem]
+
+
 def test_audit_keeps_the_first_flag_of_a_repeated_prices_slot(tmp_path):
     # A later off-peak flag for peak slot 2 is reported and ignored, so a grid
     # sale appended to that slot is still judged against the peak flag.
@@ -430,7 +442,7 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
     )
     for run in _RUNS:
         for slot in run(scenario).slots:
-            if not isinstance(slot._ledger[0], Positions):
+            if not isinstance(slot.ledger[0], Positions):
                 continue
             lines = list(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
             assert lines == _reference_lines(slot), run.__name__
@@ -441,24 +453,36 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
                 pid, leg = (t.seller_id, (receipt(t), 0)) if t.buyer_id == GRID_ID else (t.buyer_id, (0, payment(t)))
                 assert pid not in summed
                 summed[pid] = leg
-            assert [(pid, revenue, cost) for pid, revenue, cost in slot._ledger[0].legs()] == [
+            assert [(pid, revenue, cost) for pid, revenue, cost in slot.ledger[0].legs()] == [
                 (p.id, *summed[p.id]) for p in scenario.prosumers if p.id in summed
             ], run.__name__
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
-def test_a_ledger_less_report_writes_the_same_bytes(run, tmp_path):
-    # A pickled slot keeps its ledger; one rebuilt with its trades keeps
-    # none and writes from its trades instead. Both write the same bytes.
+def test_a_pickled_or_replaced_report_keeps_its_ledgers_and_writes_the_same_bytes(run, tmp_path):
+    # A pickled slot keeps its ledger, and one rebuilt with its trades keeps
+    # the same ledger object. Both write the same bytes.
     report = run(make_case_study_scenario(3, n_prosumers=24))
     write_run(report, tmp_path / "fresh")
     pickled = pickle.loads(pickle.dumps(report))
-    assert all("_ledger" in vars(s) for s in pickled.slots)
+    assert all("ledger" in vars(s) for s in pickled.slots)
     replaced = dataclasses.replace(report, slots=tuple(dataclasses.replace(s, trades=s.trades) for s in report.slots))
-    assert not any("_ledger" in vars(s) for s in replaced.slots)
+    assert all(r.ledger is s.ledger for r, s in zip(replaced.slots, report.slots))
     for name, copy in (("pickled", pickled), ("replaced", replaced)):
         write_run(copy, tmp_path / name)
         assert _dir_bytes(tmp_path / name) == _dir_bytes(tmp_path / "fresh"), name
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_a_slot_with_replaced_trades_writes_its_ledger(run, tmp_path):
+    # A slot's trades are a view of its ledger: replacing them changes
+    # nothing that is written.
+    report = run(make_case_study_scenario(3, n_prosumers=24))
+    write_run(report, tmp_path / "fresh")
+    cut = dataclasses.replace(report, slots=tuple(dataclasses.replace(s, trades=s.trades[1:]) for s in report.slots))
+    assert any(len(r.trades) < len(s.trades) for r, s in zip(cut.slots, report.slots))
+    write_run(cut, tmp_path / "cut")
+    assert _dir_bytes(tmp_path / "cut") == _dir_bytes(tmp_path / "fresh")
 
 
 def _compare_run(out: Path) -> list[list[str]]:
@@ -488,6 +512,14 @@ def test_audit_reports_a_repeated_summary_metric_and_scope(tmp_path):
     metric, scope, _ = rows[0]
     _write_rows(tmp_path / "summary.csv", [header, *rows, [metric, scope, "1.000000"]])
     assert audit_run(tmp_path) == [f"summary.csv line {len(rows) + 2}: metric {metric!r}, scope {scope!r} repeats line 2"]
+
+
+def test_audit_reports_a_summary_with_a_wrong_header(tmp_path):
+    _, *rows = _compare_run(tmp_path)
+    _write_rows(tmp_path / "summary.csv", [["metric", "value"], *rows])
+    assert audit_run(tmp_path) == [
+        "summary.csv: expected header ['metric', 'scope', 'value'], got ['metric', 'value']"
+    ]
 
 
 def test_audit_allows_an_empty_summary_value_only_as_a_missing_mean(tmp_path):
