@@ -459,9 +459,10 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
-def test_a_pickled_or_replaced_report_keeps_its_ledgers_and_writes_the_same_bytes(run, tmp_path):
-    # A pickled slot keeps its ledger, and one rebuilt with its trades keeps
-    # the same ledger object. Both write the same bytes.
+def test_a_ledger_less_report_writes_the_same_bytes(run, tmp_path):
+    # The copies that once lost their ledger keep it: a pickled slot keeps its
+    # ledger, and one rebuilt with its trades keeps the same ledger object.
+    # Both write the same bytes.
     report = run(make_case_study_scenario(3, n_prosumers=24))
     write_run(report, tmp_path / "fresh")
     pickled = pickle.loads(pickle.dumps(report))
