@@ -6,19 +6,25 @@ are the longest prefix on which the i-th ask does not exceed the i-th bid
 The uniform auction price is the highest trading ask, or the second highest
 under the Vickrey rule.
 
-Quantities then clear through :func:`allocate`. Cleared amounts, burdens and
-fills are exact rationals (``fractions.Fraction``) so that energy
+Quantities then clear through :func:`allocate`, exactly, so that energy
 conservation and the equal-burden identity hold exactly, not merely to
-floating-point tolerance.
+floating-point tolerance. Each side of the book is scaled once to integer
+numerators over one shared denominator (a power of two for float
+quantities), and the clearing is integer arithmetic; a fill is a
+``fractions.Fraction`` built once from its integer ratio, or the submitted
+quantity itself where it clears in full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import AuctionPriceRule, DomainError, Order
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ class AuctionOutcome:
 
     @property
     def total_cleared(self) -> Fraction:
-        return sum((f.cleared for f in self.seller_fills), Fraction(0))
+        nums, den = common_denominator([f.cleared for f in self.seller_fills])
+        return Fraction(sum(nums), den)
 
 
 EMPTY_OUTCOME = AuctionOutcome(None, (), ())
@@ -92,6 +99,13 @@ def order_books(book: OrderBook) -> OrderBook:
     )
 
 
+def common_denominator(values: Sequence[Fraction | float]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over one denominator, the lcm of theirs (for floats, the largest)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def allocate(
     supplies: Sequence[Fraction], demands: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
@@ -102,36 +116,40 @@ def allocate(
     shared equally by the sellers; a seller whose whole quantity is absorbed
     by its share is clipped at zero and the leftover is redistributed equally
     over the sellers still clearing, until seller and buyer totals match
-    exactly. Returns (seller cleared, seller burden, buyer cleared).
+    exactly. Returns (seller cleared, seller burden, buyer cleared), each an
+    exact ``Fraction``; a side that clears in full returns its own quantities.
+
+    The work is in integers: both sides as numerators over one denominator
+    ``D``, supply ``A/D`` and demand ``B/D``. When ``A <= B`` buyer ``j``
+    clears ``b_j*A / (B*D)``. Otherwise the ``k`` sellers still clearing
+    share the burden level ``X / (k*D)``, ``X`` being their numerators' total
+    less ``B``, and seller ``i`` clears ``(k*a_i - X) / (k*D)``. Each pass
+    clips every seller below the level, which only raises it, so no clipped
+    seller clears at the final level; the largest seller never clips.
     """
-    supplies = [Fraction(s) for s in supplies]
-    demands = [Fraction(d) for d in demands]
-    if any(s <= 0 for s in supplies) or any(d <= 0 for d in demands):
+    supplies = [s if isinstance(s, Fraction) else Fraction(s) for s in supplies]
+    demands = [d if isinstance(d, Fraction) else Fraction(d) for d in demands]
+    nums, den = common_denominator(supplies + demands)
+    if any(n <= 0 for n in nums):
         raise DomainError("allocate requires positive quantities")
     if not supplies or not demands:
-        return [Fraction(0)] * len(supplies), [Fraction(0)] * len(supplies), [Fraction(0)] * len(demands)
+        return [_ZERO] * len(supplies), [_ZERO] * len(supplies), [_ZERO] * len(demands)
 
-    total_supply = sum(supplies)
-    total_demand = sum(demands)
-
+    supply, demand = nums[: len(supplies)], nums[len(supplies) :]
+    total_supply, total_demand = sum(supply), sum(demand)
     if total_supply <= total_demand:
-        cleared_sellers = list(supplies)
-        ratio = total_supply / total_demand
-        cleared_buyers = [d * ratio for d in demands]
-        burdens = [Fraction(0)] * len(supplies)
-        return cleared_sellers, burdens, cleared_buyers
+        scale = total_demand * den
+        return list(supplies), [_ZERO] * len(supplies), [Fraction(b * total_supply, scale) for b in demand]
 
-    share = (total_supply - total_demand) / len(supplies)
-    cleared = [max(s - share, Fraction(0)) for s in supplies]
-    # Clipping at zero can strand part of the excess; push it back onto the
-    # sellers that still clear. Totals never drop below demand, and each pass
-    # either balances exactly or clips one more seller, so this terminates.
-    while (excess := sum(cleared) - total_demand) > 0:
-        active = [i for i, c in enumerate(cleared) if c > 0]
-        extra = excess / len(active)
-        for i in active:
-            cleared[i] = max(cleared[i] - extra, Fraction(0))
-    burdens = [s - c for s, c in zip(supplies, cleared)]
+    active, level = range(len(supply)), total_supply - total_demand
+    while clipped := [i for i in active if supply[i] * len(active) < level]:
+        active = [i for i in active if supply[i] * len(active) >= level]
+        level -= sum(supply[i] for i in clipped)
+    k = len(active)
+    cleared, burdens, burden = [_ZERO] * len(supply), list(supplies), Fraction(level, k * den)
+    for i in active:
+        cleared[i] = Fraction(k * supply[i] - level, k * den)
+        burdens[i] = burden
     return cleared, burdens, list(demands)
 
 
@@ -160,16 +178,11 @@ def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RES
     else:
         price = trading_asks[-1].price
 
-    cleared_s, burdens, cleared_b = allocate(
-        [Fraction(o.quantity) for o in trading_asks],
-        [Fraction(o.quantity) for o in trading_bids],
-    )
-    seller_fills = tuple(
-        Fill(o.prosumer_id, Fraction(o.quantity), c) for o, c in zip(trading_asks, cleared_s)
-    )
-    buyer_fills = tuple(
-        Fill(o.prosumer_id, Fraction(o.quantity), c) for o, c in zip(trading_bids, cleared_b)
-    )
+    supplies = [Fraction(o.quantity) for o in trading_asks]
+    demands = [Fraction(o.quantity) for o in trading_bids]
+    cleared_s, _, cleared_b = allocate(supplies, demands)
+    seller_fills = tuple(map(Fill, (o.prosumer_id for o in trading_asks), supplies, cleared_s))
+    buyer_fills = tuple(map(Fill, (o.prosumer_id for o in trading_bids), demands, cleared_b))
     return AuctionOutcome(price, seller_fills, buyer_fills)
 
 

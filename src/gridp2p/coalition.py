@@ -26,10 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
-from .auction import AuctionOutcome, Fill
+from .auction import AuctionOutcome, Fill, common_denominator
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
 
-_ZERO = Fraction(0)
 T = TypeVar("T")
 
 
@@ -45,8 +44,9 @@ class Venue(Enum):
 # block, and what that returns once per trade, as ``(seller, buyer, num, den)``:
 # ``num / den`` is the quantity, ``num`` an int or a whole position's float over 1.
 Terms = Callable[[Venue, "float | Fraction", "float | Fraction"], Callable[[str, str, "int | float", int], T]]
-# One participant's settled slot: its id, revenue and cost, exact.
-Leg = tuple[str, Fraction, Fraction]
+# One participant's settled slot, exact: its id, then its revenue and its cost
+# as numerators over one denominator ``den > 0``: ``(id, revenue, cost, den)``.
+Leg = tuple[str, int, int, int]
 
 
 def _price_error(venue: Venue, seller_price: Fraction, buyer_price: Fraction) -> str | None:
@@ -123,10 +123,6 @@ def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStruct
     )
 
 
-def _fee_price(sell: Fraction, beta: float) -> Fraction:
-    return sell * (1 + Fraction(beta))
-
-
 @dataclass(frozen=True)
 class Pool:
     """A pro-rata pool: its fills, whose cleared amounts sum to ``matched`` on
@@ -177,13 +173,19 @@ class Pool:
         """Each participant's leg, sellers then buyers, read off its own fill.
 
         The pairwise trades of :meth:`present` sum exactly to each fill, so every
-        leg is computed in O(S+B) without building them, each as one ``Fraction``
-        from its fill's and prices' integer ratios.
+        leg is computed in O(S+B) without building them, in integers, from its
+        fill's and prices' integer ratios.
         """
-        for f in self.sellers:
-            yield f.prosumer_id, _fill_value(f, self.sell_price, self.fit), _ZERO
-        for f in self.buyers:
-            yield f.prosumer_id, _ZERO, _fill_value(f, self.buy_price, self.third)
+        for fills, is_seller, price, residual_price in ((self.sellers, True, self.sell_price, self.fit),
+                                                        (self.buyers, False, self.buy_price, self.third)):
+            pn, pd = price.as_integer_ratio()
+            rn, rd = residual_price.as_integer_ratio()
+            for f in fills:
+                cn, cd = f.cleared.as_integer_ratio()
+                un, ud = _unfilled(f)
+                # price * cleared + residual_price * (submitted - cleared), over one denominator.
+                value, den = pn * cn * rd * ud + rn * un * pd * cd, pd * cd * rd * ud
+                yield (f.prosumer_id, value, 0, den) if is_seller else (f.prosumer_id, 0, value, den)
 
 
 def _unfilled(fill: Fill) -> tuple[int, int]:
@@ -191,15 +193,6 @@ def _unfilled(fill: Fill) -> tuple[int, int]:
     sn, sd = fill.submitted.as_integer_ratio()
     cn, cd = fill.cleared.as_integer_ratio()
     return sn * cd - cn * sd, sd * cd
-
-
-def _fill_value(fill: Fill, price: Fraction, residual_price: Fraction) -> Fraction:
-    """``price * cleared + residual_price * (submitted - cleared)`` over one denominator, as one ``Fraction``."""
-    pn, pd = price.as_integer_ratio()
-    rn, rd = residual_price.as_integer_ratio()
-    cn, cd = fill.cleared.as_integer_ratio()
-    un, ud = _unfilled(fill)
-    return Fraction(pn * cn * rd * ud + rn * un * pd * cd, pd * cd * rd * ud)
 
 
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
@@ -233,8 +226,8 @@ def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | 
 
 
 def match_midmarket(
-    sellers: Sequence[tuple[str, Fraction]],
-    buyers: Sequence[tuple[str, Fraction]],
+    sellers: Sequence[tuple[str, float | Fraction]],
+    buyers: Sequence[tuple[str, float | Fraction]],
     mid_sell: float,
     beta: float,
     fit_price: float,
@@ -248,20 +241,31 @@ def match_midmarket(
     at the feed-in tariff; leftover deficit is bought from the third party.
     Returns the pool, the slot's mid-market ledger: it presents the trades,
     and its legs are each participant's settlement.
-    """
-    sellers = [(pid, Fraction(q)) for pid, q in sellers]
-    buyers = [(pid, Fraction(q)) for pid, q in buyers]
-    if any(q <= 0 for _, q in sellers) or any(q <= 0 for _, q in buyers):
-        raise DomainError("mid-market quantities must be > 0")
 
-    supply = sum((q for _, q in sellers), Fraction(0))
-    demand = sum((q for _, q in buyers), Fraction(0))
-    matched = min(supply, demand)
-    sell_f = Fraction(mid_sell)
+    Each side is summed in integers, over its quantities' common
+    denominator. The short side, whose total is ``M/E``, clears in full; on
+    the long side, whose numerators total ``T`` over ``D``, a quantity
+    ``n/D`` clears ``n*M / (T*E)``, one ``Fraction`` per fill.
+    """
+    sides = []
+    for side in (sellers, buyers):
+        quantities = [Fraction(q) for _, q in side]
+        nums, den = common_denominator(quantities)
+        if any(n <= 0 for n in nums):
+            raise DomainError("mid-market quantities must be > 0")
+        sides.append((side, quantities, nums, sum(nums), den))
+    (*_, supply, supply_den), (*_, demand, demand_den) = sides
+    m, e = (supply, supply_den) if supply * demand_den <= demand * supply_den else (demand, demand_den)
+    fills = [
+        [Fill(pid, q, q if total * e == m * den else Fraction(n * m, total * e))
+         for (pid, _), q, n in zip(side, quantities, nums)]
+        for side, quantities, nums, total, den in sides
+    ]
+    sell = Fraction(mid_sell)
+    sell_n, sell_d = sell.as_integer_ratio()
+    beta_n, beta_d = beta.as_integer_ratio()
     return Pool(
-        [Fill(pid, q, q * matched / supply) for pid, q in sellers],
-        [Fill(pid, q, q * matched / demand) for pid, q in buyers],
-        matched, Venue.MID_MARKET, sell_f, _fee_price(sell_f, beta),
+        *fills, Fraction(m, e), Venue.MID_MARKET, sell, Fraction(sell_n * (beta_d + beta_n), sell_d * beta_d),
         Fraction(fit_price), Fraction(third_party_price),
     )
 
@@ -271,14 +275,15 @@ def match_midmarket(
 
 @dataclass(frozen=True)
 class StabilityContext:
-    """Each active prosumer's position and settled cash, and the outside prices."""
+    """Each active prosumer's position and settled cash, and the outside prices, each exact:
+    a rational, or a float read as the rational it is."""
 
-    surplus: Mapping[str, Fraction]
-    deficit: Mapping[str, Fraction]
+    surplus: Mapping[str, float | Fraction]
+    deficit: Mapping[str, float | Fraction]
     cash: Mapping[str, Fraction]
-    grid_selling_price: Fraction
-    fit_price: Fraction
-    third_party_price: Fraction
+    grid_selling_price: float | Fraction
+    fit_price: float | Fraction
+    third_party_price: float | Fraction
 
 
 @dataclass(frozen=True)

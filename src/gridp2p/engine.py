@@ -17,14 +17,18 @@ slot's ``trades.csv`` lines from its ledger, block by block; its ``trades``
 are the same blocks presented by ``as_trade``, and its ``per_prosumer`` is
 settled from the legs by ``_settle``, each when first read. ``replace``,
 ``copy`` and a pickle keep the ledger. The trades sum exactly to the legs.
-A run settles nothing, and nor does writing it; ``compare`` reads only peak
-slots, so a compare run settles the three runs' peaks and no off-peak slot.
-Settled cash is exact rationals throughout, computed from integer ratios
-with one ``Fraction`` per settled value: a pool or whole-position leg from its
-prices' and quantities' integer ratios, a prosumer's peak total from a
-reduced integer ratio, and ``compare``'s floats each from one correctly
-rounded int division. Floats appear only in prices, system costs, metrics
-and emitted reports.
+Only a read of ``per_prosumer`` settles a slot: a run and writing it read no
+legs, and ``compare`` and ``stability_context`` read them straight from the
+ledger, ``compare`` only those of the three runs' peak slots.
+Settled cash is exact and in integers: a leg is its revenue and cost as
+numerators over one denominator, from its fill's or position's and prices'
+integer ratios; a prosumer's peak total is a reduced integer ratio, one
+``Fraction`` at the end; ``compare``'s floats are each one correctly rounded
+int division, or a correctly rounded ``math.fsum`` for an average
+percentage, so none depends on the order of the prosumers; and
+``stability_context`` builds one ``Fraction`` of cash per active prosumer.
+Floats appear only in positions, prices, system costs, metrics and emitted
+reports.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .auction import OrderBook, clear
 from .coalition import (
@@ -129,8 +133,9 @@ def _settle(scenario: Scenario, ledger: Iterable[Pool | Positions]) -> dict[str,
     """Settle each leg of the slot's ledger; a prosumer without one is idle."""
     settled = dict.fromkeys((p.id for p in scenario.prosumers), _IDLE)
     for part in ledger:
-        for pid, revenue, cost in part.legs():
-            settled[pid] = ProsumerSlot(revenue, cost)
+        # A leg's zero side shares one zero, as an idle prosumer's do.
+        for pid, revenue, cost, den in part.legs():
+            settled[pid] = ProsumerSlot(*(Fraction(v, den) if v else _ZERO for v in (revenue, cost)))
     return settled
 
 
@@ -164,8 +169,8 @@ class Positions:
     def legs(self) -> Iterator[Leg]:
         """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``.
 
-        A leg is its price times its position, both exact floats, built as one
-        ``Fraction`` from their two integer ratios.
+        A leg is its price times its position, both exact floats, as the
+        product of their two integer ratios.
         """
         fit_num, fit_den = self.scenario.grid.fit_price.as_integer_ratio()
         buy_num, buy_den = self.buy_price.as_integer_ratio()
@@ -173,10 +178,10 @@ class Positions:
             net = p.net_energy[self.slot]
             if net > 0:
                 num, den = net.as_integer_ratio()
-                yield p.id, Fraction(fit_num * num, fit_den * den), _ZERO
+                yield p.id, fit_num * num, 0, fit_den * den
             elif net < 0:
-                num, den = (-net).as_integer_ratio()
-                yield p.id, _ZERO, Fraction(buy_num * num, buy_den * den)
+                num, den = net.as_integer_ratio()
+                yield p.id, 0, -buy_num * num, buy_den * den
 
 
 def _ratio(num: int, den: int) -> float:
@@ -190,16 +195,25 @@ def _ratio(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _add_ratio(total: tuple[int, int], value: Fraction) -> tuple[int, int]:
-    """``total + value`` as a reduced integer ratio ``(num, den)``, ``den > 0``.
+def _add_ratio(total: tuple[int, int], value: tuple[int, int]) -> tuple[int, int]:
+    """``total + value``, both integer ratios ``(num, den)`` with ``den > 0``, as a reduced one.
 
     Reducing at every add keeps a long sum's integers as small as its value's.
     """
     n, d = total
-    vn, vd = value.as_integer_ratio()
+    vn, vd = value
     n, d = n * vd + vn * d, d * vd
     g = math.gcd(n, d)
     return n // g, d // g
+
+
+def _mean(values: Collection[float]) -> float:
+    """The mean of finite ``values`` from their correctly rounded sum, which does not depend on
+    their order, or an infinity where that sum overflows a float."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.inf
 
 
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
@@ -228,8 +242,8 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
     mid_sell, _ = mid_market_prices(p_auc, grid.fit_price, market.beta)
     mid_ids = set(structure.midmarket_members)
     mid_pool = match_midmarket(
-        sellers=[(p.id, Fraction(p.net_energy[slot])) for p in sellers if p.id in mid_ids],
-        buyers=[(p.id, Fraction(-p.net_energy[slot])) for p in buyers if p.id in mid_ids],
+        sellers=[(p.id, p.net_energy[slot]) for p in sellers if p.id in mid_ids],
+        buyers=[(p.id, -p.net_energy[slot]) for p in buyers if p.id in mid_ids],
         mid_sell=mid_sell,
         beta=market.beta,
         fit_price=grid.fit_price,
@@ -244,7 +258,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         price = Fraction(outcome.auction_price)
         ledger = (
             Pool(outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION, price, price,
-                 Fraction(grid.fit_price), Fraction(market.third_party_price)),
+                 mid_pool.fit, mid_pool.third),
             mid_pool,
         )
 
@@ -284,7 +298,8 @@ def aggregate_slots(
 ) -> tuple[float, dict[str, Fraction], dict[str, Fraction]]:
     """The system cost, and each prosumer's revenue and cost, summed over the peak slots.
 
-    Each sum is kept as a reduced integer ratio and built as one ``Fraction`` at the end.
+    The sums read each peak's legs straight from its ledger, settling no slot.
+    Each is kept as a reduced integer ratio and built as one ``Fraction`` at the end.
     """
     revenue = {p.id: (0, 1) for p in scenario.prosumers}
     cost = dict(revenue)
@@ -293,12 +308,13 @@ def aggregate_slots(
         if not s.price_signal.peak_flag:
             continue
         cps_peak += s.cps_cost
-        # Every settled leg has one zero side, and an idle prosumer two.
-        for pid, settled in s.per_prosumer.items():
-            if settled.revenue:
-                revenue[pid] = _add_ratio(revenue[pid], settled.revenue)
-            if settled.cost:
-                cost[pid] = _add_ratio(cost[pid], settled.cost)
+        for part in s.ledger:
+            # Every leg has one zero side, and an idle prosumer no leg.
+            for pid, rev, paid, den in part.legs():
+                if rev:
+                    revenue[pid] = _add_ratio(revenue[pid], (rev, den))
+                if paid:
+                    cost[pid] = _add_ratio(cost[pid], (paid, den))
     revenue, cost = ({pid: Fraction(*ratio) for pid, ratio in sums.items()} for sums in (revenue, cost))
     return cps_peak, revenue, cost
 
@@ -331,30 +347,30 @@ def baseline_third_party(scenario: Scenario) -> SimulationReport:
 
 
 def stability_context(scenario: Scenario, result: SlotResult) -> StabilityContext:
-    """Each active prosumer's position and settled cash at a peak slot, exactly."""
+    """Each active prosumer's position and settled cash at a peak slot, exactly.
+
+    Every active prosumer has one leg in the slot's ledger, and its cash is
+    built from it as one ``Fraction``; positions and prices stay the exact
+    floats they are.
+    """
     if result.structure is None:
         raise DomainError("stability is defined for peak slots with a coalition structure")
-    surplus: dict[str, Fraction] = {}
-    deficit: dict[str, Fraction] = {}
-    cash: dict[str, Fraction] = {}
+    cash = {pid: Fraction(revenue - cost, den) for part in result.ledger for pid, revenue, cost, den in part.legs()}
+    surplus: dict[str, float] = {}
+    deficit: dict[str, float] = {}
     for p in scenario.prosumers:
         net = p.net_energy[result.slot]
-        if net == 0:
-            continue
         if net > 0:
-            surplus[p.id] = Fraction(net)
-        else:
-            deficit[p.id] = Fraction(-net)
-        # A settled leg has one zero side, so its cash is the other side.
-        settled = result.per_prosumer[p.id]
-        cash[p.id] = settled.revenue or -settled.cost
+            surplus[p.id] = net
+        elif net < 0:
+            deficit[p.id] = -net
     return StabilityContext(
         surplus=surplus,
         deficit=deficit,
         cash=cash,
-        grid_selling_price=Fraction(result.price_signal.selling_price),
-        fit_price=Fraction(scenario.grid.fit_price),
-        third_party_price=Fraction(scenario.market.third_party_price),
+        grid_selling_price=result.price_signal.selling_price,
+        fit_price=scenario.grid.fit_price,
+        third_party_price=scenario.market.third_party_price,
     )
 
 
@@ -445,8 +461,12 @@ def compare(
         "buyer_savings_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_tp),
         "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
     }
-    averages = {f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()}
-    mean_cost = lambda cost: _ratio(*reduce(_add_ratio, cost.values(), (0, 1))) / len(ids)
+    averages = {f"avg_{name}": _mean(t.values()) if t else None for name, t in tables.items()}
+
+    def mean_cost(cost: dict[str, Fraction]) -> float:
+        total = reduce(_add_ratio, (c.as_integer_ratio() for c in cost.values()), (0, 1))
+        return _ratio(*total) / len(ids)
+
     return MetricsTable(
         **tables,
         **averages,

@@ -83,8 +83,12 @@ def min_b(a: float, alpha_max: float, e_d: float, e_t: float) -> float:
 
 
 def total_prosumer_demand(prosumers: Sequence[ProsumerProfile], slot: int) -> float:
-    """Aggregate deficit of the buying prosumers at ``slot`` (perfect forecast)."""
-    return float(sum(-p.net_energy[slot] for p in prosumers if p.net_energy[slot] < 0))
+    """Aggregate deficit of the buying prosumers at ``slot`` (perfect forecast).
+
+    The sum is correctly rounded (``math.fsum``), so it does not depend on the
+    prosumers' order; it raises ``OverflowError`` where it overflows a float.
+    """
+    return math.fsum([-p.net_energy[slot] for p in prosumers if p.net_energy[slot] < 0])
 
 
 def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int) -> PriceSignal:
@@ -97,9 +101,10 @@ def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], 
     parameters cannot actually deter grid purchases, which is a
     configuration error. So is a demand or a price too large for a float.
     """
-    e_d = total_prosumer_demand(prosumers, slot)
-    if not math.isfinite(e_d):
-        raise ConfigurationError(f"slot {slot}: total prosumer demand overflows a float")
+    try:
+        e_d = total_prosumer_demand(prosumers, slot)
+    except OverflowError:
+        raise ConfigurationError(f"slot {slot}: total prosumer demand overflows a float") from None
     e_t = policy.threshold[slot]
     if e_d <= e_t:
         return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False, demand=e_d)

@@ -3,7 +3,7 @@
 The oracles here re-derive the expected results along a different path than
 the implementation: clearing by exhaustive candidate-depth enumeration and
 burden allocation by a closed-form water-fill level, instead of the
-engine's prefix scan and iterative redistribution, D_hp stability by
+engine's prefix scan and integer clipping passes, D_hp stability by
 trying every group of mid-market members, instead of the one-prosumer moves
 that ``check_dhp_stability`` proves sufficient, and a pool's pairwise trades
 built eagerly as fill ratio times each buyer's fill in ``Fraction``s, instead
@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from gridp2p.core import Order
 from gridp2p.auction import OrderBook
@@ -25,6 +25,17 @@ from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
 settings.register_profile("gridp2p", deadline=None)
 settings.load_profile("gridp2p")
 
+
+# Positive quantities at the ends of the float range and off the binary grid:
+# the smallest subnormal, the largest float, any positive float, and rationals
+# with any denominator. Over one common denominator, a book's integers then
+# reach thousands of bits.
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+EXTREME_QUANTITY = st.one_of(
+    st.sampled_from([TINY, HUGE]),
+    st.floats(min_value=TINY, max_value=HUGE),
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**9).filter(lambda q: q > 0),
+)
 
 # An order's side is the side of the book that holds it.
 ask = bid = Order
@@ -63,6 +74,33 @@ def oracle_price(trading_asks, vickrey: bool) -> float:
     if vickrey and len(prices) >= 2:
         return prices[-2]
     return prices[-1]
+
+
+def fraction_allocate(supplies, demands):
+    """Burden allocation through ``Fraction`` operators, by iterative clipping.
+
+    The engine's former ``allocate``, kept as a reference for its integer
+    form: buyers pro-rata to a ``Fraction`` ratio when supply is short,
+    otherwise the equal share taken from every seller and re-shared over the
+    sellers still clearing until the totals match.
+    """
+    supplies = [Fraction(s) for s in supplies]
+    demands = [Fraction(d) for d in demands]
+    if not supplies or not demands:
+        return [Fraction(0)] * len(supplies), [Fraction(0)] * len(supplies), [Fraction(0)] * len(demands)
+    total_supply = sum(supplies)
+    total_demand = sum(demands)
+    if total_supply <= total_demand:
+        ratio = total_supply / total_demand
+        return list(supplies), [Fraction(0)] * len(supplies), [d * ratio for d in demands]
+    share = (total_supply - total_demand) / len(supplies)
+    cleared = [max(s - share, Fraction(0)) for s in supplies]
+    while (excess := sum(cleared) - total_demand) > 0:
+        active = [i for i, c in enumerate(cleared) if c > 0]
+        extra = excess / len(active)
+        for i in active:
+            cleared[i] = max(cleared[i] - extra, Fraction(0))
+    return cleared, [s - c for s, c in zip(supplies, cleared)], list(demands)
 
 
 def oracle_allocate(supplies, demands):
@@ -138,6 +176,12 @@ def oracle_dhp_stable(scenario, result) -> bool:
             if all(after(pid) > cash[pid] for pid in group):
                 return False
     return True
+
+
+def leg_cash(leg) -> tuple[str, Fraction, Fraction]:
+    """A ledger leg ``(pid, revenue, cost, den)`` as ``(pid, revenue, cost)`` in ``Fraction``s."""
+    pid, revenue, cost, den = leg
+    return pid, Fraction(revenue, den), Fraction(cost, den)
 
 
 def receipt(trade: Trade) -> Fraction:

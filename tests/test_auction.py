@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import ask, bid, book, oracle_allocate, oracle_price, oracle_trading_sets, random_book
+from conftest import (
+    EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, fraction_allocate, oracle_allocate, oracle_price, oracle_trading_sets,
+    random_book,
+)
 from gridp2p.auction import allocate, clear, order_books, verify_truthful_delivery
 from gridp2p.core import AuctionPriceRule, DomainError, Order
 
@@ -245,3 +248,36 @@ def test_a_duplicate_id_on_one_side_of_the_book_is_rejected(asks, bids):
     with pytest.raises(DomainError) as info:
         book(asks, bids)
     assert info.type is DomainError and str(info.value) == "duplicate prosumer id on one side of the book"
+
+
+_EXTREME_SIDE = st.lists(EXTREME_QUANTITY, max_size=6)
+
+
+@given(_EXTREME_SIDE, _EXTREME_SIDE)
+@example([TINY, HUGE], [HUGE])
+@example([HUGE, HUGE, TINY], [TINY, Fraction(1, 3)])
+@example([Fraction(1, 3), Fraction(2, 7), TINY], [Fraction(5, 11)])
+@example([TINY], [TINY, HUGE])
+def test_allocate_on_extreme_quantities_equals_both_fraction_oracles(supplies, demands):
+    expected = fraction_allocate(supplies, demands)
+    assert allocate(supplies, demands) == expected
+    assert allocate(list(map(Fraction, supplies)), list(map(Fraction, demands))) == expected
+    cleared, burdens, buyers = expected
+    oracle_cleared, oracle_buyers = oracle_allocate(supplies, demands)
+    assert (cleared, buyers) == (oracle_cleared, oracle_buyers)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([10.0, 12.0, 14.0]), EXTREME_QUANTITY), max_size=6),
+    st.lists(st.tuples(st.sampled_from([10.0, 12.0, 14.0]), EXTREME_QUANTITY), max_size=6),
+)
+@example([(10.0, TINY), (12.0, HUGE)], [(14.0, HUGE), (12.0, Fraction(1, 3))])
+def test_clear_on_extreme_quantities_fills_as_the_fraction_oracle(asks, bids):
+    b = book([ask(f"s{i}", p, q) for i, (p, q) in enumerate(asks)], [bid(f"b{i}", p, q) for i, (p, q) in enumerate(bids)])
+    out = clear(b)
+    sellers, buyers = out.seller_fills, out.buyer_fills
+    cleared, _, bought = fraction_allocate([f.submitted for f in sellers], [f.submitted for f in buyers])
+    quantity = {o.prosumer_id: Fraction(o.quantity) for o in (*b.asks, *b.bids)}
+    assert [f.submitted for f in (*sellers, *buyers)] == [quantity[f.prosumer_id] for f in (*sellers, *buyers)]
+    assert [f.cleared for f in (*sellers, *buyers)] == cleared + bought
+    assert out.total_cleared == sum(cleared, Fraction(0))

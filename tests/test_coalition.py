@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ask, bid, book, eager_pool_trades, oracle_dhp_stable, payment, receipt
+from conftest import (
+    EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, eager_pool_trades, leg_cash, oracle_dhp_stable, payment, receipt,
+)
 from fixtures import (
     two_coalition_demo_scenario,
     uniform_auction_scenario,
@@ -330,7 +332,7 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
         for pid, received, paid in ((t.seller_id, receipt(t), 0), (t.buyer_id, 0, payment(t))):
             revenue, cost = summed.get(pid, (0, 0))
             summed[pid] = (revenue + received, cost + paid)
-    assert list(pool.legs()) == [(f.prosumer_id, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
+    assert list(map(leg_cash, pool.legs())) == [(f.prosumer_id, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
 
 
 # Any non-negative finite float, subnormals and the largest included, or any
@@ -361,9 +363,30 @@ def test_pool_leg_is_the_fraction_operator_form(sellers, buyers, sell, buy, fit,
     # Each leg, built from integer ratios, equals the same sum taken through
     # Fraction operators; the matched total does not enter a leg.
     pool = Pool(sellers, buyers, Fraction(0), Venue.MID_MARKET, sell, buy, fit, third)
-    assert list(pool.legs()) == [
+    assert list(map(leg_cash, pool.legs())) == [
         (f.prosumer_id, sell * f.cleared + fit * (f.submitted - f.cleared), 0) for f in sellers
     ] + [(f.prosumer_id, 0, buy * f.cleared + third * (f.submitted - f.cleared)) for f in buyers]
+
+
+@given(st.lists(EXTREME_QUANTITY, max_size=6), st.lists(EXTREME_QUANTITY, max_size=6), st.floats(0.0, 1.0))
+@example([TINY, HUGE], [HUGE], 0.1)
+@example([HUGE, HUGE], [TINY, Fraction(1, 3)], 0.1)
+@example([Fraction(1, 3), Fraction(2, 7)], [Fraction(5, 11), TINY], 0.3)
+@example([], [HUGE], 0.0)
+def test_midmarket_fills_are_the_fraction_pro_rata(surpluses, deficits, beta):
+    # The floats as the engine passes them, or rationals.
+    pool = match_midmarket(
+        [(f"s{i}", q) for i, q in enumerate(surpluses)], [(f"b{i}", q) for i, q in enumerate(deficits)],
+        11.0, beta, 10.0, 21.0,
+    )
+    supply, demand = (sum(map(Fraction, side), Fraction(0)) for side in (surpluses, deficits))
+    matched = min(supply, demand)
+    assert pool.matched == matched
+    for fills, side, total, name in ((pool.sellers, surpluses, supply, "s"), (pool.buyers, deficits, demand, "b")):
+        assert [(f.prosumer_id, f.submitted, f.cleared) for f in fills] == [
+            (f"{name}{i}", Fraction(q), Fraction(q) * matched / total) for i, q in enumerate(side)
+        ]
+    assert (pool.sell_price, pool.buy_price) == (Fraction(11.0), Fraction(11.0) * (1 + Fraction(beta)))
 
 
 @given(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import eager_pool_trades, payment, receipt
+from conftest import eager_pool_trades, leg_cash, payment, receipt
 from fixtures import (
     blended_price_scenario,
     two_coalition_demo_scenario,
@@ -448,7 +449,7 @@ def test_whole_position_leg_is_the_exact_product(price, net):
     # Any finite floats, whether or not a scenario would accept them.
     prosumer = SimpleNamespace(id="p", net_energy=(net,))
     scenario = SimpleNamespace(grid=SimpleNamespace(fit_price=price), prosumers=(prosumer,))
-    ((pid, revenue, cost),) = engine.Positions(scenario, 0, price, Venue.GRID).legs()
+    ((pid, revenue, cost),) = map(leg_cash, engine.Positions(scenario, 0, price, Venue.GRID).legs())
     leg = Fraction(price) * Fraction(abs(net))
     assert (pid, revenue, cost) == (("p", leg, 0) if net > 0 else ("p", 0, leg))
 
@@ -510,7 +511,8 @@ def _oracle_metrics(scenario, p2p, grid_only, third_party):
                 cps[f"cps_cost_{name}"] += s.cps_cost
     return engine.MetricsTable(
         **tables,
-        **{f"avg_{name}": sum(t.values()) / len(t) if t else None for name, t in tables.items()},
+        # Correctly rounded, so independent of the prosumers' order.
+        **{f"avg_{name}": math.fsum(t.values()) / len(t) if t else None for name, t in tables.items()},
         **cps,
         **{
             f"avg_cost_per_prosumer_{name}": float(sum(cost.values(), Fraction(0))) / len(ids)
@@ -548,7 +550,7 @@ def test_many_peak_sums_stay_reduced(monkeypatch):
 
     def checked(total, value):
         result = add(total, value)
-        adds.append((Fraction(*total) + value, result))
+        adds.append((Fraction(*total) + Fraction(*value), result))
         return result
 
     monkeypatch.setattr(engine, "_add_ratio", checked)
@@ -612,38 +614,47 @@ def test_second_read_returns_the_same_objects(run):
 
 
 @pytest.fixture
-def settled_ledgers(monkeypatch):
-    """The ledger of each ``engine._settle`` call the test makes, in order."""
-    calls = []
+def ledger_reads(monkeypatch):
+    """What the test reads of the ledgers, in order: each part whose legs are
+    read (``parts``), and the ledger of each ``engine._settle`` call (``settled``)."""
+    reads = SimpleNamespace(parts=[], settled=[])
+    for cls in (engine.Pool, engine.Positions):
+        def counted(part, legs=cls.legs):
+            reads.parts.append(part)
+            return legs(part)
+
+        monkeypatch.setattr(cls, "legs", counted)
     settle = engine._settle
 
-    def counted(scenario, ledger):
-        calls.append(ledger)
+    def settled(scenario, ledger):
+        reads.settled.append(ledger)
         return settle(scenario, ledger)
 
-    monkeypatch.setattr(engine, "_settle", counted)
-    return calls
+    monkeypatch.setattr(engine, "_settle", settled)
+    return reads
 
 
-def test_single_mode_run_settles_nothing(settled_ledgers):
+def test_single_mode_run_settles_nothing(ledger_reads):
     scenario = make_case_study_scenario(8)
     for run in _RUNS:
         assert _peak_slots(run(scenario))
-        assert settled_ledgers == [], run.__name__
+        assert ledger_reads.parts == ledger_reads.settled == [], run.__name__
 
 
-def test_compare_settles_only_the_slots_it_reads(settled_ledgers, tmp_path):
+def test_compare_settles_only_the_slots_it_reads(ledger_reads, tmp_path):
     scenario = make_case_study_scenario(8)
     runs = (run_horizon(scenario), baseline_grid_only(scenario), baseline_third_party(scenario))
     table = compare(*runs)
     write_run(runs[0], tmp_path)
     write_summary(table, tmp_path)
     assert scenario.slots == 22 and _peak_slots(runs[0])
-    # The three runs' peaks, each settled once for the comparison: trades.csv
-    # is written from the ledgers, and no off-peak slot is ever settled.
-    peak_ledgers = [s.ledger for run in runs for s in run.slots if s.price_signal.peak_flag]
-    assert len(peak_ledgers) == 3 * len(_peak_slots(runs[0]))
-    assert sorted(map(id, settled_ledgers)) == sorted(map(id, peak_ledgers))
+    # The legs of the three runs' peaks, each read once, straight from the
+    # ledger, for the comparison: no slot is settled into ``per_prosumer``,
+    # trades.csv is written from the ledgers, and no off-peak leg is read.
+    peak_parts = [part for run in runs for s in run.slots if s.price_signal.peak_flag for part in s.ledger]
+    assert len(peak_parts) >= 3 * len(_peak_slots(runs[0]))
+    assert sorted(map(id, ledger_reads.parts)) == sorted(map(id, peak_parts))
+    assert ledger_reads.settled == []
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
@@ -673,3 +684,78 @@ def test_stability_context_leaves_out_a_prosumer_idle_at_the_peak():
     ctx = engine.stability_context(scenario, result)
     assert ctx.surplus == {"s1": 4} and ctx.deficit == {"b1": 6}
     assert set(ctx.cash) == {"s1", "b1"}
+
+
+def _with_energies(scenario, factor):
+    """``scenario`` with every prosumer's net energy multiplied by ``factor``."""
+    return dataclasses.replace(scenario, prosumers=tuple(
+        dataclasses.replace(p, net_energy=tuple(e * factor for e in p.net_energy)) for p in scenario.prosumers
+    ))
+
+
+def _bits_by_id(table):
+    """:func:`_bits`, each per-prosumer table as a dict, so the prosumers' order does not enter."""
+    return {name: dict(value) if isinstance(value, list) else value for name, value in _bits(table).items()}
+
+
+@pytest.mark.parametrize("n", [12, 31])
+@pytest.mark.parametrize("seed", range(3))
+def test_reversing_the_prosumers_changes_no_output(seed, n):
+    # Energies times 1.1 leave the binary grid, so a float sum of them rounds
+    # and could depend on the order of its terms.
+    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
+    reverse = dataclasses.replace(scenario, prosumers=scenario.prosumers[::-1])
+    forward, backward = ([run(s) for run in _RUNS] for s in (scenario, reverse))
+    for run, report, reversed_report in zip(_RUNS, forward, backward):
+        for a, b in zip(report.slots, reversed_report.slots, strict=True):
+            signal, other = a.price_signal, b.price_signal
+            assert (signal.selling_price.hex(), signal.peak_flag, signal.demand.hex()) == (
+                other.selling_price.hex(), other.peak_flag, other.demand.hex()), (run.__name__, a.slot)
+            assert a.cps_cost.hex() == b.cps_cost.hex()
+            assert (a.structure is None) == (b.structure is None)
+            if a.structure is not None:
+                assert set(a.structure.auction_members) == set(b.structure.auction_members)
+                assert set(a.structure.midmarket_members) == set(b.structure.midmarket_members)
+            assert a.per_prosumer == b.per_prosumer, (run.__name__, a.slot)
+    assert _bits_by_id(compare(*forward)) == _bits_by_id(compare(*backward))
+
+
+@pytest.mark.parametrize("k", [-3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_energies_and_thresholds_by_a_power_of_two_scales_every_quantity(seed, k):
+    # Energies and thresholds times 2^k and ``a`` over 2^k: every float stays
+    # exact, the peak price 2a(e_d - e_t) + b is unchanged, and every kWh, cash
+    # value and system cost scales by 2^k.
+    base = _with_energies(make_case_study_scenario(seed), 1.1)
+    scale = 2.0**k
+    grid = dataclasses.replace(base.grid, a=base.grid.a / scale, threshold=tuple(t * scale for t in base.grid.threshold))
+    scaled = dataclasses.replace(_with_energies(base, scale), grid=grid)
+    exact = Fraction(scale)
+    for run in _RUNS:
+        report, scaled_report = run(base), run(scaled)
+        for a, b in zip(report.slots, scaled_report.slots, strict=True):
+            signal, other = a.price_signal, b.price_signal
+            assert (signal.selling_price, signal.peak_flag) == (other.selling_price, other.peak_flag)
+            assert (signal.demand * scale, a.cps_cost * scale) == (other.demand, b.cps_cost)
+            assert (a.structure is None) == (b.structure is None)
+            if a.structure is not None:
+                outcome, other_outcome = a.structure.outcome, b.structure.outcome
+                assert outcome.auction_price == other_outcome.auction_price
+                assert (a.structure.auction_members, a.structure.midmarket_members) == (
+                    b.structure.auction_members, b.structure.midmarket_members)
+                for fills, other_fills in ((outcome.seller_fills, other_outcome.seller_fills),
+                                           (outcome.buyer_fills, other_outcome.buyer_fills)):
+                    assert [(f.prosumer_id, f.submitted * exact, f.cleared * exact) for f in fills] == [
+                        (f.prosumer_id, f.submitted, f.cleared) for f in other_fills]
+            assert [(t.seller_id, t.buyer_id, t.quantity * exact, t.seller_price, t.buyer_price, t.venue)
+                    for t in a.trades] == [
+                (t.seller_id, t.buyer_id, t.quantity, t.seller_price, t.buyer_price, t.venue) for t in b.trades]
+            assert {pid: (s.revenue * exact, s.cost * exact) for pid, s in a.per_prosumer.items()} == {
+                pid: (s.revenue, s.cost) for pid, s in b.per_prosumer.items()}
+    table, scaled_table = (compare(*(run(s) for run in _RUNS)) for s in (base, scaled))
+    for f in dataclasses.fields(table):
+        value, other = getattr(table, f.name), getattr(scaled_table, f.name)
+        if f.name.startswith(("cps_cost_", "avg_cost_per_prosumer_")):
+            assert (value * scale).hex() == other.hex(), f.name
+        else:
+            assert _bits_by_id(table)[f.name] == _bits_by_id(scaled_table)[f.name], f.name

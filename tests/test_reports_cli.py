@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from conftest import payment, receipt
+from conftest import leg_cash, payment, receipt
 from fixtures import two_coalition_demo_scenario, uniform_auction_scenario
 from gridp2p.coalition import GRID_ID, as_trade
 from gridp2p.core import (
@@ -453,7 +453,7 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
                 pid, leg = (t.seller_id, (receipt(t), 0)) if t.buyer_id == GRID_ID else (t.buyer_id, (0, payment(t)))
                 assert pid not in summed
                 summed[pid] = leg
-            assert [(pid, revenue, cost) for pid, revenue, cost in slot.ledger[0].legs()] == [
+            assert list(map(leg_cash, slot.ledger[0].legs())) == [
                 (p.id, *summed[p.id]) for p in scenario.prosumers if p.id in summed
             ], run.__name__
 
@@ -712,6 +712,12 @@ def _overflow_payments(data: dict) -> None:
         p["reservation_price"][2], p["bid_price"][2] = 1e308, 1.5e308
 
 
+def _overflow_average(data: dict) -> None:
+    # Every seller's uplift fits a float, and their sum does not.
+    for p in data["prosumers"]:
+        p["reservation_price"], p["bid_price"] = [1e307] * len(p["bid_price"]), [1.5e307] * len(p["bid_price"])
+
+
 def _overflow_grid_only_cost(data: dict) -> None:
     # A 4 kWh overshoot: the price 2a*4 + b fits a float, the cost a*4^2 does not.
     data["grid"]["a"] = 2e307
@@ -734,6 +740,7 @@ _OVERFLOWS = {
     ),
     "demand": (_overflow_demand, ("p2p", "compare"), "slot 0: total prosumer demand overflows a float"),
     "payments": (_overflow_payments, ("compare",), "comparison metric seller_uplift_pct does not fit a float"),
+    "average": (_overflow_average, ("compare",), "comparison metric avg_seller_uplift_pct does not fit a float"),
     "grid-only-cost": (_overflow_grid_only_cost, ("grid-only", "compare"), "slot 2: the system cost overflows a float"),
     "offpeak-cost": (
         lambda d: d["grid"].update(offpeak_price=1e308),
