@@ -73,11 +73,6 @@ class AuctionOutcome:
     def trading_buyers(self) -> tuple[str, ...]:
         return tuple(f.prosumer_id for f in self.buyer_fills)
 
-    @property
-    def total_cleared(self) -> Fraction:
-        nums, den = common_denominator([f.cleared for f in self.seller_fills])
-        return Fraction(sum(nums), den)
-
 
 EMPTY_OUTCOME = AuctionOutcome(None, (), ())
 
@@ -214,10 +209,9 @@ def verify_truthful_delivery(
             "delivered quantities must cover exactly the trading sellers "
             f"(expected {sorted(expected)}, got {sorted(delivered)})"
         )
-    deviations = {}
-    for pid, cleared in expected.items():
-        delta = Fraction(delivered[pid]) - cleared
-        if delta != 0:
-            deviations[pid] = delta
-    inconsistency = abs(sum(deviations.values(), Fraction(0)))
+    # Comparing a float or a Fraction with a Fraction is exact, so only a deviator's shift is built.
+    deviations = {
+        pid: Fraction(delivered[pid]) - cleared for pid, cleared in expected.items() if delivered[pid] != cleared
+    }
+    inconsistency = abs(sum(deviations.values(), _ZERO))
     return DeliveryReport(deviators=tuple(sorted(deviations)), inconsistency=inconsistency)

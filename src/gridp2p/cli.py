@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--price-rule", choices=sorted(_PRICE_RULES), help="override the auction price rule")
-    sim.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; slots run in one process")
     sim.add_argument("--prosumers", type=int, help="prosumer count for --seed scenarios (default 12)")
     sim.add_argument("--slots", type=int, help="slot count for --seed scenarios (default 22)")
     sim.add_argument("--dump-orders", action="store_true", help="also write the per-slot order dump")
@@ -82,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.jobs > 1:
-        print(f"warning: --jobs {args.jobs} ignored; slots run in one process", file=sys.stderr)
     sizes = {name: n for name, n in (("n_prosumers", args.prosumers), ("slots", args.slots)) if n is not None}
     if args.scenario is not None:
         if sizes:

@@ -5,7 +5,10 @@ cleared, who trade at the auction price, and everyone else, who trade with
 each other at the mid-market price (the midpoint of auction price and
 feed-in tariff, with a network fee on the buyer side). Imbalances inside the
 mid-market group fall back to the grid (surplus, at the feed-in tariff) or a
-third-party source (deficit, at a fixed price).
+third-party source (deficit, at a fixed price). Each coalition is a
+:class:`Pool`, whose two sides hold their participants' submitted and cleared
+kWh as integer numerators over one denominator per side; its trades and each
+participant's leg are read straight from those integers.
 
 ``check_dhp_stability`` then asks whether any prosumer, or any group of
 mid-market members, could do strictly better by walking away. Auction
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Fill, common_denominator
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
@@ -123,18 +126,33 @@ def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStruct
     )
 
 
+class Side(NamedTuple):
+    """One side of a pool: its participants' ids, and their submitted and
+    cleared kWh as integer numerators over one denominator ``den > 0``."""
+
+    ids: Sequence[str]
+    submitted: Sequence[int]
+    cleared: Sequence[int]
+    den: int
+
+    @classmethod
+    def of(cls, fills: Sequence[Fill]) -> Side:
+        """The side of ``fills``, over the lcm of their quantities' denominators."""
+        nums, den = common_denominator([q for f in fills for q in (f.submitted, f.cleared)])
+        return cls([f.prosumer_id for f in fills], nums[::2], nums[1::2], den)
+
+
 @dataclass(frozen=True)
 class Pool:
-    """A pro-rata pool: its fills, whose cleared amounts sum to ``matched`` on
-    each side, its venue and prices, and the prices of its residuals: surplus
-    sells to the grid at the feed-in tariff ``fit``, deficit comes from the
-    third party at ``third``. As a ledger it presents its trades and yields
-    its participants' legs.
+    """A pro-rata pool: its two sides, whose cleared totals are equal, its
+    venue and prices, and the prices of its residuals: surplus sells to the
+    grid at the feed-in tariff ``fit``, deficit comes from the third party at
+    ``third``. As a ledger it presents its trades and yields its
+    participants' legs, each read off its side's integers.
     """
 
-    sellers: Sequence[Fill]
-    buyers: Sequence[Fill]
-    matched: Fraction
+    sellers: Side
+    buyers: Side
     venue: Venue
     sell_price: Fraction
     buy_price: Fraction
@@ -145,54 +163,42 @@ class Pool:
         """The pool as pairwise trades: each pair, then each seller's and each buyer's residual.
 
         Seller ``s`` delivers ``cleared_s * cleared_b / matched`` to buyer
-        ``b``: each buyer's share of the match is one integer ratio per pool,
-        scaled by each seller's cleared ratio. The pairs form one block, the
-        residuals to each side one more.
+        ``b``, which over the sides' integers is ``c_s * c_b`` over
+        ``buyers.den * sum(sellers.cleared)``. The pairs form one block, the
+        residuals to each side one more; a residual is ``s - c`` over its side's ``den``.
         """
-        m = self.matched
-        if m > 0:
+        sellers, buyers = self.sellers, self.buyers
+        if matched := sum(sellers.cleared):
             pair = terms(self.venue, self.sell_price, self.buy_price)
-            shares = [
-                (f.prosumer_id, f.cleared.numerator * m.denominator, f.cleared.denominator * m.numerator)
-                for f in self.buyers if f.cleared.numerator > 0
-            ]
-            for f in self.sellers:
-                n, d, sid = f.cleared.numerator, f.cleared.denominator, f.prosumer_id
-                if n:
-                    yield from [pair(sid, bid, n * b_num, d * b_den) for bid, b_num, b_den in shares]
+            den = buyers.den * matched
+            shares = [(bid, c) for bid, c in zip(buyers.ids, buyers.cleared) if c]
+            for sid, c_s in zip(sellers.ids, sellers.cleared):
+                if c_s:
+                    yield from [pair(sid, bid, c_s * c_b, den) for bid, c_b in shares]
         sold = terms(Venue.GRID, self.fit, self.fit)
-        for f in self.sellers:
-            if (residual := _unfilled(f))[0] > 0:
-                yield sold(f.prosumer_id, GRID_ID, *residual)
+        for sid, s, c in zip(sellers.ids, sellers.submitted, sellers.cleared):
+            if s > c:
+                yield sold(sid, GRID_ID, s - c, sellers.den)
         bought = terms(Venue.THIRD_PARTY, self.third, self.third)
-        for f in self.buyers:
-            if (residual := _unfilled(f))[0] > 0:
-                yield bought(THIRD_PARTY_ID, f.prosumer_id, *residual)
+        for bid, s, c in zip(buyers.ids, buyers.submitted, buyers.cleared):
+            if s > c:
+                yield bought(THIRD_PARTY_ID, bid, s - c, buyers.den)
 
     def legs(self) -> Iterator[Leg]:
-        """Each participant's leg, sellers then buyers, read off its own fill.
+        """Each participant's leg, sellers then buyers, read off its side's integers.
 
-        The pairwise trades of :meth:`present` sum exactly to each fill, so every
-        leg is computed in O(S+B) without building them, in integers, from its
-        fill's and prices' integer ratios.
+        The pairwise trades of :meth:`present` sum exactly to each side's
+        cleared kWh, so every leg is computed in O(S+B) without building them:
+        ``price * c + residual_price * (s - c)``, over one denominator per side.
         """
-        for fills, is_seller, price, residual_price in ((self.sellers, True, self.sell_price, self.fit),
-                                                        (self.buyers, False, self.buy_price, self.third)):
+        for side, is_seller, price, residual_price in ((self.sellers, True, self.sell_price, self.fit),
+                                                       (self.buyers, False, self.buy_price, self.third)):
             pn, pd = price.as_integer_ratio()
             rn, rd = residual_price.as_integer_ratio()
-            for f in fills:
-                cn, cd = f.cleared.as_integer_ratio()
-                un, ud = _unfilled(f)
-                # price * cleared + residual_price * (submitted - cleared), over one denominator.
-                value, den = pn * cn * rd * ud + rn * un * pd * cd, pd * cd * rd * ud
-                yield (f.prosumer_id, value, 0, den) if is_seller else (f.prosumer_id, 0, value, den)
-
-
-def _unfilled(fill: Fill) -> tuple[int, int]:
-    """``fill.submitted - fill.cleared`` as an integer ratio, not reduced: ``(num, den)`` with ``den > 0``."""
-    sn, sd = fill.submitted.as_integer_ratio()
-    cn, cd = fill.cleared.as_integer_ratio()
-    return sn * cd - cn * sd, sd * cd
+            on_cleared, on_residual, den = pn * rd, rn * pd, pd * rd * side.den
+            for pid, s, c in zip(side.ids, side.submitted, side.cleared):
+                value = on_cleared * c + on_residual * (s - c)
+                yield (pid, value, 0, den) if is_seller else (pid, 0, value, den)
 
 
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
@@ -245,27 +251,27 @@ def match_midmarket(
     Each side is summed in integers, over its quantities' common
     denominator. The short side, whose total is ``M/E``, clears in full; on
     the long side, whose numerators total ``T`` over ``D``, a quantity
-    ``n/D`` clears ``n*M / (T*E)``, one ``Fraction`` per fill.
+    ``n/D`` is submitted ``n*T*E`` and cleared ``n*M*D``, both over ``D*T*E``.
+    Only the four prices are ``Fraction``s.
     """
-    sides = []
+    scaled = []
     for side in (sellers, buyers):
-        quantities = [Fraction(q) for _, q in side]
-        nums, den = common_denominator(quantities)
+        nums, den = common_denominator([q for _, q in side])
         if any(n <= 0 for n in nums):
             raise DomainError("mid-market quantities must be > 0")
-        sides.append((side, quantities, nums, sum(nums), den))
-    (*_, supply, supply_den), (*_, demand, demand_den) = sides
+        scaled.append(([pid for pid, _ in side], nums, sum(nums), den))
+    (*_, supply, supply_den), (*_, demand, demand_den) = scaled
     m, e = (supply, supply_den) if supply * demand_den <= demand * supply_den else (demand, demand_den)
-    fills = [
-        [Fill(pid, q, q if total * e == m * den else Fraction(n * m, total * e))
-         for (pid, _), q, n in zip(side, quantities, nums)]
-        for side, quantities, nums, total, den in sides
+    sides = [
+        Side(ids, nums, nums, den) if total * e == m * den
+        else Side(ids, [n * total * e for n in nums], [n * m * den for n in nums], den * total * e)
+        for ids, nums, total, den in scaled
     ]
     sell = Fraction(mid_sell)
     sell_n, sell_d = sell.as_integer_ratio()
     beta_n, beta_d = beta.as_integer_ratio()
     return Pool(
-        *fills, Fraction(m, e), Venue.MID_MARKET, sell, Fraction(sell_n * (beta_d + beta_n), sell_d * beta_d),
+        *sides, Venue.MID_MARKET, sell, Fraction(sell_n * (beta_d + beta_n), sell_d * beta_d),
         Fraction(fit_price), Fraction(third_party_price),
     )
 

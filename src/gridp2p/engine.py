@@ -12,7 +12,7 @@ auction and mid-market pools, a whole-position slot (every off-peak slot, and
 both baselines' peaks) its :class:`Positions`. Each part of a ledger presents
 the slot's trades in one fixed order, a block of trades sharing a venue and
 prices at a time, and yields each participant's leg: its revenue and cost,
-read off its own fill or position in O(S+B). ``write_run`` formats every
+read off its own pool side or position in O(S+B). ``write_run`` formats every
 slot's ``trades.csv`` lines from its ledger, block by block; its ``trades``
 are the same blocks presented by ``as_trade``, and its ``per_prosumer`` is
 settled from the legs by ``_settle``, each when first read. ``replace``,
@@ -21,12 +21,13 @@ Only a read of ``per_prosumer`` settles a slot: a run and writing it read no
 legs, and ``compare`` and ``stability_context`` read them straight from the
 ledger, ``compare`` only those of the three runs' peak slots.
 Settled cash is exact and in integers: a leg is its revenue and cost as
-numerators over one denominator, from its fill's or position's and prices'
-integer ratios; a prosumer's peak total is a reduced integer ratio, one
-``Fraction`` at the end; ``compare``'s floats are each one correctly rounded
-int division, or a correctly rounded ``math.fsum`` for an average
-percentage, so none depends on the order of the prosumers; and
-``stability_context`` builds one ``Fraction`` of cash per active prosumer.
+numerators over one denominator, from its pool side's or its position's
+integers and its prices' integer ratios; a prosumer's peak total is a
+reduced integer ratio, one ``Fraction`` at the end; ``compare``'s floats are
+each one correctly rounded int division, for an average that of its values'
+exact sum, then divided by their count, so none depends on the order of the
+prosumers; and ``stability_context`` builds one ``Fraction`` of cash per
+active prosumer.
 Floats appear only in positions, prices, system costs, metrics and emitted
 reports.
 """
@@ -48,6 +49,7 @@ from .coalition import (
     CoalitionStructure,
     Leg,
     Pool,
+    Side,
     StabilityContext,
     T,
     Terms,
@@ -207,13 +209,13 @@ def _add_ratio(total: tuple[int, int], value: tuple[int, int]) -> tuple[int, int
     return n // g, d // g
 
 
-def _mean(values: Collection[float]) -> float:
-    """The mean of finite ``values`` from their correctly rounded sum, which does not depend on
-    their order, or an infinity where that sum overflows a float."""
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError:
-        return math.inf
+def _mean(values: Collection[float | Fraction]) -> float:
+    """The mean of ``values``: their exact sum as one correctly rounded :func:`_ratio`, divided by
+    their count, so it does not depend on their order. NaN if a value is infinite: the table
+    that holds it then fails on its own."""
+    if any(v in (math.inf, -math.inf) for v in values):
+        return math.nan
+    return _ratio(*reduce(_add_ratio, (v.as_integer_ratio() for v in values), (0, 1))) / len(values)
 
 
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
@@ -257,7 +259,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         # demand is covered by the third party.
         price = Fraction(outcome.auction_price)
         ledger = (
-            Pool(outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION, price, price,
+            Pool(Side.of(outcome.seller_fills), Side.of(outcome.buyer_fills), Venue.AUCTION, price, price,
                  mid_pool.fit, mid_pool.third),
             mid_pool,
         )
@@ -462,17 +464,12 @@ def compare(
         "buyer_premium_vs_third_party_pct": pct(cost_tp, cost_p2p, cost_p2p),
     }
     averages = {f"avg_{name}": _mean(t.values()) if t else None for name, t in tables.items()}
-
-    def mean_cost(cost: dict[str, Fraction]) -> float:
-        total = reduce(_add_ratio, (c.as_integer_ratio() for c in cost.values()), (0, 1))
-        return _ratio(*total) / len(ids)
-
     return MetricsTable(
         **tables,
         **averages,
         cps_cost_with_p2p=cps_p2p,
         cps_cost_without_p2p=cps_grid,
-        avg_cost_per_prosumer_p2p=mean_cost(cost_p2p),
-        avg_cost_per_prosumer_grid_only=mean_cost(cost_grid),
-        avg_cost_per_prosumer_third_party=mean_cost(cost_tp),
+        avg_cost_per_prosumer_p2p=_mean(cost_p2p.values()),
+        avg_cost_per_prosumer_grid_only=_mean(cost_grid.values()),
+        avg_cost_per_prosumer_third_party=_mean(cost_tp.values()),
     )

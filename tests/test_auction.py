@@ -10,7 +10,7 @@ from conftest import (
     EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, fraction_allocate, oracle_allocate, oracle_price, oracle_trading_sets,
     random_book,
 )
-from gridp2p.auction import allocate, clear, order_books, verify_truthful_delivery
+from gridp2p.auction import DeliveryReport, allocate, clear, order_books, verify_truthful_delivery
 from gridp2p.core import AuctionPriceRule, DomainError, Order
 
 HIGHEST = AuctionPriceRule.HIGHEST_RESERVATION
@@ -224,6 +224,27 @@ def test_delivery_deviation_flagged():
     assert report.inconsistency == 1
 
 
+def test_float_deliveries_equal_to_the_fills_pass():
+    out = clear(book(
+        [ask("s1", 11.0, 5.0), ask("s2", 12.0, 3.0)],
+        [bid("b1", 15.0, 4.0), bid("b2", 13.0, 2.0)],
+    ))
+    report = verify_truthful_delivery(out, {f.prosumer_id: float(f.cleared) for f in out.seller_fills})
+    assert report == DeliveryReport(deviators=(), inconsistency=Fraction(0))
+
+
+def test_one_float_deviator_is_flagged_by_its_exact_shift():
+    out = clear(book(
+        [ask("s1", 11.0, 5.0), ask("s2", 12.0, 3.0)],
+        [bid("b1", 15.0, 4.0), bid("b2", 13.0, 2.0)],
+    ))
+    delivered = {f.prosumer_id: float(f.cleared) for f in out.seller_fills}
+    delivered["s2"] -= 0.1
+    report = verify_truthful_delivery(out, delivered)
+    assert report.deviators == ("s2",)
+    assert report.inconsistency == out.seller_fills[1].cleared - Fraction(delivered["s2"])
+
+
 def test_all_zero_delivery_flags_everyone():
     out = clear(book(
         [ask("s1", 11.0, 5.0), ask("s2", 12.0, 3.0)],
@@ -231,7 +252,7 @@ def test_all_zero_delivery_flags_everyone():
     ))
     report = verify_truthful_delivery(out, {"s1": 0, "s2": 0})
     assert set(report.deviators) == {"s1", "s2"}
-    assert report.inconsistency == out.total_cleared
+    assert report.inconsistency == sum(f.cleared for f in out.seller_fills)
 
 
 def test_delivery_dimension_mismatch():
@@ -280,4 +301,4 @@ def test_clear_on_extreme_quantities_fills_as_the_fraction_oracle(asks, bids):
     quantity = {o.prosumer_id: Fraction(o.quantity) for o in (*b.asks, *b.bids)}
     assert [f.submitted for f in (*sellers, *buyers)] == [quantity[f.prosumer_id] for f in (*sellers, *buyers)]
     assert [f.cleared for f in (*sellers, *buyers)] == cleared + bought
-    assert out.total_cleared == sum(cleared, Fraction(0))
+    assert sum(f.cleared for f in sellers) == sum(f.cleared for f in buyers)

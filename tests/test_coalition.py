@@ -23,6 +23,7 @@ from gridp2p.coalition import (
     THIRD_PARTY_ID,
     CoalitionStructure,
     Pool,
+    Side,
     StabilityContext,
     Trade,
     Venue,
@@ -314,7 +315,7 @@ _HALF = Fraction(1, 2)
 def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
-    pool = Pool(*args)
+    pool = Pool(Side.of(args[0]), Side.of(args[1]), *args[3:])
     trades = list(pool.present(as_trade))
     assert trades == eager_pool_trades(*args)
     sellers, buyers = args[:2]
@@ -361,11 +362,28 @@ def _fills(draw, side):
          Fraction(0), Fraction(0))
 def test_pool_leg_is_the_fraction_operator_form(sellers, buyers, sell, buy, fit, third):
     # Each leg, built from integer ratios, equals the same sum taken through
-    # Fraction operators; the matched total does not enter a leg.
-    pool = Pool(sellers, buyers, Fraction(0), Venue.MID_MARKET, sell, buy, fit, third)
+    # Fraction operators, whether or not the two sides' cleared totals agree.
+    pool = Pool(Side.of(sellers), Side.of(buyers), Venue.MID_MARKET, sell, buy, fit, third)
     assert list(map(leg_cash, pool.legs())) == [
         (f.prosumer_id, sell * f.cleared + fit * (f.submitted - f.cleared), 0) for f in sellers
     ] + [(f.prosumer_id, 0, buy * f.cleared + third * (f.submitted - f.cleared)) for f in buyers]
+
+
+def _fills_of(side):
+    """A pool side as ``(id, submitted, cleared)`` per participant, each quantity a ``Fraction``."""
+    return [(pid, Fraction(s, side.den), Fraction(c, side.den))
+            for pid, s, c in zip(side.ids, side.submitted, side.cleared)]
+
+
+@given(st.lists(st.tuples(EXTREME_QUANTITY, st.fractions(0, 1)), max_size=6))
+@example([(TINY, Fraction(1, 3)), (HUGE, Fraction(0)), (Fraction(2, 7), Fraction(1)), (HUGE, Fraction(1, 7))])
+def test_a_side_gives_back_each_fill_exactly(fills):
+    # Fills that clear nothing, all or a part, over one denominator; the
+    # mid-market's sides are checked against the Fraction pro-rata below.
+    fills = [Fill(f"p{i}", Fraction(q), Fraction(q) * share) for i, (q, share) in enumerate(fills)]
+    side = Side.of(fills)
+    assert side.den > 0
+    assert _fills_of(side) == [(f.prosumer_id, f.submitted, f.cleared) for f in fills]
 
 
 @given(st.lists(EXTREME_QUANTITY, max_size=6), st.lists(EXTREME_QUANTITY, max_size=6), st.floats(0.0, 1.0))
@@ -381,9 +399,9 @@ def test_midmarket_fills_are_the_fraction_pro_rata(surpluses, deficits, beta):
     )
     supply, demand = (sum(map(Fraction, side), Fraction(0)) for side in (surpluses, deficits))
     matched = min(supply, demand)
-    assert pool.matched == matched
-    for fills, side, total, name in ((pool.sellers, surpluses, supply, "s"), (pool.buyers, deficits, demand, "b")):
-        assert [(f.prosumer_id, f.submitted, f.cleared) for f in fills] == [
+    for pool_side, side, total, name in ((pool.sellers, surpluses, supply, "s"), (pool.buyers, deficits, demand, "b")):
+        assert Fraction(sum(pool_side.cleared), pool_side.den) == matched
+        assert _fills_of(pool_side) == [
             (f"{name}{i}", Fraction(q), Fraction(q) * matched / total) for i, q in enumerate(side)
         ]
     assert (pool.sell_price, pool.buy_price) == (Fraction(11.0), Fraction(11.0) * (1 + Fraction(beta)))

@@ -1,6 +1,7 @@
 """Slot orchestration, baselines, settlement and comparison metrics."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -263,9 +264,9 @@ def _eager_peak_trades(scenario, s):
     trades = []
     if not outcome.is_empty:
         price = Fraction(outcome.auction_price)
-        trades += eager_pool_trades(
-            outcome.seller_fills, outcome.buyer_fills, outcome.total_cleared, Venue.AUCTION, price, price, fit, third
-        )
+        sellers, buyers = outcome.seller_fills, outcome.buyer_fills
+        matched = sum(f.cleared for f in sellers)
+        trades += eager_pool_trades(sellers, buyers, matched, Venue.AUCTION, price, price, fit, third)
     p_auc = grid.fit_price if outcome.is_empty else outcome.auction_price
     sell = Fraction(mid_market_prices(p_auc, grid.fit_price, market.beta)[0])
     mid = set(s.structure.midmarket_members)
@@ -512,13 +513,32 @@ def _oracle_metrics(scenario, p2p, grid_only, third_party):
     return engine.MetricsTable(
         **tables,
         # Correctly rounded, so independent of the prosumers' order.
-        **{f"avg_{name}": math.fsum(t.values()) / len(t) if t else None for name, t in tables.items()},
+        **{f"avg_{name}": float(sum(map(Fraction, t.values()))) / len(t) if t else None for name, t in tables.items()},
         **cps,
         **{
             f"avg_cost_per_prosumer_{name}": float(sum(cost.values(), Fraction(0))) / len(ids)
             for name, cost in (("p2p", cost_p2p), ("grid_only", cost_grid), ("third_party", cost_tp))
         },
     )
+
+
+@pytest.mark.parametrize("values", sorted(set(itertools.permutations([1e308, -1e308, 1e308]))))
+def test_a_mean_of_extremes_is_the_same_in_every_order(values):
+    # Partial sums overflow in some orders; the exact sum, 1e308, fits.
+    assert engine._mean(values) == 1e308 / 3
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8), st.randoms())
+@example([1e308, 1e308, -1e308], random.Random(0))
+@example([1.7976931348623157e308, 1.7976931348623157e308], random.Random(0))
+def test_a_mean_is_the_rounded_exact_sum_over_the_count_in_any_order(xs, rng):
+    exact = sum(map(Fraction, xs))
+    try:
+        expected = float(exact) / len(xs)
+    except OverflowError:
+        expected = math.inf if exact > 0 else -math.inf
+    shuffled = rng.sample(xs, len(xs))
+    assert engine._mean(xs) == engine._mean(shuffled) == expected
 
 
 def _bits(table):

@@ -630,15 +630,13 @@ def test_cli_price_rule_override(tmp_path):
     assert audit_run(b) == []
 
 
-def test_cli_jobs_flag_is_deterministic(tmp_path, capsys):
-    args = ["simulate", "--seed", "5", "--slots", "6", "--mode", "p2p"]
-    assert main(args + ["--jobs", "1", "--out", str(tmp_path / "seq")]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par")]) == EXIT_OK
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: --jobs 2 ignored; slots run in one process"
-    ]
-    assert _dir_bytes(tmp_path / "seq") == _dir_bytes(tmp_path / "par")
+def test_cli_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    # --jobs was accepted and ignored; it is gone, so argparse rejects it and nothing is written.
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--seed", "5", "--slots", "6", "--jobs", "2", "--out", str(tmp_path / "run")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("sizes", [["--slots", "3"], ["--prosumers", "24"], ["--prosumers", "12", "--slots", "22"]])
