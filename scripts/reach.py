@@ -34,10 +34,10 @@ PACKAGE = ROOT / "src" / "gridp2p"
 ALLOWED = {("cli.py", "raise SystemExit(main())")}
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The lines of ``path`` that start an instruction of its module or of any code nested in it,
-    less the body of a module-level ``if __name__ == "__main__":``, which runs only as a script."""
-    source = path.read_text()
+def executable_lines(path: Path, source: str) -> set[int]:
+    """The lines of ``source``, the text of ``path``, that start an instruction of its module or of
+    any code nested in it, less the body of a module-level ``if __name__ == "__main__":``, which
+    runs only as a script."""
     lines: set[int] = set()
     stack = [compile(source, str(path), "exec")]
     while stack:
@@ -75,18 +75,21 @@ def main(argv: list[str]) -> int:
         raise RuntimeError("gridp2p must be imported under the tracer, or its definitions read as unreached")
     import pytest
 
+    # Read before the suite runs, so the lines counted and the lines listed
+    # are those of the modules the suite imports, even if a file changes meanwhile.
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     tracer = PackageTrace()
     os.chdir(ROOT)
     status = tracer.runfunc(pytest.main, ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", *argv])
     ran = {(Path(name).resolve(), line) for name, line in tracer.results().counts}
 
     unallowed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
-        for line in sorted(executable_lines(path)):
+    for path, source in sources.items():
+        text_lines = source.splitlines()
+        for line in sorted(executable_lines(path, source)):
             if (path, line) in ran:
                 continue
-            text = source[line - 1].strip()
+            text = text_lines[line - 1].strip()
             allowed = (path.name, text) in ALLOWED
             unallowed += not allowed
             print(f"{path.relative_to(ROOT)}:{line}: {text}{'  (allowed)' if allowed else ''}")

@@ -1,4 +1,4 @@
-"""Double-auction clearing: sorting, breakeven matching, burden allocation.
+"""Double-auction clearing: sorting, breakeven matching, pro-rata and equal-burden fills.
 
 The book is sorted with asks ascending and bids descending; the trading sets
 are the longest prefix on which the i-th ask does not exceed the i-th bid
@@ -8,11 +8,11 @@ under the Vickrey rule.
 
 Quantities then clear through :func:`allocate`, exactly, so that energy
 conservation and the equal-burden identity hold exactly, not merely to
-floating-point tolerance. Each side of the book is scaled once to integer
-numerators over one shared denominator (a power of two for float
-quantities), and the clearing is integer arithmetic; a fill is a
-``fractions.Fraction`` built once from its integer ratio, or the submitted
-quantity itself where it clears in full.
+floating-point tolerance. Both sides of the book are scaled once to integer
+numerators over one denominator (a power of two for float quantities), and
+the clearing is integer arithmetic: :func:`pro_rata`, the rule both
+coalitions share, or the sellers' equal burden. Each side of the outcome is
+a :class:`Side` of integers; a ``Fill`` is built from it only where read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import AuctionPriceRule, DomainError, Order
 
@@ -55,26 +55,49 @@ class Fill:
     cleared: Fraction
 
 
+class Side(NamedTuple):
+    """One cleared side: its participants' ids, and their submitted and
+    cleared kWh as integer numerators over one denominator ``den > 0``."""
+
+    ids: Sequence[str]
+    submitted: Sequence[int]
+    cleared: Sequence[int]
+    den: int
+
+    def fills(self) -> tuple[Fill, ...]:
+        """Each participant's fill, its quantities as ``Fraction``s."""
+        return tuple(Fill(pid, Fraction(s, self.den), Fraction(c, self.den))
+                     for pid, s, c in zip(self.ids, self.submitted, self.cleared))
+
+
 @dataclass(frozen=True)
 class AuctionOutcome:
     auction_price: float | None
-    seller_fills: tuple[Fill, ...]
-    buyer_fills: tuple[Fill, ...]
+    sellers: Side
+    buyers: Side
 
     @property
     def is_empty(self) -> bool:
         return self.auction_price is None
 
     @property
+    def seller_fills(self) -> tuple[Fill, ...]:
+        return self.sellers.fills()
+
+    @property
+    def buyer_fills(self) -> tuple[Fill, ...]:
+        return self.buyers.fills()
+
+    @property
     def trading_sellers(self) -> tuple[str, ...]:
-        return tuple(f.prosumer_id for f in self.seller_fills)
+        return tuple(self.sellers.ids)
 
     @property
     def trading_buyers(self) -> tuple[str, ...]:
-        return tuple(f.prosumer_id for f in self.buyer_fills)
+        return tuple(self.buyers.ids)
 
 
-EMPTY_OUTCOME = AuctionOutcome(None, (), ())
+EMPTY_OUTCOME = AuctionOutcome(None, Side((), (), (), 1), Side((), (), (), 1))
 
 
 def _sort_key(order: Order, ascending: bool):
@@ -94,58 +117,71 @@ def order_books(book: OrderBook) -> OrderBook:
     )
 
 
-def common_denominator(values: Sequence[Fraction | float]) -> tuple[list[int], int]:
-    """``values`` as integer numerators over one denominator, the lcm of theirs (for floats, the largest)."""
-    ratios = [v.as_integer_ratio() for v in values]
+# One side of a book as submitted: each participant's ``(id, kWh)``.
+Submitted = Sequence[tuple[str, float | Fraction]]
+
+
+def scaled(sellers: Submitted, buyers: Submitted, error: str) -> tuple[list[str], list[int], list[str], list[int], int]:
+    """Both sides as ``(seller ids, a, buyer ids, b, D)``: each kWh is ``a_i/D`` or ``b_j/D``, ``D`` the lcm
+    of the quantities' denominators (for floats, the largest). ``DomainError(error)`` unless all are > 0."""
+    ratios = [q.as_integer_ratio() for _, q in (*sellers, *buyers)]
     den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
+    nums = [n * (den // d) for n, d in ratios]
+    if any(n <= 0 for n in nums):
+        raise DomainError(error)
+    return [pid for pid, _ in sellers], nums[: len(sellers)], [pid for pid, _ in buyers], nums[len(sellers) :], den
 
 
-def allocate(
-    supplies: Sequence[Fraction], demands: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Clear quantities between trading sellers and buyers.
+def pro_rata(
+    seller_ids: list[str], supply: list[int], buyer_ids: list[str], demand: list[int], den: int
+) -> tuple[Side, Side]:
+    """Clear a book pro-rata: the short side in full, the long side in proportion to its quantities.
 
-    When supply does not exceed demand every seller clears fully and buyers
-    are filled pro-rata to their demands. Otherwise the excess is a burden
-    shared equally by the sellers; a seller whose whole quantity is absorbed
+    Seller ``i`` holds ``a_i/D`` and buyer ``j`` holds ``b_j/D``, so supply is
+    ``A/D`` and demand ``B/D``. Over ``D*max(A, B)`` seller ``i`` submits
+    ``a_i*max(A, B)`` and clears ``a_i*B``, and buyer ``j`` submits
+    ``b_j*max(A, B)`` and clears ``b_j*A``: one formula, whichever side is
+    short. A side with nobody on it clears nothing, and ``den`` stays > 0.
+    """
+    total_supply, total_demand = sum(supply), sum(demand)
+    scale = max(total_supply, total_demand) or 1
+    return (
+        Side(seller_ids, [a * scale for a in supply], [a * total_demand for a in supply], den * scale),
+        Side(buyer_ids, [b * scale for b in demand], [b * total_supply for b in demand], den * scale),
+    )
+
+
+def allocate(sellers: Submitted, buyers: Submitted) -> tuple[Side, Side]:
+    """Clear ``(id, kWh)`` trading sellers against buyers, as the seller and the buyer :class:`Side`.
+
+    When supply does not exceed demand this is :func:`pro_rata`: every seller
+    clears fully and buyers are filled pro-rata to their demands. Otherwise
+    the excess is a burden shared equally by the sellers, each seller's
+    submitted kWh less its cleared; a seller whose whole quantity is absorbed
     by its share is clipped at zero and the leftover is redistributed equally
     over the sellers still clearing, until seller and buyer totals match
-    exactly. Returns (seller cleared, seller burden, buyer cleared), each an
-    exact ``Fraction``; a side that clears in full returns its own quantities.
+    exactly.
 
-    The work is in integers: both sides as numerators over one denominator
-    ``D``, supply ``A/D`` and demand ``B/D``. When ``A <= B`` buyer ``j``
-    clears ``b_j*A / (B*D)``. Otherwise the ``k`` sellers still clearing
-    share the burden level ``X / (k*D)``, ``X`` being their numerators' total
-    less ``B``, and seller ``i`` clears ``(k*a_i - X) / (k*D)``. Each pass
-    clips every seller below the level, which only raises it, so no clipped
-    seller clears at the final level; the largest seller never clips.
+    The burden is found on the integers of :func:`scaled`: the ``k`` sellers
+    still clearing share the level ``X / (k*D)``, ``X`` being their
+    numerators' total less ``B``, and seller ``i`` submits ``k*a_i`` and
+    clears ``k*a_i - X``, over ``k*D``. Each pass clips every seller below the
+    level, which only raises it, so no clipped seller clears at the final
+    level; the largest seller never clips.
     """
-    supplies = [s if isinstance(s, Fraction) else Fraction(s) for s in supplies]
-    demands = [d if isinstance(d, Fraction) else Fraction(d) for d in demands]
-    nums, den = common_denominator(supplies + demands)
-    if any(n <= 0 for n in nums):
-        raise DomainError("allocate requires positive quantities")
-    if not supplies or not demands:
-        return [_ZERO] * len(supplies), [_ZERO] * len(supplies), [_ZERO] * len(demands)
-
-    supply, demand = nums[: len(supplies)], nums[len(supplies) :]
-    total_supply, total_demand = sum(supply), sum(demand)
-    if total_supply <= total_demand:
-        scale = total_demand * den
-        return list(supplies), [_ZERO] * len(supplies), [Fraction(b * total_supply, scale) for b in demand]
-
-    active, level = range(len(supply)), total_supply - total_demand
+    book = seller_ids, supply, buyer_ids, demand, den = scaled(sellers, buyers, "allocate requires positive quantities")
+    level = sum(supply) - sum(demand)
+    if level <= 0:
+        return pro_rata(*book)
+    active = range(len(supply))
     while clipped := [i for i in active if supply[i] * len(active) < level]:
         active = [i for i in active if supply[i] * len(active) >= level]
         level -= sum(supply[i] for i in clipped)
     k = len(active)
-    cleared, burdens, burden = [_ZERO] * len(supply), list(supplies), Fraction(level, k * den)
+    cleared = [0] * len(supply)
     for i in active:
-        cleared[i] = Fraction(k * supply[i] - level, k * den)
-        burdens[i] = burden
-    return cleared, burdens, list(demands)
+        cleared[i] = k * supply[i] - level
+    return Side(seller_ids, [k * a for a in supply], cleared, k * den), Side(buyer_ids, demand, demand, den)
 
 
 def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION) -> AuctionOutcome:
@@ -173,12 +209,8 @@ def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RES
     else:
         price = trading_asks[-1].price
 
-    supplies = [Fraction(o.quantity) for o in trading_asks]
-    demands = [Fraction(o.quantity) for o in trading_bids]
-    cleared_s, _, cleared_b = allocate(supplies, demands)
-    seller_fills = tuple(map(Fill, (o.prosumer_id for o in trading_asks), supplies, cleared_s))
-    buyer_fills = tuple(map(Fill, (o.prosumer_id for o in trading_bids), demands, cleared_b))
-    return AuctionOutcome(price, seller_fills, buyer_fills)
+    sellers = [(o.prosumer_id, o.quantity) for o in trading_asks]
+    return AuctionOutcome(price, *allocate(sellers, [(o.prosumer_id, o.quantity) for o in trading_bids]))
 
 
 @dataclass(frozen=True)

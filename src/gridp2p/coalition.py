@@ -5,10 +5,11 @@ cleared, who trade at the auction price, and everyone else, who trade with
 each other at the mid-market price (the midpoint of auction price and
 feed-in tariff, with a network fee on the buyer side). Imbalances inside the
 mid-market group fall back to the grid (surplus, at the feed-in tariff) or a
-third-party source (deficit, at a fixed price). Each coalition is a
-:class:`Pool`, whose two sides hold their participants' submitted and cleared
-kWh as integer numerators over one denominator per side; its trades and each
-participant's leg are read straight from those integers.
+third-party source (deficit, at a fixed price). Both coalitions clear by
+the auction module's one pro-rata rule (the auction shares an equal burden
+instead when its sellers are long), and each is a :class:`Pool` of the two
+integer sides (:class:`~gridp2p.auction.Side`) that the clearing returns; its
+trades and each participant's leg are read straight from those integers.
 
 ``check_dhp_stability`` then asks whether any prosumer, or any group of
 mid-market members, could do strictly better by walking away. Auction
@@ -27,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
-from .auction import AuctionOutcome, Fill, common_denominator
+from .auction import AuctionOutcome, Side, Submitted, pro_rata, scaled
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
 
 T = TypeVar("T")
@@ -126,22 +127,6 @@ def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStruct
     )
 
 
-class Side(NamedTuple):
-    """One side of a pool: its participants' ids, and their submitted and
-    cleared kWh as integer numerators over one denominator ``den > 0``."""
-
-    ids: Sequence[str]
-    submitted: Sequence[int]
-    cleared: Sequence[int]
-    den: int
-
-    @classmethod
-    def of(cls, fills: Sequence[Fill]) -> Side:
-        """The side of ``fills``, over the lcm of their quantities' denominators."""
-        nums, den = common_denominator([q for f in fills for q in (f.submitted, f.cleared)])
-        return cls([f.prosumer_id for f in fills], nums[::2], nums[1::2], den)
-
-
 @dataclass(frozen=True)
 class Pool:
     """A pro-rata pool: its two sides, whose cleared totals are equal, its
@@ -232,47 +217,25 @@ def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | 
 
 
 def match_midmarket(
-    sellers: Sequence[tuple[str, float | Fraction]],
-    buyers: Sequence[tuple[str, float | Fraction]],
-    mid_sell: float,
-    beta: float,
-    fit_price: float,
-    third_party_price: float,
+    sellers: Submitted, buyers: Submitted, mid_sell: float, beta: float, fit_price: float, third_party_price: float
 ) -> Pool:
     """Match mid-market surplus against deficit pro-rata and route residuals.
 
-    Every seller's quantity is spread over the buyers in proportion to their
-    demands (and vice versa), so the matched total is the smaller of total
-    surplus and total deficit, exactly. Leftover surplus is sold to the grid
-    at the feed-in tariff; leftover deficit is bought from the third party.
-    Returns the pool, the slot's mid-market ledger: it presents the trades,
-    and its legs are each participant's settlement.
-
-    Each side is summed in integers, over its quantities' common
-    denominator. The short side, whose total is ``M/E``, clears in full; on
-    the long side, whose numerators total ``T`` over ``D``, a quantity
-    ``n/D`` is submitted ``n*T*E`` and cleared ``n*M*D``, both over ``D*T*E``.
+    The surplus and deficit clear by :func:`~gridp2p.auction.pro_rata`, the
+    auction's own rule when supply is short: the short side in full and the
+    long side in proportion to its quantities, so the matched total is the
+    smaller of total surplus and total deficit, exactly. Leftover surplus is
+    sold to the grid at the feed-in tariff; leftover deficit is bought from
+    the third party. Returns the pool, the slot's mid-market ledger: it
+    presents the trades, and its legs are each participant's settlement.
     Only the four prices are ``Fraction``s.
     """
-    scaled = []
-    for side in (sellers, buyers):
-        nums, den = common_denominator([q for _, q in side])
-        if any(n <= 0 for n in nums):
-            raise DomainError("mid-market quantities must be > 0")
-        scaled.append(([pid for pid, _ in side], nums, sum(nums), den))
-    (*_, supply, supply_den), (*_, demand, demand_den) = scaled
-    m, e = (supply, supply_den) if supply * demand_den <= demand * supply_den else (demand, demand_den)
-    sides = [
-        Side(ids, nums, nums, den) if total * e == m * den
-        else Side(ids, [n * total * e for n in nums], [n * m * den for n in nums], den * total * e)
-        for ids, nums, total, den in scaled
-    ]
     sell = Fraction(mid_sell)
     sell_n, sell_d = sell.as_integer_ratio()
     beta_n, beta_d = beta.as_integer_ratio()
     return Pool(
-        *sides, Venue.MID_MARKET, sell, Fraction(sell_n * (beta_d + beta_n), sell_d * beta_d),
-        Fraction(fit_price), Fraction(third_party_price),
+        *pro_rata(*scaled(sellers, buyers, "mid-market quantities must be > 0")), Venue.MID_MARKET, sell,
+        Fraction(sell_n * (beta_d + beta_n), sell_d * beta_d), Fraction(fit_price), Fraction(third_party_price),
     )
 
 

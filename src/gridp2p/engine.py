@@ -49,7 +49,6 @@ from .coalition import (
     CoalitionStructure,
     Leg,
     Pool,
-    Side,
     StabilityContext,
     T,
     Terms,
@@ -211,9 +210,9 @@ def _add_ratio(total: tuple[int, int], value: tuple[int, int]) -> tuple[int, int
 
 def _mean(values: Collection[float | Fraction]) -> float:
     """The mean of ``values``: their exact sum as one correctly rounded :func:`_ratio`, divided by
-    their count, so it does not depend on their order. NaN if a value is infinite: the table
-    that holds it then fails on its own."""
-    if any(v in (math.inf, -math.inf) for v in values):
+    their count, so it does not depend on their order. NaN if a float value is infinite (a
+    ``Fraction`` never is): the table that holds it then fails on its own."""
+    if any(math.isinf(v) for v in values if type(v) is float):
         return math.nan
     return _ratio(*reduce(_add_ratio, (v.as_integer_ratio() for v in values), (0, 1))) / len(values)
 
@@ -259,8 +258,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         # demand is covered by the third party.
         price = Fraction(outcome.auction_price)
         ledger = (
-            Pool(Side.of(outcome.seller_fills), Side.of(outcome.buyer_fills), Venue.AUCTION, price, price,
-                 mid_pool.fit, mid_pool.third),
+            Pool(outcome.sellers, outcome.buyers, Venue.AUCTION, price, price, mid_pool.fit, mid_pool.third),
             mid_pool,
         )
 

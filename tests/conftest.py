@@ -12,6 +12,7 @@ of the integer ratios of ``Pool.present``.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,7 @@ from itertools import combinations
 from hypothesis import settings, strategies as st
 
 from gridp2p.core import Order
-from gridp2p.auction import OrderBook
+from gridp2p.auction import OrderBook, Side, allocate
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
 
 settings.register_profile("gridp2p", deadline=None)
@@ -101,6 +102,26 @@ def fraction_allocate(supplies, demands):
         for i in active:
             cleared[i] = max(cleared[i] - extra, Fraction(0))
     return cleared, [s - c for s, c in zip(supplies, cleared)], list(demands)
+
+
+def allocated(supplies, demands):
+    """``allocate`` on bare quantities, in ``fraction_allocate``'s form: (seller cleared, seller burden, buyer cleared).
+
+    A burden is what a seller submitted less what it cleared; a book with an
+    empty side trades nothing, so, as in that form, its sellers bear none.
+    """
+    sellers, buyers = allocate([(f"s{i}", q) for i, q in enumerate(supplies)],
+                               [(f"b{j}", q) for j, q in enumerate(demands)])
+    sold, bought = sellers.fills(), buyers.fills()
+    burdens = [f.submitted - f.cleared if bought else Fraction(0) for f in sold]
+    return [f.cleared for f in sold], burdens, [f.cleared for f in bought]
+
+
+def side_of(fills) -> Side:
+    """The side of ``fills``, its quantities over the lcm of their denominators."""
+    den = math.lcm(*(q.denominator for f in fills for q in (f.submitted, f.cleared)))
+    return Side([f.prosumer_id for f in fills], [int(f.submitted * den) for f in fills],
+                [int(f.cleared * den) for f in fills], den)
 
 
 def oracle_allocate(supplies, demands):

@@ -10,13 +10,13 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from conftest import ask, bid, book, oracle_price, oracle_trading_sets
+from conftest import allocated, ask, bid, book, oracle_price, oracle_trading_sets
 from fixtures import (
     blended_price_scenario,
     uniform_auction_scenario,
     with_third_party_price,
 )
-from gridp2p.auction import allocate, clear, verify_truthful_delivery
+from gridp2p.auction import clear, verify_truthful_delivery
 from gridp2p.cli import EXIT_OK, main
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, check_dhp_stability
 from gridp2p.core import GridPolicy, ProsumerProfile, make_case_study_scenario
@@ -197,7 +197,7 @@ def test_criterion_08_equal_burden():
         demand_total = sum(supplies) - share * k
         if demand_total <= 0:
             continue
-        cleared, burdens, buyers = allocate(supplies, [demand_total])
+        cleared, burdens, buyers = allocated(supplies, [demand_total])
         expected = (sum(supplies) - demand_total) / k
         for burden in burdens:
             assert burden == expected
@@ -207,7 +207,7 @@ def test_criterion_08_equal_burden():
     for _ in range(10_000):
         supplies = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 6))]
         demands = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 6))]
-        cleared, _, buyers = allocate(supplies, demands)
+        cleared, _, buyers = allocated(supplies, demands)
         assert sum(cleared) == sum(buyers)
         assert sum(cleared) == min(sum(supplies), sum(demands))
     _report(8, "equal burden exact on 10^4 unclipped draws; totals exact on 10^4 arbitrary draws")

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
-    EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, fraction_allocate, oracle_allocate, oracle_price, oracle_trading_sets,
-    random_book,
+    EXTREME_QUANTITY, HUGE, TINY, allocated, ask, bid, book, fraction_allocate, oracle_allocate, oracle_price,
+    oracle_trading_sets, random_book,
 )
-from gridp2p.auction import DeliveryReport, allocate, clear, order_books, verify_truthful_delivery
+from gridp2p.auction import DeliveryReport, Side, allocate, clear, order_books, verify_truthful_delivery
 from gridp2p.core import AuctionPriceRule, DomainError, Order
 
 HIGHEST = AuctionPriceRule.HIGHEST_RESERVATION
@@ -97,22 +97,28 @@ def test_vickrey_price_is_second_highest_trading_ask():
 
 
 def test_allocate_equal_burden():
-    cleared, burdens, buyers = allocate([Fraction(5), Fraction(3)], [Fraction(6)])
+    cleared, burdens, buyers = allocated([Fraction(5), Fraction(3)], [Fraction(6)])
     assert cleared == [Fraction(4), Fraction(2)]
     assert burdens == [Fraction(1), Fraction(1)]
     assert buyers == [Fraction(6)]
+    # Over 2: the sellers submit 10 and 6 and clear 8 and 4; the buyer clears in full.
+    assert allocate([("s0", 5), ("s1", 3)], [("b0", 6)]) == (Side(["s0", "s1"], [10, 6], [8, 4], 2),
+                                                             Side(["b0"], [6], [6], 1))
 
 
 def test_allocate_supply_short():
-    cleared, burdens, buyers = allocate([Fraction(2), Fraction(3)], [Fraction(4), Fraction(2)])
+    cleared, burdens, buyers = allocated([Fraction(2), Fraction(3)], [Fraction(4), Fraction(2)])
     assert cleared == [Fraction(2), Fraction(3)]
     assert burdens == [Fraction(0), Fraction(0)]
     assert buyers == [Fraction(10, 3), Fraction(5, 3)]
     assert sum(buyers) == 5
+    # Supply 5 against demand 6, over 6: sellers submit and clear a_i*6, buyers submit b_j*6 and clear b_j*5.
+    assert allocate([("s0", 2), ("s1", 3)], [("b0", 4), ("b1", 2)]) == (Side(["s0", "s1"], [12, 18], [12, 18], 6),
+                                                                        Side(["b0", "b1"], [24, 12], [20, 10], 6))
 
 
 def test_allocate_clipping_redistributes():
-    cleared, burdens, buyers = allocate([Fraction(5), Fraction(1)], [Fraction(2)])
+    cleared, burdens, buyers = allocated([Fraction(5), Fraction(1)], [Fraction(2)])
     assert cleared == [Fraction(2), Fraction(0)]
     assert burdens == [Fraction(3), Fraction(1)]
     assert sum(cleared) == sum(buyers) == 2
@@ -120,11 +126,11 @@ def test_allocate_clipping_redistributes():
 
 def test_allocate_rejects_nonpositive():
     with pytest.raises(DomainError):
-        allocate([Fraction(0)], [Fraction(1)])
+        allocated([Fraction(0)], [Fraction(1)])
 
 
 def test_allocate_empty_lists():
-    cleared, burdens, buyers = allocate([], [Fraction(1)])
+    cleared, burdens, buyers = allocated([], [Fraction(1)])
     assert cleared == [] and burdens == [] and buyers == [Fraction(0)]
 
 
@@ -133,7 +139,7 @@ def test_allocate_matches_water_fill_oracle():
     for _ in range(2000):
         supplies = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 6))]
         demands = [Fraction(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 6))]
-        cleared, burdens, buyers = allocate(supplies, demands)
+        cleared, burdens, buyers = allocated(supplies, demands)
         oracle_cleared, oracle_buyers = oracle_allocate(supplies, demands)
         assert cleared == oracle_cleared
         assert buyers == oracle_buyers
@@ -281,8 +287,8 @@ _EXTREME_SIDE = st.lists(EXTREME_QUANTITY, max_size=6)
 @example([TINY], [TINY, HUGE])
 def test_allocate_on_extreme_quantities_equals_both_fraction_oracles(supplies, demands):
     expected = fraction_allocate(supplies, demands)
-    assert allocate(supplies, demands) == expected
-    assert allocate(list(map(Fraction, supplies)), list(map(Fraction, demands))) == expected
+    assert allocated(supplies, demands) == expected
+    assert allocated(list(map(Fraction, supplies)), list(map(Fraction, demands))) == expected
     cleared, burdens, buyers = expected
     oracle_cleared, oracle_buyers = oracle_allocate(supplies, demands)
     assert (cleared, buyers) == (oracle_cleared, oracle_buyers)

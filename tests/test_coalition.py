@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, eager_pool_trades, leg_cash, oracle_dhp_stable, payment, receipt,
+    side_of,
 )
 from fixtures import (
     two_coalition_demo_scenario,
@@ -23,7 +24,6 @@ from gridp2p.coalition import (
     THIRD_PARTY_ID,
     CoalitionStructure,
     Pool,
-    Side,
     StabilityContext,
     Trade,
     Venue,
@@ -315,7 +315,7 @@ _HALF = Fraction(1, 2)
 def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
-    pool = Pool(Side.of(args[0]), Side.of(args[1]), *args[3:])
+    pool = Pool(side_of(args[0]), side_of(args[1]), *args[3:])
     trades = list(pool.present(as_trade))
     assert trades == eager_pool_trades(*args)
     sellers, buyers = args[:2]
@@ -363,7 +363,7 @@ def _fills(draw, side):
 def test_pool_leg_is_the_fraction_operator_form(sellers, buyers, sell, buy, fit, third):
     # Each leg, built from integer ratios, equals the same sum taken through
     # Fraction operators, whether or not the two sides' cleared totals agree.
-    pool = Pool(Side.of(sellers), Side.of(buyers), Venue.MID_MARKET, sell, buy, fit, third)
+    pool = Pool(side_of(sellers), side_of(buyers), Venue.MID_MARKET, sell, buy, fit, third)
     assert list(map(leg_cash, pool.legs())) == [
         (f.prosumer_id, sell * f.cleared + fit * (f.submitted - f.cleared), 0) for f in sellers
     ] + [(f.prosumer_id, 0, buy * f.cleared + third * (f.submitted - f.cleared)) for f in buyers]
@@ -381,9 +381,10 @@ def test_a_side_gives_back_each_fill_exactly(fills):
     # Fills that clear nothing, all or a part, over one denominator; the
     # mid-market's sides are checked against the Fraction pro-rata below.
     fills = [Fill(f"p{i}", Fraction(q), Fraction(q) * share) for i, (q, share) in enumerate(fills)]
-    side = Side.of(fills)
+    side = side_of(fills)
     assert side.den > 0
     assert _fills_of(side) == [(f.prosumer_id, f.submitted, f.cleared) for f in fills]
+    assert side.fills() == tuple(fills)
 
 
 @given(st.lists(EXTREME_QUANTITY, max_size=6), st.lists(EXTREME_QUANTITY, max_size=6), st.floats(0.0, 1.0))
@@ -532,7 +533,7 @@ def test_stability_matches_exhaustive_group_search(scenario):
     assert verdict.stable == oracle_dhp_stable(scenario, result)
 
 
-_INACTIVE_OUTCOME = AuctionOutcome(12.0, (Fill("s", Fraction(1), Fraction(1)),), ())
+_INACTIVE_OUTCOME = AuctionOutcome(12.0, side_of([Fill("s", Fraction(1), Fraction(1))]), side_of([]))
 
 
 @pytest.mark.parametrize("call, message", [

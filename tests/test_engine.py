@@ -6,12 +6,13 @@ import json
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import eager_pool_trades, leg_cash, payment, receipt
 from fixtures import (
@@ -718,26 +719,64 @@ def _bits_by_id(table):
     return {name: dict(value) if isinstance(value, list) else value for name, value in _bits(table).items()}
 
 
-@pytest.mark.parametrize("n", [12, 31])
-@pytest.mark.parametrize("seed", range(3))
-def test_reversing_the_prosumers_changes_no_output(seed, n):
-    # Energies times 1.1 leave the binary grid, so a float sum of them rounds
-    # and could depend on the order of its terms.
-    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
-    reverse = dataclasses.replace(scenario, prosumers=scenario.prosumers[::-1])
-    forward, backward = ([run(s) for run in _RUNS] for s in (scenario, reverse))
-    for run, report, reversed_report in zip(_RUNS, forward, backward):
-        for a, b in zip(report.slots, reversed_report.slots, strict=True):
-            signal, other = a.price_signal, b.price_signal
+def _assert_same_outputs(scenario, reordered):
+    """Every price signal, system cost, coalition, settlement and ``MetricsTable`` value of the
+    three runs of ``scenario`` and ``reordered``, the same prosumers in another order, agree, and
+    each slot's trades agree as a multiset."""
+    forward, other = ([run(s) for run in _RUNS] for s in (scenario, reordered))
+    for run, report, other_report in zip(_RUNS, forward, other):
+        for a, b in zip(report.slots, other_report.slots, strict=True):
+            signal, other_signal = a.price_signal, b.price_signal
             assert (signal.selling_price.hex(), signal.peak_flag, signal.demand.hex()) == (
-                other.selling_price.hex(), other.peak_flag, other.demand.hex()), (run.__name__, a.slot)
+                other_signal.selling_price.hex(), other_signal.peak_flag, other_signal.demand.hex()
+            ), (run.__name__, a.slot)
             assert a.cps_cost.hex() == b.cps_cost.hex()
             assert (a.structure is None) == (b.structure is None)
             if a.structure is not None:
                 assert set(a.structure.auction_members) == set(b.structure.auction_members)
                 assert set(a.structure.midmarket_members) == set(b.structure.midmarket_members)
             assert a.per_prosumer == b.per_prosumer, (run.__name__, a.slot)
-    assert _bits_by_id(compare(*forward)) == _bits_by_id(compare(*backward))
+            assert Counter(a.trades) == Counter(b.trades), (run.__name__, a.slot)
+    assert _bits_by_id(compare(*forward)) == _bits_by_id(compare(*other))
+
+
+@pytest.mark.parametrize("n", [12, 31])
+@pytest.mark.parametrize("seed", range(3))
+def test_reversing_the_prosumers_changes_no_output(seed, n):
+    # Energies times 1.1 leave the binary grid, so a float sum of them rounds
+    # and could depend on the order of its terms.
+    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
+    _assert_same_outputs(scenario, dataclasses.replace(scenario, prosumers=scenario.prosumers[::-1]))
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10**6), st.integers(2, 12), st.randoms(use_true_random=False))
+def test_shuffling_the_prosumers_changes_no_output(seed, n, rng):
+    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
+    _assert_same_outputs(scenario, dataclasses.replace(scenario, prosumers=tuple(rng.sample(scenario.prosumers, n))))
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10**6), st.integers(2, 12), st.data())
+def test_an_idle_prosumer_changes_no_other_output(seed, n, data):
+    # A prosumer with no energy at any slot, anywhere in the list; its alpha
+    # is another's, so the leader's deterrence bound is unchanged.
+    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
+    idle = dataclasses.replace(scenario.prosumers[0], id="idle", net_energy=(0.0,) * scenario.slots)
+    at = data.draw(st.integers(0, n))
+    with_idle = dataclasses.replace(scenario, prosumers=(*scenario.prosumers[:at], idle, *scenario.prosumers[at:]))
+    reports, idle_reports = ([run(s) for run in _RUNS] for s in (scenario, with_idle))
+    for report, idle_report in zip(reports, idle_reports):
+        for a, b in zip(report.slots, idle_report.slots, strict=True):
+            assert (a.price_signal, a.cps_cost, a.structure) == (b.price_signal, b.cps_cost, b.structure)
+            assert b.per_prosumer == {**a.per_prosumer, "idle": engine.ProsumerSlot(0, 0)}
+            assert a.trades == b.trades
+    # The idle prosumer has no base to take a percentage of, so only the
+    # cost-per-prosumer averages, over every prosumer, may change.
+    table, idle_table = (_bits_by_id(compare(*runs)) for runs in (reports, idle_reports))
+    for name in ("avg_cost_per_prosumer_p2p", "avg_cost_per_prosumer_grid_only", "avg_cost_per_prosumer_third_party"):
+        del table[name], idle_table[name]
+    assert table == idle_table
 
 
 @pytest.mark.parametrize("k", [-3, 5])
