@@ -186,16 +186,21 @@ class Pool:
                 yield (pid, value, 0, den) if is_seller else (pid, 0, value, den)
 
 
+def _exact(price: float | Fraction) -> Fraction:
+    return price if isinstance(price, Fraction) else Fraction(price)
+
+
 def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
     """The terms that present each trade as a :class:`Trade`, its prices exact.
 
     The block's prices are checked once, by :func:`_price_error`, and each
     trade is built without ``Trade.__init__``. A trade raises what ``Trade``
     would, in its order: a non-positive quantity, then the block's price
-    error; a block with no trades raises nothing.
+    error; a block with no trades raises nothing. A ``Fraction`` price is
+    kept as the very object given; only a float is converted.
     """
-    sell = Fraction(seller_price)
-    buy = sell if buyer_price is seller_price else Fraction(buyer_price)
+    sell = _exact(seller_price)
+    buy = sell if buyer_price is seller_price else _exact(buyer_price)
     error = _price_error(venue, sell, buy)
 
     def trade(seller: str, buyer: str, num: int | float, den: int) -> Trade:

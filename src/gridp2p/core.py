@@ -13,9 +13,11 @@ A scenario file is JSON in which each object holds exactly its record's
 fields: the top level a :class:`Scenario`'s, ``grid`` a :class:`GridPolicy`'s,
 ``market`` a :class:`MarketConfig`'s and each entry of ``prosumers`` a
 :class:`ProsumerProfile`'s, with tuples as arrays and the price rule as its
-value. The grid object still accepts the two legacy keys of older files,
-``other_demand`` and ``supply_capacity``; they are checked as per-slot
-numbers, then dropped.
+value. A written file is that JSON as ``json.dumps`` writes it at an indent
+of 2, and a newline; :func:`_dump` lays it out, with the C encoder writing
+each array of numbers. The grid object still accepts the two legacy keys of
+older files, ``other_demand`` and ``supply_capacity``; they are checked as
+per-slot numbers, then dropped.
 """
 
 from __future__ import annotations
@@ -273,6 +275,9 @@ def make_case_study_scenario(
 
     ids = [f"p{i + 1:02d}" for i in range(n_prosumers)]
     alphas = {pid: round(rng.uniform(7.0, 14.0), 4) for pid in ids}
+    # Each per-slot value is ``_quantize(rng.uniform(lo, hi), steps)``, written
+    # out as the expression ``uniform`` evaluates: the same draws, the same values.
+    draw = rng.random
     net: dict[str, list[float]] = {pid: [] for pid in ids}
     asks: dict[str, list[float]] = {pid: [] for pid in ids}
     bids: dict[str, list[float]] = {pid: [] for pid in ids}
@@ -282,14 +287,14 @@ def make_case_study_scenario(
         sellers = set(rng.sample(ids, n_sellers))
         deficit_total = 0.0
         for pid in ids:
-            magnitude = _quantize(rng.uniform(2.0, 9.0))
+            magnitude = round((2.0 + 7.0 * draw()) * 1024) / 1024
             if pid in sellers:
                 net[pid].append(magnitude)
             else:
                 net[pid].append(-magnitude)
                 deficit_total += magnitude
-            asks[pid].append(_quantize(rng.uniform(11.0, 15.0), 64))
-            bids[pid].append(_quantize(rng.uniform(11.0, 15.0), 64))
+            asks[pid].append(round((11.0 + 4.0 * draw()) * 64) / 64)
+            bids[pid].append(round((11.0 + 4.0 * draw()) * 64) / 64)
         demand_per_slot.append(deficit_total)
 
     threshold = []
@@ -391,8 +396,34 @@ def scenario_from_dict(data: dict) -> Scenario:
     return scenario
 
 
+# The types of a JSON scalar: an array of only these is one C-encoder call.
+_SCALARS = {float, int, str, bool, type(None)}
+
+
+def _dump(value, pad: str = "") -> str:
+    """``value`` laid out as ``json.dumps`` lays it out at an indent of 2, nested at ``pad``; keys are strings.
+
+    ``json.dumps`` uses its C encoder only when it does not indent, so each
+    array of scalars is one such call, its item separator carrying the
+    newline and the indent; everything else is laid out here.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(key)}: {_dump(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, list) and value:
+        if set(map(type, value)) <= _SCALARS:
+            items = [json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]]
+        else:
+            items = [_dump(item, inner) for item in value]
+    else:  # a scalar, [] or {}
+        return json.dumps(value)
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{end}"
+
+
 def emit_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    """The file's text: ``scenario_to_dict(scenario)`` as ``json.dumps`` writes it at an indent of 2, and a newline."""
+    return _dump(scenario_to_dict(scenario)) + "\n"
 
 
 def _reject_constant(token: str) -> float:

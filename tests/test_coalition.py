@@ -42,7 +42,9 @@ from gridp2p.core import (
     Scenario,
     make_case_study_scenario,
 )
-from gridp2p.engine import run_slot, stability_context
+from gridp2p.engine import (
+    Positions, baseline_grid_only, baseline_third_party, run_horizon, run_slot, stability_context,
+)
 from gridp2p.reports import _fmt, _trade_lines
 
 
@@ -151,6 +153,27 @@ def test_as_trade_raises_iff_trade_does_with_the_same_message(venue, prices, qua
         except DomainError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def test_as_trade_keeps_a_pools_price_objects_and_converts_a_positions_floats():
+    # A pool's prices are already exact, so each trade it presents holds the
+    # pool's own objects; a whole-position slot's trades hold its floats exactly.
+    scenario = make_case_study_scenario(4, n_prosumers=24)
+    seen = set()
+    for run in (run_horizon, baseline_grid_only, baseline_third_party):
+        for slot in run(scenario).slots:
+            for part in slot.ledger:
+                for t in part.present(as_trade):
+                    seen.add((type(part), t.venue))
+                    if isinstance(part, Pool):
+                        sell, buy = {Venue.GRID: (part.fit, part.fit), Venue.THIRD_PARTY: (part.third, part.third)}.get(
+                            t.venue, (part.sell_price, part.buy_price))
+                        assert t.seller_price is sell and t.buyer_price is buy
+                    else:
+                        price = scenario.grid.fit_price if t.buyer_id == GRID_ID else part.buy_price
+                        assert type(t.seller_price) is type(t.buyer_price) is Fraction
+                        assert t.seller_price == t.buyer_price == Fraction(price)
+    assert {(Pool, v) for v in Venue} | {(Positions, v) for v in (Venue.GRID, Venue.THIRD_PARTY)} <= seen
 
 
 def test_mid_market_examples():

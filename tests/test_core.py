@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridp2p.cli import EXIT_VALIDATION, main
 from gridp2p.core import (
@@ -15,6 +16,7 @@ from gridp2p.core import (
     ProsumerProfile,
     Scenario,
     ScenarioError,
+    _dump,
     emit_scenario,
     load_scenario,
     load_scenario_text,
@@ -173,6 +175,27 @@ def test_emitted_json_is_stable():
     keys = list(json.loads(first).keys())
     assert keys == ["slots", "slot_minutes", "seed", "grid", "market", "prosumers"]
     assert emit_scenario(load_scenario_text(first)) == first
+    assert first == json.dumps(scenario_to_dict(s), indent=2) + "\n"
+
+
+# JSON values: strings with quotes, backslashes, newlines and non-ASCII
+# characters; every kind of number, the float extremes among them; and
+# arrays and string-keyed objects, some empty, nested.
+_TEXT = st.text(st.sampled_from('"\\\n\t/aé€\U0001f600') | st.characters(exclude_categories=("Cs",)))
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@given(_JSON)
+@example([])
+@example({})
+@example({"": [[], {}, [[]]], "a\"\\\n€": {"b": [-0.0, 5e-324, 1.7976931348623157e308, 7, True, None, "\u2028"]}})
+def test_emitter_writes_what_json_dumps_writes_at_indent_two(value):
+    assert _dump(value) + "\n" == json.dumps(value, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

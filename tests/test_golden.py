@@ -10,7 +10,10 @@ pooled peak still built its pairwise trades eagerly, so they pin the rows
 formatted from the pools, at a larger integer width than the n96 cases.
 The ``scenario`` digests pin the JSON that ``gen-fixture`` and
 ``emit_scenario`` write, taken while each record's keys were still written
-out by hand. The ``quoted-ids`` digests pin a compare run whose prosumer ids
+out by hand; the ``n192-s22`` and ``n24-s1344`` ones, at the benchmark's
+fleet and long-horizon shapes, were taken while every file was still written
+by ``json.dumps(..., indent=2)`` and every value drawn by ``random.uniform``.
+The ``quoted-ids`` digests pin a compare run whose prosumer ids
 need CSV quoting, taken while every ``trades.csv`` row still went through
 ``csv.writer``.
 """
@@ -57,6 +60,8 @@ def test_scenario_json_matches_golden_digests(tmp_path):
     for name, args in (
         ("gen-fixture-seed0-n12", ["--seed", "0"]),
         ("gen-fixture-seed7-n96-s48", ["--seed", "7", "--prosumers", "96", "--slots", "48"]),
+        ("gen-fixture-seed0-n192-s22", ["--seed", "0", "--prosumers", "192", "--slots", "22"]),
+        ("gen-fixture-seed0-n24-s1344", ["--seed", "0", "--prosumers", "24", "--slots", "1344"]),
     ):
         assert main(["gen-fixture", *args, "--out", str(tmp_path / name)]) == EXIT_OK
         digests[name] = _sha256((tmp_path / name).read_bytes())
