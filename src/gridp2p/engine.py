@@ -14,12 +14,12 @@ the slot's trades in one fixed order, a block of trades sharing a venue and
 prices at a time, and yields each participant's leg: its revenue and cost,
 read off its own pool side or position in O(S+B). ``write_run`` formats every
 slot's ``trades.csv`` lines from its ledger, block by block; its ``trades``
-are the same blocks presented by ``as_trade``, and its ``per_prosumer`` is
-settled from the legs by ``_settle``, each when first read. ``replace``,
+are the same blocks presented by ``as_trade``, built anew on every read and
+never kept, so a reader binds them once. Only a read of ``per_prosumer``,
+kept once settled from the legs by ``_settle``, settles a slot: a run and
+writing it read no legs; ``compare`` and ``stability_context`` read them off
+the ledger, ``compare`` only those of the three runs' peak slots. ``replace``,
 ``copy`` and a pickle keep the ledger. The trades sum exactly to the legs.
-Only a read of ``per_prosumer`` settles a slot: a run and writing it read no
-legs, and ``compare`` and ``stability_context`` read them straight from the
-ledger, ``compare`` only those of the three runs' peak slots.
 Settled cash is exact and in integers: a leg is its revenue and cost as
 numerators over one denominator, from its pool side's or its position's
 integers and its prices' integer ratios; a prosumer's peak total is a
@@ -84,11 +84,11 @@ class SlotResult:
 
     The ledger is the slot's one source: ``present`` reads only it, and
     ``trades`` and ``per_prosumer`` are views of it. A slot built by
-    :meth:`deferred` fills each view on first read, from the ledger's
-    presentation and its legs, then keeps it as an ordinary, replaceable
-    field; every reader of the fields fills them first, so ``==`` and
-    ``repr`` see settled values. ``dataclasses.replace``, ``copy`` and pickle
-    keep the ledger, so a loaded slot stays lazy.
+    :meth:`deferred` builds ``trades`` anew on every read and keeps none, so
+    a reader binds it once; it settles ``per_prosumer`` on first read and
+    keeps it. A view passed in is an ordinary field. ``==`` and ``repr`` read
+    both views; ``dataclasses.replace``, ``copy`` and pickle keep the ledger,
+    so a loaded slot stays lazy.
     """
 
     slot: int
@@ -107,11 +107,11 @@ class SlotResult:
         return result
 
     def __getattr__(self, name: str):
-        # Reached only when the normal lookup fails: for a field not yet
-        # filled from the ledger, or for a name the slot does not have.
+        # Reached only when the normal lookup fails: for ``trades``, built anew
+        # on every read; for ``per_prosumer`` before it is settled; or a bad name.
         if name == "trades":
-            object.__setattr__(self, "trades", tuple(self.present(as_trade)))
-        elif name == "per_prosumer":
+            return tuple(self.present(as_trade))
+        if name == "per_prosumer":
             object.__setattr__(self, "per_prosumer", _settle(self._scenario, self.ledger))
         return object.__getattribute__(self, name)
 

@@ -223,11 +223,12 @@ def audit_run(run_dir: str | Path) -> list[str]:
     its coalition and is priced like every other trade of its slot and venue
     (grid sales and grid purchases apart); that nobody buys from the grid
     at a peak slot; and, in a run that lists coalitions, that the slots
-    ``prices.csv`` flags as peaks are exactly those with coalition rows.
+    ``prices.csv`` flags as peaks are exactly those with coalition rows, and
+    that each slot with coalition rows has a trade row.
 
     Every file is checked one row at a time as it is read. The audit keeps
-    each slot's peak flag and coalitions, the first price pair of each slot
-    and venue, and the clean blocks of the ``trades.csv`` slot being read.
+    each slot's peak flag and coalitions, the slots with a trade row, the first
+    price pair of each slot and venue, and the clean blocks of the slot being read.
     A trade row that passes the full check with no problem makes its (venue,
     grid sells, seller price, buyer price) text a clean block of its slot.
     A later row of the same slot with a clean block's text is checked only
@@ -240,7 +241,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
     then slot coverage, double membership, peak flags that disagree with the
     coalitions, the trade problems in row order
     (an unknown venue, a missing slot or a second price once per slot and
-    venue) and ``summary.csv``'s problems.
+    venue), the slots with coalitions but no trade, in ``coalitions.csv``
+    order, and ``summary.csv``'s problems.
     """
     run = Path(run_dir)
     problems: list[str] = []
@@ -281,6 +283,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
         # where any party may trade.
         block_slot = None
         clean: dict[tuple[str, bool, str, str], frozenset[str] | None] = {}
+        # Every slot with a trade row, added at each change of slot.
+        traded: set[str] = set()
         columns = [TRADES_HEADER.index(name) for name in ("qty", "seller_price", "buyer_price")]
         with _csv_rows(run / "trades.csv", TRADES_HEADER, problems) as reader:
             for row in reader:
@@ -288,6 +292,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
                     slot, venue, seller, buyer, qty_text, sell_text, buy_text = row
                     if slot != block_slot:
                         block_slot, clean = slot, {}
+                        traded.add(slot)
                     block = (venue, seller == GRID_ID, sell_text, buy_text)
                     parties = clean[block]
                     if 0 < float(qty_text) < math.inf and seller != buyer and (
@@ -335,6 +340,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
                     clean[block] = (
                         None if want is None else frozenset(pid for pid, c in members.items() if c == want)
                     )
+            # Skipped after a read error, which leaves the rest of the file unread.
+            found += (f"slot {slot}: a peak slot without trades" for slot in membership if slot not in traded)
     except (OSError, ValueError) as exc:
         return [str(exc)]
     problems += found

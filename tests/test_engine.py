@@ -4,8 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
+import string
+import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -420,7 +424,7 @@ def test_a_report_with_read_peak_trades_pickles_equal_trades():
     loaded = pickle.loads(pickle.dumps(report))
     for s in loaded.slots:
         if s.slot in read:
-            assert "trades" in vars(s)
+            assert "trades" not in vars(s)
             assert s.trades == read[s.slot]
             assert all(type(t) is Trade for t in s.trades)
 
@@ -624,14 +628,44 @@ def test_unread_slot_pickles_its_ledger(run):
 def test_second_read_returns_the_same_objects(run):
     slot = _unread_offpeak_slot(run)
     trades = slot.trades
-    # Each field is filled on its own: reading the trades settles nothing,
-    # and the ledger stays for the settlement.
+    # Reading the trades keeps none of them and settles nothing, and the
+    # ledger stays for the settlement, which is kept once read.
+    assert "trades" not in vars(slot)
     assert "per_prosumer" not in vars(slot) and "ledger" in vars(slot)
     per_prosumer = slot.per_prosumer
-    assert slot.trades is trades and slot.per_prosumer is per_prosumer
+    assert slot.trades == trades and slot.per_prosumer is per_prosumer
     with pytest.raises(AttributeError):
         slot.no_such_field
     assert not hasattr(slot, "__setstate__")
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_trades_given_to_replace_are_returned_as_given(run):
+    # A slot's own trades are built on every read, but trades passed in are
+    # an ordinary field, on a fresh slot and on one loaded from a pickle.
+    peak = next(s for s in run(make_case_study_scenario(8)).slots if s.price_signal.peak_flag)
+    for slot in (_unread_offpeak_slot(run), peak):
+        for source in (slot, pickle.loads(pickle.dumps(slot))):
+            given = source.trades[1:]
+            replaced = dataclasses.replace(source, trades=given)
+            assert replaced.trades is given
+            assert "trades" in vars(replaced) and replaced.ledger is source.ledger
+            loaded = pickle.loads(pickle.dumps(replaced))
+            assert loaded.trades == given and loaded.trades is loaded.trades
+
+
+def test_reading_every_slots_trades_keeps_none_of_them():
+    report = run_horizon(make_case_study_scenario(0, n_prosumers=192))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read = sum(len(s.trades) for s in report.slots)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert read > 30_000
+    # Each slot's trades are freed once read: keeping them would hold about 6 MB.
+    assert abs(kept) < 500_000
 
 
 @pytest.fixture
@@ -777,6 +811,56 @@ def test_an_idle_prosumer_changes_no_other_output(seed, n, data):
     for name in ("avg_cost_per_prosumer_p2p", "avg_cost_per_prosumer_grid_only", "avg_cost_per_prosumer_third_party"):
         del table[name], idle_table[name]
     assert table == idle_table
+
+
+def _written(reports, out):
+    """Every CSV the three runs of ``reports`` write, and ``compare``'s summary, by run and file name."""
+    for report in reports:
+        write_run(report, out / report.mode)
+    write_summary(compare(*reports), out / reports[0].mode)
+    return {f"{path.parent.name}/{path.name}": path.read_text() for path in sorted(out.glob("*/*.csv"))}
+
+
+# The start of an id that no report reserves and no CSV field quotes.
+_PLAIN_WORDS = st.builds(operator.add, st.sampled_from(string.ascii_letters),
+                         st.text(string.ascii_letters + string.digits + "_", max_size=5))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 31), st.data())
+def test_an_order_preserving_renaming_renames_every_output_and_changes_nothing_else(seed, n, data):
+    # The ids p01 < p02 < ... go to new ids in the same sorted order, so
+    # every tie the auction breaks by id breaks the same way.
+    scenario = _with_energies(make_case_study_scenario(seed, n_prosumers=n), 1.1)
+    # A two-digit index keeps the drawn ids distinct and clear of the reserved ones.
+    words = data.draw(st.lists(_PLAIN_WORDS, min_size=n, max_size=n))
+    new_ids = sorted(f"{word}{i:02d}" for i, word in enumerate(words))
+    rename = dict(zip((p.id for p in scenario.prosumers), new_ids, strict=True))
+    renamed = dataclasses.replace(scenario, prosumers=tuple(
+        dataclasses.replace(p, id=rename[p.id]) for p in scenario.prosumers))
+
+    def name(pid):
+        return rename.get(pid, pid)
+
+    reports, renamed_reports = ([run(s) for run in _RUNS] for s in (scenario, renamed))
+    for report, other_report in zip(reports, renamed_reports):
+        for a, b in zip(report.slots, other_report.slots, strict=True):
+            assert (a.price_signal, a.cps_cost.hex()) == (b.price_signal, b.cps_cost.hex())
+            assert (a.structure is None) == (b.structure is None)
+            if a.structure is not None:
+                assert tuple(map(name, a.structure.auction_members)) == b.structure.auction_members
+                assert tuple(map(name, a.structure.midmarket_members)) == b.structure.midmarket_members
+            assert [(name(pid), s) for pid, s in a.per_prosumer.items()] == list(b.per_prosumer.items())
+            assert [dataclasses.replace(t, seller_id=name(t.seller_id), buyer_id=name(t.buyer_id))
+                    for t in a.trades] == list(b.trades)
+    table, renamed_table = (_bits(compare(*runs)) for runs in (reports, renamed_reports))
+    assert {metric: [(name(pid), v) for pid, v in value] if isinstance(value, list) else value
+            for metric, value in table.items()} == renamed_table
+    with tempfile.TemporaryDirectory() as out:
+        files = _written(reports, Path(out) / "original")
+        renamed_files = _written(renamed_reports, Path(out) / "renamed")
+    assert {key: "".join(",".join(map(name, line.split(","))) + "\n" for line in text.splitlines())
+            for key, text in files.items()} == renamed_files
 
 
 @pytest.mark.parametrize("k", [-3, 5])

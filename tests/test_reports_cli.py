@@ -279,6 +279,38 @@ def test_audit_flags_a_peak_flag_that_disagrees_with_the_coalitions(tmp_path, sl
     assert audit_run(tmp_path) == [problem]
 
 
+def test_audit_flags_a_peak_slot_with_every_trade_row_deleted(tmp_path):
+    write_run(run_horizon(make_case_study_scenario(3, n_prosumers=96)), tmp_path)
+    trades = (tmp_path / "trades.csv").read_text().splitlines()
+    kept = [line for line in trades if not line.startswith("3,")]
+    assert len(trades) - len(kept) > 1000
+    _write_lines(tmp_path / "trades.csv", kept)
+    assert audit_run(tmp_path) == ["slot 3: a peak slot without trades"]
+
+
+def test_audit_lists_the_peak_slots_without_trades_after_the_trade_problems(tmp_path):
+    # Slots 5 and 2 lose every row: each is listed in coalitions.csv order,
+    # after slot 3's trade problem and before summary.csv's.
+    trades, _ = _p2p_run(tmp_path)
+    kept = [line.replace(",auction,", ",bogus,") for line in trades if not line.startswith(("2,", "5,"))]
+    _write_lines(tmp_path / "trades.csv", kept)
+    _write_lines(tmp_path / "summary.csv", ["metric,scope"])
+    assert audit_run(tmp_path) == [
+        "slot 3: unknown venue 'bogus'",
+        "slot 2: a peak slot without trades",
+        "slot 5: a peak slot without trades",
+        "summary.csv: expected header ['metric', 'scope', 'value'], got ['metric', 'scope']",
+    ]
+
+
+def test_audit_reports_no_missing_trades_past_a_read_error(tmp_path):
+    # The read stops at the oversized field, so the peak slots after it
+    # were never read, not found without trades.
+    trades, _ = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "trades.csv", [trades[0], f"2,grid,{'x' * 200_000},p01,1,1,1", *trades[1:]])
+    assert audit_run(tmp_path) == [f"trades.csv line 2: field larger than field limit ({csv.field_size_limit()})"]
+
+
 def test_audit_keeps_the_first_flag_of_a_repeated_prices_slot(tmp_path):
     # A later off-peak flag for peak slot 2 is reported and ignored, so a grid
     # sale appended to that slot is still judged against the peak flag.
