@@ -88,14 +88,6 @@ class AuctionOutcome:
     def buyer_fills(self) -> tuple[Fill, ...]:
         return self.buyers.fills()
 
-    @property
-    def trading_sellers(self) -> tuple[str, ...]:
-        return tuple(self.sellers.ids)
-
-    @property
-    def trading_buyers(self) -> tuple[str, ...]:
-        return tuple(self.buyers.ids)
-
 
 EMPTY_OUTCOME = AuctionOutcome(None, Side((), (), (), 1), Side((), (), (), 1))
 
@@ -103,18 +95,6 @@ EMPTY_OUTCOME = AuctionOutcome(None, Side((), (), (), 1), Side((), (), (), 1))
 def _sort_key(order: Order, ascending: bool):
     price = order.price if ascending else -order.price
     return (price, -order.quantity, order.prosumer_id)
-
-
-def order_books(book: OrderBook) -> OrderBook:
-    """Return a copy with asks ascending and bids descending by price.
-
-    Price ties break by larger quantity first, then lexicographic id, so a
-    replay of the same book always clears identically.
-    """
-    return OrderBook(
-        asks=tuple(sorted(book.asks, key=lambda o: _sort_key(o, True))),
-        bids=tuple(sorted(book.bids, key=lambda o: _sort_key(o, False))),
-    )
 
 
 # One side of a book as submitted: each participant's ``(id, kWh)``.
@@ -187,11 +167,14 @@ def allocate(sellers: Submitted, buyers: Submitted) -> tuple[Side, Side]:
 def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RESERVATION) -> AuctionOutcome:
     """Run the uniform-price double auction on ``book``.
 
-    Returns :data:`EMPTY_OUTCOME`, in which nobody trades, when the curves do
-    not intersect or one side of the book is empty.
+    Asks are sorted ascending and bids descending by price, price ties
+    broken by larger quantity first, then lexicographic id, so a replay of
+    the same book always clears identically. Returns :data:`EMPTY_OUTCOME`,
+    in which nobody trades, when the curves do not intersect or one side of
+    the book is empty.
     """
-    sorted_book = order_books(book)
-    asks, bids = sorted_book.asks, sorted_book.bids
+    asks = sorted(book.asks, key=lambda o: _sort_key(o, True))
+    bids = sorted(book.bids, key=lambda o: _sort_key(o, False))
 
     depth = 0
     for ask, bid in zip(asks, bids):

@@ -100,23 +100,9 @@ class CoalitionStructure:
     outcome: AuctionOutcome
 
 
-def mid_market_prices(p_auc: float, p_fit: float, beta: float) -> tuple[float, float]:
-    """Selling and buying price for the mid-market coalition.
-
-    Sellers receive the midpoint of the auction price and the feed-in
-    tariff; buyers pay the same plus a fractional network fee ``beta``.
-    """
-    if p_auc < 0 or p_fit < 0:
-        raise DomainError("prices must be >= 0")
-    if beta < 0:
-        raise DomainError("beta must be >= 0")
-    sell = (p_auc + p_fit) / 2.0
-    return sell, (1.0 + beta) * sell
-
-
 def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStructure:
     """Split the active prosumers into the auction and mid-market coalitions."""
-    trading = set(outcome.trading_sellers) | set(outcome.trading_buyers)
+    trading = {*outcome.sellers.ids, *outcome.buyers.ids}
     stray = trading - set(active)
     if stray:
         raise DomainError(f"auction outcome references inactive prosumer {sorted(stray)[0]!r}")
@@ -168,6 +154,22 @@ class Pool:
         for bid, s, c in zip(buyers.ids, buyers.submitted, buyers.cleared):
             if s > c:
                 yield bought(THIRD_PARTY_ID, bid, s - c, buyers.den)
+
+    def smallest(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
+        """The smallest trade of each kind :meth:`present` yields, as its ``num``, ``den`` and prosumer ids, in O(S+B).
+
+        The pairs share one ``den``, so the smallest is the smallest nonzero clear on each side; then each
+        side's smallest residual.
+        """
+        sellers, buyers = self.sellers, self.buyers
+        if matched := sum(sellers.cleared):
+            (c_s, sid), (c_b, bid) = (min((c, pid) for pid, c in zip(side.ids, side.cleared) if c)
+                                      for side in (sellers, buyers))
+            yield c_s * c_b, buyers.den * matched, (sid, bid)
+        for side in (sellers, buyers):
+            if residuals := [(s - c, pid) for pid, s, c in zip(side.ids, side.submitted, side.cleared) if s > c]:
+                residual, pid = min(residuals)
+                yield residual, side.den, (pid,)
 
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its side's integers.
@@ -222,20 +224,23 @@ def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | 
 
 
 def match_midmarket(
-    sellers: Submitted, buyers: Submitted, mid_sell: float, beta: float, fit_price: float, third_party_price: float
+    sellers: Submitted, buyers: Submitted, p_auc: float, beta: float, fit_price: float, third_party_price: float
 ) -> Pool:
     """Match mid-market surplus against deficit pro-rata and route residuals.
 
-    The surplus and deficit clear by :func:`~gridp2p.auction.pro_rata`, the
-    auction's own rule when supply is short: the short side in full and the
-    long side in proportion to its quantities, so the matched total is the
-    smaller of total surplus and total deficit, exactly. Leftover surplus is
-    sold to the grid at the feed-in tariff; leftover deficit is bought from
-    the third party. Returns the pool, the slot's mid-market ledger: it
-    presents the trades, and its legs are each participant's settlement.
-    Only the four prices are ``Fraction``s.
+    Sellers receive the float midpoint of the auction price ``p_auc`` and the
+    feed-in tariff, and buyers pay that exactly, times ``1 + beta``, the
+    network fee. The surplus and deficit clear by
+    :func:`~gridp2p.auction.pro_rata`, the auction's own rule when supply is
+    short: the short side in full and the long side in proportion to its
+    quantities, so the matched total is the smaller of total surplus and
+    total deficit, exactly. Leftover surplus is sold to the grid at the
+    feed-in tariff; leftover deficit is bought from the third party. Returns
+    the pool, the slot's mid-market ledger: it presents the trades, and its
+    legs are each participant's settlement. Only the four prices are
+    ``Fraction``s.
     """
-    sell = Fraction(mid_sell)
+    sell = Fraction((p_auc + fit_price) / 2.0)
     sell_n, sell_d = sell.as_integer_ratio()
     beta_n, beta_d = beta.as_integer_ratio()
     return Pool(

@@ -104,9 +104,9 @@ class ProsumerProfile:
         if self.id in _RESERVED_IDS:
             raise ScenarioError(f"prosumer id {self.id!r} is reserved")
         for name in ("net_energy", "reservation_price", "bid_price"):
-            object.__setattr__(self, name, _as_float_tuple(getattr(self, name), name))
+            object.__setattr__(self, name, _as_float_tuple(getattr(self, name), f"prosumers[{self.id}].{name}"))
         per_slot = isinstance(self.alpha, (list, tuple))
-        alphas = _as_float_tuple(self.alpha if per_slot else (self.alpha,), "alpha")
+        alphas = _as_float_tuple(self.alpha if per_slot else (self.alpha,), f"prosumers[{self.id}].alpha")
         if any(a <= 0 for a in alphas):
             raise ScenarioError(f"prosumer {self.id}: alpha must be > 0{' at every slot' if per_slot else ''}")
         object.__setattr__(self, "alpha", alphas if per_slot else alphas[0])
@@ -135,7 +135,7 @@ class GridPolicy:
     fit_price: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", _as_float_tuple(self.threshold, "threshold"))
+        object.__setattr__(self, "threshold", _as_float_tuple(self.threshold, "grid.threshold"))
         for name in ("a", "b", "offpeak_price", "fit_price"):
             _as_float(getattr(self, name), f"grid.{name}")
         for name in ("a", "b"):
@@ -392,7 +392,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for name in _GRID_LEGACY:
         if name not in grid_raw or (name == "supply_capacity" and grid_raw[name] is None):
             continue
-        _check_length(_as_float_tuple(grid_raw[name], name), f"grid.{name}", scenario.slots)
+        _check_length(_as_float_tuple(grid_raw[name], f"grid.{name}"), f"grid.{name}", scenario.slots)
     return scenario
 
 

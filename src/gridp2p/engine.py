@@ -12,10 +12,12 @@ auction and mid-market pools, a whole-position slot (every off-peak slot, and
 both baselines' peaks) its :class:`Positions`. Each part of a ledger presents
 the slot's trades in one fixed order, a block of trades sharing a venue and
 prices at a time, and yields each participant's leg: its revenue and cost,
-read off its own pool side or position in O(S+B). ``write_run`` formats every
-slot's ``trades.csv`` lines from its ledger, block by block; its ``trades``
-are the same blocks presented by ``as_trade``, built anew on every read and
-never kept, so a reader binds them once. Only a read of ``per_prosumer``,
+read off its own pool side or position in O(S+B); its ``smallest`` trades,
+found as fast, let ``simulate`` refuse a run that would print a zero.
+``write_run`` formats every slot's ``trades.csv`` lines from its ledger,
+block by block; its ``trades`` are the same blocks presented by
+``as_trade``, built anew on every read and never kept, so a reader binds
+them once. Only a read of ``per_prosumer``,
 kept once settled from the legs by ``_settle``, settles a slot: a run and
 writing it read no legs; ``compare`` and ``stability_context`` read them off
 the ledger, ``compare`` only those of the three runs' peak slots. ``replace``,
@@ -56,7 +58,6 @@ from .coalition import (
     Venue,
     as_trade,
     match_midmarket,
-    mid_market_prices,
     partition,
 )
 from .core import ConfigurationError, DomainError, Order, Scenario
@@ -167,6 +168,12 @@ class Positions:
             elif net < 0:
                 yield bought(source, p.id, -net, 1)
 
+    def smallest(self) -> Iterator[tuple[float, int, tuple[str]]]:
+        """The smallest trade :meth:`present` yields, as its ``|net|``, 1 and prosumer id; none if nobody is active."""
+        if nets := [(abs(p.net_energy[self.slot]), p.id) for p in self.scenario.prosumers if p.net_energy[self.slot]]:
+            net, pid = min(nets)
+            yield net, 1, (pid,)
+
     def legs(self) -> Iterator[Leg]:
         """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``.
 
@@ -239,13 +246,11 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
 
     # With no intersection there is no auction price; the mid-market formula
     # then degenerates to the feed-in tariff as its floor.
-    p_auc = grid.fit_price if outcome.auction_price is None else outcome.auction_price
-    mid_sell, _ = mid_market_prices(p_auc, grid.fit_price, market.beta)
     mid_ids = set(structure.midmarket_members)
     mid_pool = match_midmarket(
         sellers=[(p.id, p.net_energy[slot]) for p in sellers if p.id in mid_ids],
         buyers=[(p.id, -p.net_energy[slot]) for p in buyers if p.id in mid_ids],
-        mid_sell=mid_sell,
+        p_auc=grid.fit_price if outcome.is_empty else outcome.auction_price,
         beta=market.beta,
         fit_price=grid.fit_price,
         third_party_price=market.third_party_price,

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .coalition import GRID_ID, THIRD_PARTY_ID, Venue
+from .core import ConfigurationError
 from .engine import MetricsTable, SimulationReport
 
 PRICES_HEADER = ["slot", "selling_price", "peak_flag"]
@@ -76,6 +77,21 @@ def _trade_lines(report: SimulationReport) -> Iterator[str]:
         return lambda seller, buyer, num, den: f"{head}{ids[seller]},{ids[buyer]},{num / den:.6f}{tail}"
 
     return chain.from_iterable(s.present(partial(terms, s.slot)) for s in report.slots)
+
+
+def check_quantities(report: SimulationReport) -> None:
+    """Raise ``ConfigurationError``, naming the slot and the prosumers, if a ``trades.csv`` quantity of
+    ``report`` would print as ``0.000000``, which the audit rejects.
+
+    Printing is monotone in the quantity, so each ledger part's ``smallest`` trades decide.
+    """
+    for s in report.slots:
+        for part in s.ledger:
+            for num, den, ids in part.smallest():
+                qty = num / den  # as _trade_lines formats it
+                if f"{qty:.6f}" == "0.000000":
+                    names = ("prosumers " if len(ids) > 1 else "prosumer ") + " and ".join(ids)
+                    raise ConfigurationError(f"slot {s.slot}: the {qty:.3g} kWh trade of {names} prints as 0.000000")
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:

@@ -143,8 +143,8 @@ def _oracle_check(b) -> None:
         assert out.is_empty
         return
     oracle_asks, oracle_bids = oracle
-    assert out.trading_sellers == tuple(o.prosumer_id for o in oracle_asks)
-    assert out.trading_buyers == tuple(o.prosumer_id for o in oracle_bids)
+    assert tuple(out.sellers.ids) == tuple(o.prosumer_id for o in oracle_asks)
+    assert tuple(out.buyers.ids) == tuple(o.prosumer_id for o in oracle_bids)
     assert out.auction_price == oracle_price(oracle_asks, vickrey=False)
     assert sum(f.cleared for f in out.seller_fills) == sum(f.cleared for f in out.buyer_fills)
     for fill, order in zip(out.seller_fills, oracle_asks):
@@ -231,7 +231,7 @@ def test_criterion_09_strategy_proofness():
         assert verify_truthful_delivery(out, honest).ok
         truthful += 1
 
-        cheater = rng.choice(out.trading_sellers)
+        cheater = rng.choice(tuple(out.sellers.ids))
         delta = Fraction(rng.randint(1, 200), 100) * rng.choice((1, -1))
         dishonest = dict(honest)
         dishonest[cheater] = max(dishonest[cheater] + delta, Fraction(0))

@@ -10,28 +10,33 @@ from conftest import (
     EXTREME_QUANTITY, HUGE, TINY, allocated, ask, bid, book, fraction_allocate, oracle_allocate, oracle_price,
     oracle_trading_sets, random_book,
 )
-from gridp2p.auction import DeliveryReport, Side, allocate, clear, order_books, verify_truthful_delivery
+from gridp2p.auction import DeliveryReport, Side, allocate, clear, verify_truthful_delivery
 from gridp2p.core import AuctionPriceRule, DomainError, Order
 
 HIGHEST = AuctionPriceRule.HIGHEST_RESERVATION
 VICKREY = AuctionPriceRule.VICKREY
 
 
+def _cleared_ids(b) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The seller and the buyer ids of clearing ``b``, in the order the auction sorted them."""
+    out = clear(b)
+    return tuple(out.sellers.ids), tuple(out.buyers.ids)
+
+
 def test_sorting():
+    # Every ask is at most every bid, so every order trades, in sorted order.
     b = book(
         [ask("a", 12.0, 1.0), ask("b", 11.0, 1.0), ask("c", 14.0, 1.0)],
-        [bid("d", 12.0, 1.0), bid("e", 15.0, 1.0), bid("f", 13.0, 1.0)],
+        [bid("d", 14.0, 1.0), bid("e", 16.0, 1.0), bid("f", 15.0, 1.0)],
     )
-    s = order_books(b)
-    assert [o.price for o in s.asks] == [11.0, 12.0, 14.0]
-    assert [o.price for o in s.bids] == [15.0, 13.0, 12.0]
+    assert _cleared_ids(b) == (("b", "a", "c"), ("e", "f", "d"))
 
 
 def test_sorting_tie_break_quantity_then_id():
-    b = book([ask("a", 11.0, 2.0), ask("b", 11.0, 5.0)], [])
-    assert [o.prosumer_id for o in order_books(b).asks] == ["b", "a"]
-    b = book([ask("z", 11.0, 2.0), ask("a", 11.0, 2.0)], [])
-    assert [o.prosumer_id for o in order_books(b).asks] == ["a", "z"]
+    sides = [ask("a", 11.0, 2.0), ask("b", 11.0, 5.0)], [bid("c", 15.0, 2.0), bid("d", 15.0, 5.0)]
+    assert _cleared_ids(book(*sides)) == (("b", "a"), ("d", "c"))
+    sides = [ask("z", 11.0, 2.0), ask("a", 11.0, 2.0)], [bid("y", 15.0, 2.0), bid("x", 15.0, 2.0)]
+    assert _cleared_ids(book(*sides)) == (("a", "z"), ("x", "y"))
 
 
 def test_book_rejects_id_on_both_sides():
@@ -46,7 +51,7 @@ def test_order_rejects_nonpositive_quantity():
 
 def _excluded(b, out) -> set[str]:
     """The ids in book ``b`` that ``out`` does not trade."""
-    return {o.prosumer_id for o in (*b.asks, *b.bids)} - set(out.trading_sellers) - set(out.trading_buyers)
+    return {o.prosumer_id for o in (*b.asks, *b.bids)} - set(out.sellers.ids) - set(out.buyers.ids)
 
 
 def test_clear_three_by_three():
@@ -57,8 +62,8 @@ def test_clear_three_by_three():
     )
     out = clear(b)
     assert out.auction_price == 12.0
-    assert out.trading_sellers == ("s1", "s2")
-    assert out.trading_buyers == ("b1", "b2")
+    assert tuple(out.sellers.ids) == ("s1", "s2")
+    assert tuple(out.buyers.ids) == ("b1", "b2")
     assert [f.cleared for f in out.seller_fills] == [Fraction(2), Fraction(3)]
     # 5 kWh of supply over 6 kWh of demand: both buyers fill pro-rata.
     assert [f.cleared for f in out.buyer_fills] == [Fraction(5, 2), Fraction(5, 2)]
@@ -155,8 +160,8 @@ def _assert_matches_oracle(b, rule):
         assert _excluded(b, out) == {o.prosumer_id for o in (*b.asks, *b.bids)}
         return
     oracle_asks, oracle_bids = oracle
-    assert out.trading_sellers == tuple(o.prosumer_id for o in oracle_asks)
-    assert out.trading_buyers == tuple(o.prosumer_id for o in oracle_bids)
+    assert tuple(out.sellers.ids) == tuple(o.prosumer_id for o in oracle_asks)
+    assert tuple(out.buyers.ids) == tuple(o.prosumer_id for o in oracle_bids)
     assert out.auction_price == oracle_price(oracle_asks, rule is VICKREY)
     # The price sandwich is a property of the highest-reservation rule; the
     # second-price rule deliberately prices below the marginal ask.

@@ -30,7 +30,6 @@ from gridp2p.coalition import (
     as_trade,
     check_dhp_stability,
     match_midmarket,
-    mid_market_prices,
     partition,
 )
 from gridp2p.core import (
@@ -176,19 +175,25 @@ def test_as_trade_keeps_a_pools_price_objects_and_converts_a_positions_floats():
     assert {(Pool, v) for v in Venue} | {(Positions, v) for v in (Venue.GRID, Venue.THIRD_PARTY)} <= seen
 
 
+def _mid_market_prices(p_auc, p_fit, beta):
+    """The mid-market selling and buying price of a one-pair pool."""
+    pool = match_midmarket([("s", 1.0)], [("b", 1.0)], p_auc, beta, p_fit, 21.0)
+    return pool.sell_price, pool.buy_price
+
+
 def test_mid_market_examples():
-    sell, buy = mid_market_prices(14.0, 10.0, 0.1)
-    assert sell == pytest.approx(12.0)
-    assert buy == pytest.approx(13.2)
-    sell, buy = mid_market_prices(9.0, 9.0, 0.7)
-    assert sell == pytest.approx(9.0)
-    sell, buy = mid_market_prices(14.0, 10.0, 0.0)
-    assert sell == buy == pytest.approx(12.0)
+    sell, buy = _mid_market_prices(14.0, 10.0, 0.1)
+    assert sell == 12
+    assert buy == 12 * (1 + Fraction(0.1)) == pytest.approx(13.2)
+    sell, buy = _mid_market_prices(9.0, 9.0, 0.7)
+    assert sell == 9
+    sell, buy = _mid_market_prices(14.0, 10.0, 0.0)
+    assert sell == buy == 12
 
 
 @given(st.floats(0.0, 100.0), st.floats(0.0, 50.0), st.floats(0.0, 1.0))
 def test_mid_market_price_ordering(p_auc, p_fit, beta):
-    sell, buy = mid_market_prices(p_auc, p_fit, beta)
+    sell, buy = _mid_market_prices(p_auc, p_fit, beta)
     assert buy >= sell
     if p_auc >= p_fit:
         assert p_fit <= sell <= p_auc
@@ -238,7 +243,7 @@ def _midmarket_trades(*args, **kwargs):
 def test_match_midmarket_exact_balance():
     trades = _midmarket_trades(
         [("s1", Fraction(4))], [("b1", Fraction(2)), ("b2", Fraction(2))],
-        mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
+        p_auc=14.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
     assert [(t.seller_id, t.buyer_id, t.quantity) for t in trades] == [
         ("s1", "b1", Fraction(2)),
@@ -250,7 +255,7 @@ def test_match_midmarket_exact_balance():
 def test_match_midmarket_surplus_residual_to_grid():
     trades = _midmarket_trades(
         [("s1", Fraction(6))], [("b1", Fraction(2))],
-        mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
+        p_auc=14.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
     mid = [t for t in trades if t.venue is Venue.MID_MARKET]
     grid = [t for t in trades if t.venue is Venue.GRID]
@@ -263,7 +268,7 @@ def test_match_midmarket_surplus_residual_to_grid():
 def test_match_midmarket_deficit_residual_to_third_party():
     trades = _midmarket_trades(
         [("s1", Fraction(2))], [("b1", Fraction(5))],
-        mid_sell=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
+        p_auc=14.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
     third = [t for t in trades if t.venue is Venue.THIRD_PARTY]
     assert len(third) == 1
@@ -274,7 +279,7 @@ def test_match_midmarket_deficit_residual_to_third_party():
 
 def test_match_midmarket_no_sellers():
     trades = _midmarket_trades(
-        [], [("b1", Fraction(3))], mid_sell=11.0, beta=0.1, fit_price=10.0, third_party_price=21.0
+        [], [("b1", Fraction(3))], p_auc=12.0, beta=0.1, fit_price=10.0, third_party_price=21.0
     )
     assert len(trades) == 1 and trades[0].venue is Venue.THIRD_PARTY
 
@@ -283,7 +288,7 @@ def test_midmarket_fee_is_exactly_beta_times_receipt():
     trades = _midmarket_trades(
         [("s1", Fraction(5)), ("s2", Fraction(3))],
         [("b1", Fraction(2)), ("b2", Fraction(4))],
-        mid_sell=11.5, beta=0.1, fit_price=10.0, third_party_price=21.0,
+        p_auc=13.0, beta=0.1, fit_price=10.0, third_party_price=21.0,
     )
     beta = Fraction(0.1)
     for t in trades:
@@ -419,7 +424,7 @@ def test_midmarket_fills_are_the_fraction_pro_rata(surpluses, deficits, beta):
     # The floats as the engine passes them, or rationals.
     pool = match_midmarket(
         [(f"s{i}", q) for i, q in enumerate(surpluses)], [(f"b{i}", q) for i, q in enumerate(deficits)],
-        11.0, beta, 10.0, 21.0,
+        12.0, beta, 10.0, 21.0,
     )
     supply, demand = (sum(map(Fraction, side), Fraction(0)) for side in (surpluses, deficits))
     matched = min(supply, demand)
@@ -434,13 +439,13 @@ def test_midmarket_fills_are_the_fraction_pro_rata(surpluses, deficits, beta):
 @given(
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),
     st.lists(st.floats(0.5, 9.0), min_size=1, max_size=5),
-    st.floats(10.0, 15.0),
+    st.floats(10.0, 20.0),
     st.floats(0.0, 0.5),
 )
-def test_midmarket_conservation(surpluses, deficits, mid_sell, beta):
+def test_midmarket_conservation(surpluses, deficits, p_auc, beta):
     sellers = [(f"s{i}", Fraction(q)) for i, q in enumerate(surpluses)]
     buyers = [(f"b{i}", Fraction(q)) for i, q in enumerate(deficits)]
-    trades = _midmarket_trades(sellers, buyers, mid_sell, beta, 10.0, 21.0)
+    trades = _midmarket_trades(sellers, buyers, p_auc, beta, 10.0, 21.0)
     sold = {pid: Fraction(0) for pid, _ in sellers}
     bought = {pid: Fraction(0) for pid, _ in buyers}
     for t in trades:
@@ -560,15 +565,12 @@ _INACTIVE_OUTCOME = AuctionOutcome(12.0, side_of([Fill("s", Fraction(1), Fractio
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: mid_market_prices(-1.0, 10.0, 0.1), "prices must be >= 0"),
-    (lambda: mid_market_prices(14.0, -1.0, 0.1), "prices must be >= 0"),
-    (lambda: mid_market_prices(14.0, 10.0, -0.1), "beta must be >= 0"),
     (lambda: partition(["b"], _INACTIVE_OUTCOME), "auction outcome references inactive prosumer 's'"),
-    (lambda: match_midmarket([("s", Fraction(0))], [("b", Fraction(1))], 11.0, 0.1, 10.0, 30.0),
+    (lambda: match_midmarket([("s", Fraction(0))], [("b", Fraction(1))], 12.0, 0.1, 10.0, 30.0),
      "mid-market quantities must be > 0"),
-    (lambda: match_midmarket([("s", Fraction(1))], [("b", Fraction(-1))], 11.0, 0.1, 10.0, 30.0),
+    (lambda: match_midmarket([("s", Fraction(1))], [("b", Fraction(-1))], 12.0, 0.1, 10.0, 30.0),
      "mid-market quantities must be > 0"),
-], ids=["auction-price", "fit-price", "beta", "inactive", "seller-quantity", "buyer-quantity"])
+], ids=["inactive", "seller-quantity", "buyer-quantity"])
 def test_each_guard_raises_its_domain_error(call, message):
     with pytest.raises(DomainError) as info:
         call()

@@ -302,9 +302,11 @@ def test_loader_rejects_a_reserved_prosumer_id(tmp_path, capsys, reserved):
         ),
         # Numbers too large for a float.
         (lambda d: d | {"grid": d["grid"] | {"a": 10**400}}, "grid.a: expected numbers"),
-        (
+        # The id keeps the case's name from before errors were prefixed with the prosumer.
+        pytest.param(
             lambda d: d | {"prosumers": [d["prosumers"][0] | {"net_energy": [10**400, 1.0]}, d["prosumers"][1]]},
-            "net_energy: expected numbers",
+            "prosumers[p01].net_energy: expected numbers",
+            id="<lambda>-net_energy: expected numbers",
         ),
     ],
 )
@@ -356,14 +358,20 @@ _LOADER_RULES = [
     # ProsumerProfile
     pytest.param({(*_P0, "id"): 7}, "prosumer id must be a non-empty string, got 7", id="id-type"),
     pytest.param({(*_P0, "id"): "grid"}, "prosumer id 'grid' is reserved", id="id-reserved"),
-    pytest.param({(*_P0, "net_energy"): ["x", 1.0]}, "net_energy: expected numbers", id="net-energy-number"),
-    pytest.param({(*_P0, "net_energy"): [True, 1.0]}, "net_energy: expected finite numbers", id="net-energy-type"),
     pytest.param(
-        {(*_P0, "reservation_price"): [12.0, "12"]}, "reservation_price: expected finite numbers", id="ask-type"
+        {(*_P0, "net_energy"): ["x", 1.0]}, "prosumers[p01].net_energy: expected numbers", id="net-energy-number"
     ),
-    pytest.param({(*_P0, "bid_price"): 12.0}, "bid_price: expected numbers", id="bid-not-array"),
-    pytest.param({(*_P0, "alpha"): "8"}, "alpha: expected finite numbers", id="alpha-type"),
-    pytest.param({(*_P0, "alpha"): [8.0, None]}, "alpha: expected numbers", id="alpha-slot-type"),
+    pytest.param(
+        {(*_P0, "net_energy"): [True, 1.0]}, "prosumers[p01].net_energy: expected finite numbers", id="net-energy-type"
+    ),
+    pytest.param(
+        {(*_P0, "reservation_price"): [12.0, "12"]},
+        "prosumers[p01].reservation_price: expected finite numbers",
+        id="ask-type",
+    ),
+    pytest.param({(*_P0, "bid_price"): 12.0}, "prosumers[p01].bid_price: expected numbers", id="bid-not-array"),
+    pytest.param({(*_P0, "alpha"): "8"}, "prosumers[p01].alpha: expected finite numbers", id="alpha-type"),
+    pytest.param({(*_P0, "alpha"): [8.0, None]}, "prosumers[p01].alpha: expected numbers", id="alpha-slot-type"),
     pytest.param({(*_P0, "alpha"): 0}, "prosumer p01: alpha must be > 0", id="alpha-positive"),
     pytest.param({(*_P0, "alpha"): [8.0, -1.0]}, "prosumer p01: alpha must be > 0 at every slot", id="alpha-per-slot"),
     pytest.param(
@@ -371,7 +379,7 @@ _LOADER_RULES = [
     ),
     pytest.param({(*_P0, "bid_price"): [-1.0, 12.0]}, "prosumer p01: bid_price must be >= 0", id="bid-floor"),
     # GridPolicy
-    pytest.param({("grid", "threshold"): [1.0, False]}, "threshold: expected finite numbers", id="threshold-type"),
+    pytest.param({("grid", "threshold"): [1.0, False]}, "grid.threshold: expected finite numbers", id="threshold-type"),
     pytest.param({("grid", "a"): "68.6"}, "grid.a: expected finite numbers", id="a-type"),
     pytest.param({("grid", "b"): None}, "grid.b: expected numbers", id="b-type"),
     pytest.param({("grid", "offpeak_price"): True}, "grid.offpeak_price: expected finite numbers", id="offpeak-type"),
@@ -417,7 +425,9 @@ _LOADER_RULES = [
         "grid.supply_capacity has length 3, expected 2",
         id="supply-capacity-length",
     ),
-    pytest.param({("grid", "other_demand"): [30.0, "x"]}, "other_demand: expected numbers", id="other-demand-type"),
+    pytest.param(
+        {("grid", "other_demand"): [30.0, "x"]}, "grid.other_demand: expected numbers", id="other-demand-type"
+    ),
     # Two faults each: the first rule to fire names the error.
     pytest.param(
         {(*_P0, "net_energy"): [1.0], (*_P0, "alpha"): -1.0}, "prosumer p01: alpha must be > 0", id="length-and-alpha"

@@ -25,7 +25,7 @@ from fixtures import (
     uniform_auction_scenario,
 )
 from gridp2p.auction import Fill
-from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue, mid_market_prices
+from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
 from gridp2p.core import (
     DomainError,
     GridPolicy,
@@ -273,7 +273,7 @@ def _eager_peak_trades(scenario, s):
         matched = sum(f.cleared for f in sellers)
         trades += eager_pool_trades(sellers, buyers, matched, Venue.AUCTION, price, price, fit, third)
     p_auc = grid.fit_price if outcome.is_empty else outcome.auction_price
-    sell = Fraction(mid_market_prices(p_auc, grid.fit_price, market.beta)[0])
+    sell = Fraction((p_auc + grid.fit_price) / 2.0)
     mid = set(s.structure.midmarket_members)
     net = {p.id: Fraction(p.net_energy[t]) for p in scenario.prosumers if p.id in mid}
     supply = sum(q for q in net.values() if q > 0)

@@ -1,19 +1,24 @@
 """CSV emission, the audit re-checker and the command-line interface."""
 
+import contextlib
+import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from conftest import leg_cash, payment, receipt
@@ -29,6 +34,7 @@ from gridp2p.core import (
     load_scenario,
     make_case_study_scenario,
     save_scenario,
+    scenario_to_dict,
 )
 from gridp2p import reports
 from gridp2p.engine import Positions, baseline_grid_only, baseline_third_party, run_horizon
@@ -799,6 +805,90 @@ def test_cli_rejects_a_value_that_overflows_a_float(tmp_path, capsys, case, mode
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _simulate(tmp_path: Path, data: dict, mode: str = "compare") -> tuple[int, str, Path]:
+    """``gridp2p simulate`` of the scenario ``data`` into ``tmp_path / "run"``: its exit code, stderr and run."""
+    scenario_path, out, err = tmp_path / "scenario.json", tmp_path / "run", io.StringIO()
+    scenario_path.write_text(json.dumps(data), encoding="utf-8")
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(scenario_path), "--mode", mode, "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+def test_cli_refuses_a_position_that_prints_as_zero(tmp_path):
+    # 5e-7 kWh prints as 0.000000, which the audit rejects as a non-positive quantity.
+    data = scenario_to_dict(make_case_study_scenario(0, n_prosumers=6, slots=6))
+    data["prosumers"][0]["net_energy"][0] = 5e-7
+    code, err, out = _simulate(tmp_path, data)
+    assert (code, err) == (EXIT_VALIDATION, "error: slot 0: the 5e-07 kWh trade of prosumer p01 prints as 0.000000\n")
+    assert not (out / "trades.csv").exists()
+
+
+@pytest.mark.parametrize("nets, bid, message", [
+    # No ask meets a bid, so every prosumer is in the mid-market pool. a's own position prints as
+    # 0.000001, but its share of c's 3 kWh, 2.9999997e-07 kWh, does not.
+    ({"a": 1e-6, "b": 10.0, "c": -3.0}, 12.0, "the 3e-07 kWh trade of prosumers a and c"),
+    # Every pair prints, but a's 4e-07 kWh left over for the grid does not.
+    ({"a": 3.0000004, "c": -3.0}, 12.0, "the 4e-07 kWh trade of prosumer a"),
+    # Every ask meets a bid, and the sellers share the burden of a long auction: each clears 1e-06 kWh,
+    # over a denominator twice the buyers', and sends each buyer half of it.
+    ({"a": 10.0, "b": 10.0, "c": -1e-6, "d": -1e-6}, 15.0, "the 5e-07 kWh trade of prosumers a and c"),
+], ids=["mid-market-pair", "mid-market-residual", "auction-pair"])
+def test_cli_refuses_a_pool_quantity_that_prints_as_zero(tmp_path, nets, bid, message):
+    # Slot 0 is the one slot, a peak.
+    scenario = Scenario(
+        slots=1,
+        prosumers=tuple(ProsumerProfile(pid, 7.0, (net,), (14.0,), (bid,)) for pid, net in nets.items()),
+        grid=GridPolicy(68.6, 274.4, (0.0,), 28.0, 10.0),
+        market=MarketConfig(),
+    )
+    for mode in ("p2p", "compare"):
+        code, err, out = _simulate(tmp_path, scenario_to_dict(scenario), mode)
+        assert (code, err) == (EXIT_VALIDATION, f"error: slot 0: {message} prints as 0.000000\n")
+        assert not (out / "trades.csv").exists()
+    # Whole positions print: the baselines run, and audit clean.
+    for mode in ("grid-only", "third-party"):
+        code, err, out = _simulate(tmp_path, scenario_to_dict(scenario), mode)
+        assert (code, err, audit_run(out)) == (EXIT_OK, "", [])
+
+
+# Values that a scenario file may hold anywhere, one or two of them at random paths of a small scenario.
+_CORRUPTIONS = (0, -0.0, -1, 5e-324, 1e-300, 4e-7, 1e308, -1e308, 2**64, 10**400, True, None, "", "1.5", [], {})
+_FUZZ_BASE = scenario_to_dict(make_case_study_scenario(0, n_prosumers=6, slots=6))
+
+
+def _paths(value, path=()):
+    """Every path into the JSON ``value`` but the root's."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from(list(_paths(_FUZZ_BASE))), st.sampled_from(_CORRUPTIONS)),
+             min_size=1, max_size=2),
+    st.sampled_from(["p2p", "grid-only", "third-party", "compare"]),
+)
+def test_every_scenario_the_loader_accepts_gives_a_run_the_audit_accepts(edits, mode):
+    data = copy.deepcopy(_FUZZ_BASE)
+    for path, value in edits:
+        target = data
+        # An earlier edit may have replaced a container on this path.
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = _simulate(Path(tmp), data, mode)
+        if code == EXIT_OK:
+            assert audit_run(out) == []
+        else:
+            assert code == EXIT_VALIDATION
+            assert re.fullmatch("error: [^\n]*\n", err)
 
 
 def test_cli_compare_that_fails_writes_nothing(tmp_path, monkeypatch, capsys):
