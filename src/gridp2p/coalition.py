@@ -28,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from operator import sub
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Side, Submitted, pro_rata, scaled
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
 
 T = TypeVar("T")
+T_co = TypeVar("T_co", covariant=True)
 
 
 class Venue(Enum):
@@ -43,11 +45,26 @@ class Venue(Enum):
     THIRD_PARTY = "third_party"
 
 
-# A ledger presents its trades a block at a time: it calls ``terms(venue,
-# seller_price, buyer_price)``, each price a Fraction or an exact float, once per
-# block, and what that returns once per trade, as ``(seller, buyer, num, den)``:
-# ``num / den`` is the quantity, ``num`` an int or a whole position's float over 1.
-Terms = Callable[[Venue, "float | Fraction", "float | Fraction"], Callable[[str, str, "int | float", int], T]]
+# The terms every trade of a block shares: its venue, then its seller's and its buyer's price, each
+# a Fraction or an exact float.
+Block = tuple[Venue, "float | Fraction", "float | Fraction"]
+
+
+class Terms(Protocol[T_co]):
+    """What a ledger presents its trades to, a block at a time: it makes one call per block, with the
+    block's columns, and yields what each call returns, in its fixed row order."""
+
+    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
+              buyer_nums: Sequence[int], den: int) -> T_co:
+        """Each seller's trade with each buyer, seller by seller: ``seller_num * buyer_num / den`` kWh."""
+
+    def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
+              nets: Sequence[float]) -> T_co:
+        """One trade per id, in order, picked by the sign of its nonzero ``net``: where it is > 0,
+        ``net`` kWh sold to ``buyer`` on the ``sold`` terms, else ``-net`` kWh bought from ``seller``
+        on the ``bought`` terms."""
+
+
 # One participant's settled slot, exact: its id, then its revenue and its cost
 # as numerators over one denominator ``den > 0``: ``(id, revenue, cost, den)``.
 Leg = tuple[str, int, int, int]
@@ -113,6 +130,16 @@ def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStruct
     )
 
 
+def _positive(ids: Iterable[str], nums: Iterable[int]) -> tuple[list[str], list[int]]:
+    """The ids whose numerator is > 0, and those numerators."""
+    kept_ids, kept = [], []
+    for pid, num in zip(ids, nums):
+        if num > 0:
+            kept_ids.append(pid)
+            kept.append(num)
+    return kept_ids, kept
+
+
 @dataclass(frozen=True)
 class Pool:
     """A pro-rata pool: its two sides, whose cleared totals are equal, its
@@ -131,29 +158,25 @@ class Pool:
     third: Fraction
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
-        """The pool as pairwise trades: each pair, then each seller's and each buyer's residual.
+        """The pool's trades in three blocks: the pairs, then the sellers' and the buyers' residuals.
 
         Seller ``s`` delivers ``cleared_s * cleared_b / matched`` to buyer
         ``b``, which over the sides' integers is ``c_s * c_b`` over
-        ``buyers.den * sum(sellers.cleared)``. The pairs form one block, the
-        residuals to each side one more; a residual is ``s - c`` over its side's ``den``.
+        ``buyers.den * sum(sellers.cleared)``, for each seller and each buyer
+        that clear. A residual is ``s - c`` over its side's ``den``, sold to
+        the grid or bought from the third party. An empty block is not presented.
         """
         sellers, buyers = self.sellers, self.buyers
         if matched := sum(sellers.cleared):
-            pair = terms(self.venue, self.sell_price, self.buy_price)
-            den = buyers.den * matched
-            shares = [(bid, c) for bid, c in zip(buyers.ids, buyers.cleared) if c]
-            for sid, c_s in zip(sellers.ids, sellers.cleared):
-                if c_s:
-                    yield from [pair(sid, bid, c_s * c_b, den) for bid, c_b in shares]
-        sold = terms(Venue.GRID, self.fit, self.fit)
-        for sid, s, c in zip(sellers.ids, sellers.submitted, sellers.cleared):
-            if s > c:
-                yield sold(sid, GRID_ID, s - c, sellers.den)
-        bought = terms(Venue.THIRD_PARTY, self.third, self.third)
-        for bid, s, c in zip(buyers.ids, buyers.submitted, buyers.cleared):
-            if s > c:
-                yield bought(THIRD_PARTY_ID, bid, s - c, buyers.den)
+            yield terms.cross((self.venue, self.sell_price, self.buy_price), *_positive(sellers.ids, sellers.cleared),
+                              *_positive(buyers.ids, buyers.cleared), buyers.den * matched)
+        ids, residuals = _positive(sellers.ids, map(sub, sellers.submitted, sellers.cleared))
+        if ids:
+            yield terms.cross((Venue.GRID, self.fit, self.fit), ids, residuals, [GRID_ID], [1], sellers.den)
+        ids, residuals = _positive(buyers.ids, map(sub, buyers.submitted, buyers.cleared))
+        if ids:
+            yield terms.cross((Venue.THIRD_PARTY, self.third, self.third), [THIRD_PARTY_ID], [1], ids, residuals,
+                              buyers.den)
 
     def smallest(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
         """The smallest trade of each kind :meth:`present` yields, as its ``num``, ``den`` and prosumer ids, in O(S+B).
@@ -192,20 +215,30 @@ def _exact(price: float | Fraction) -> Fraction:
     return price if isinstance(price, Fraction) else Fraction(price)
 
 
-def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | Fraction) -> Callable[..., Trade]:
-    """The terms that present each trade as a :class:`Trade`, its prices exact.
+# A block's terms as a trade needs them: its venue, both prices exact, and the price error every
+# trade of the block raises, or None.
+_Checked = tuple[Venue, Fraction, Fraction, "str | None"]
 
-    The block's prices are checked once, by :func:`_price_error`, and each
-    trade is built without ``Trade.__init__``. A trade raises what ``Trade``
-    would, in its order: a non-positive quantity, then the block's price
-    error; a block with no trades raises nothing. A ``Fraction`` price is
-    kept as the very object given; only a float is converted.
-    """
+
+def _checked(block: Block) -> _Checked:
+    """``block``'s terms, its prices made exact and checked once by :func:`_price_error`. A
+    ``Fraction`` price is kept as the very object given; only a float is converted."""
+    venue, seller_price, buyer_price = block
     sell = _exact(seller_price)
     buy = sell if buyer_price is seller_price else _exact(buyer_price)
-    error = _price_error(venue, sell, buy)
+    return venue, sell, buy, _price_error(venue, sell, buy)
 
-    def trade(seller: str, buyer: str, num: int | float, den: int) -> Trade:
+
+def _trades(rows: Iterable[tuple[_Checked, str, str, "int | float", int]]) -> list[Trade]:
+    """Each ``(terms, seller, buyer, num, den)`` row as a :class:`Trade` of ``num / den`` kWh.
+
+    Each is built without ``Trade.__init__``, and raises what ``Trade`` would,
+    in its order: a non-positive quantity, then its block's price error; a
+    block with no trades raises nothing. A whole position's float quantity is
+    its own ratio over 1.
+    """
+    out = []
+    for (venue, sell, buy, error), seller, buyer, num, den in rows:
         quantity = Fraction(num) if den == 1 else Fraction(num, den)
         if quantity.numerator <= 0:
             raise DomainError("trade quantity must be > 0")
@@ -218,9 +251,29 @@ def as_trade(venue: Venue, seller_price: float | Fraction, buyer_price: float | 
         _SET_SELL(t, sell)
         _SET_BUY(t, buy)
         _SET_VENUE(t, venue)
-        return t
+        out.append(t)
+    return out
 
-    return trade
+
+class _AsTrade:
+    """The terms that present each block's trades as a list of :class:`Trade`, their prices exact."""
+
+    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
+              buyer_nums: Sequence[int], den: int) -> list[Trade]:
+        terms = _checked(block)
+        out = []
+        for seller, a in zip(sellers, seller_nums):  # one seller's row tuples at a time, not a whole pool's
+            out += _trades([(terms, seller, buyer, a * b, den) for buyer, b in zip(buyers, buyer_nums)])
+        return out
+
+    def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
+              nets: Sequence[float]) -> list[Trade]:
+        on_sold, on_bought = _checked(sold), _checked(bought)
+        return _trades([(on_sold, pid, buyer, net, 1) if net > 0 else (on_bought, seller, pid, -net, 1)
+                        for pid, net in zip(ids, nets)])
+
+
+as_trade = _AsTrade()
 
 
 def match_midmarket(

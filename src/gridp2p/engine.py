@@ -10,13 +10,15 @@ cost and revenue metrics of interest.
 Every slot carries one ledger, its ``ledger`` field: a pooled peak its
 auction and mid-market pools, a whole-position slot (every off-peak slot, and
 both baselines' peaks) its :class:`Positions`. Each part of a ledger presents
-the slot's trades in one fixed order, a block of trades sharing a venue and
-prices at a time, and yields each participant's leg: its revenue and cost,
+the slot's trades in one fixed order, calling its :class:`~gridp2p.coalition.Terms`
+once per block with the block's columns (a pool's pairs, then each side's
+residuals; a whole-position slot's active ids and nets, each row picked by
+its sign), and yields each participant's leg: its revenue and cost,
 read off its own pool side or position in O(S+B); its ``smallest`` trades,
 found as fast, let ``simulate`` refuse a run that would print a zero.
 ``write_run`` formats every slot's ``trades.csv`` lines from its ledger,
-block by block; its ``trades`` are the same blocks presented by
-``as_trade``, built anew on every read and never kept, so a reader binds
+one comprehension per block; its ``trades`` are the same blocks presented
+by ``as_trade``, built anew on every read and never kept, so a reader binds
 them once. Only a read of ``per_prosumer``,
 kept once settled from the legs by ``_settle``, settles a slot: a run and
 writing it read no legs; ``compare`` and ``stability_context`` read them off
@@ -111,13 +113,13 @@ class SlotResult:
         # Reached only when the normal lookup fails: for ``trades``, built anew
         # on every read; for ``per_prosumer`` before it is settled; or a bad name.
         if name == "trades":
-            return tuple(self.present(as_trade))
+            return tuple(chain.from_iterable(self.present(as_trade)))
         if name == "per_prosumer":
             object.__setattr__(self, "per_prosumer", _settle(self._scenario, self.ledger))
         return object.__getattribute__(self, name)
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
-        """The slot's trades, presented by ``terms``: its ledger's blocks, in order."""
+        """The slot's trades, presented by ``terms`` a block at a time: its ledger's blocks, in order."""
         return chain.from_iterable(part.present(terms) for part in self.ledger)
 
 
@@ -156,17 +158,18 @@ class Positions:
     buy_venue: Venue
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
-        """One trade per active prosumer, in prosumer order: its float position, in the surplus or deficit block."""
+        """The slot as one block: one trade per active prosumer, in prosumer order, of its float position,
+        its surplus sold to the grid at the FiT or its deficit bought from ``buy_venue`` at ``buy_price``."""
         fit = self.scenario.grid.fit_price
-        sold = terms(Venue.GRID, fit, fit)
-        bought = terms(self.buy_venue, self.buy_price, self.buy_price)
         source = GRID_ID if self.buy_venue is Venue.GRID else THIRD_PARTY_ID
+        slot = self.slot
+        ids, nets = [], []
         for p in self.scenario.prosumers:
-            net = p.net_energy[self.slot]
-            if net > 0:
-                yield sold(p.id, GRID_ID, net, 1)
-            elif net < 0:
-                yield bought(source, p.id, -net, 1)
+            if net := p.net_energy[slot]:
+                ids.append(p.id)
+                nets.append(net)
+        yield terms.split((Venue.GRID, fit, fit), GRID_ID, (self.buy_venue, self.buy_price, self.buy_price), source,
+                          ids, nets)
 
     def smallest(self) -> Iterator[tuple[float, int, tuple[str]]]:
         """The smallest trade :meth:`present` yields, as its ``|net|``, 1 and prosumer id; none if nobody is active."""

@@ -7,12 +7,14 @@ emitted in a deterministic order, so identical runs produce byte-identical
 directories.
 
 ``trades.csv``, the one file that grows with the pairs of a slot, is a stream
-at both ends. ``write_run`` writes it a block at a time: the text around the
-trades that share a slot, venue and prices is built once, so a line adds only
-its two ids and its quantity, and no more than one seller's lines are held.
-``audit_run`` checks each row as it reads it, holding no row. A row that
-repeats the slot, venue and prices of a clean row before it is checked only
-for its quantity and parties.
+at both ends. ``write_run`` writes it a block at a time: each ledger part
+passes a block's columns in one call, and the block's lines are formatted in
+one comprehension around the text of its slot, venue and prices, built once,
+so a line adds only its two parties and its quantity, and no more than one
+seller's lines, or one slot's whole positions, are held. ``audit_run`` reads every file a bounded chunk of
+whole lines at a time, split at commas until a chunk needs ``csv.reader``,
+and checks each row as it reaches it. A row that repeats the slot, venue and
+prices of a clean row before it is checked only for its quantity and parties.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import io
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
-from itertools import chain
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .coalition import GRID_ID, THIRD_PARTY_ID, Venue
+from .coalition import GRID_ID, THIRD_PARTY_ID, Block, Venue
 from .core import ConfigurationError
 from .engine import MetricsTable, SimulationReport
 
@@ -62,21 +63,49 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-1]
 
 
-def _trade_lines(report: SimulationReport) -> Iterator[str]:
-    """Each slot's ``trades.csv`` lines, formatted a block at a time without building its trades.
+class _Lines:
+    """The terms that format each block of one slot's trades as its ``trades.csv`` lines.
 
-    Each id is quoted once per run, and each block's slot, venue and prices
-    once per block, so a trade adds only its two ids and its quantity. Int
-    true division is correctly rounded and a float position is exact, so each
-    quantity equals ``_fmt`` of the trade's ``Fraction``.
+    ``ids`` holds each party's field, quoted once per run. A block's slot,
+    venue and prices are formatted once, so a line adds only its parties and
+    its quantity. Int true division is correctly rounded and a float position
+    is exact, so each quantity equals ``_fmt`` of the trade's ``Fraction``.
+    Each block is strings of whole lines, each string one comprehension's
+    lines: one per seller of a ``cross`` block, so a pool's pairs are never
+    held all at once, and one for a ``split`` block.
     """
+
+    def __init__(self, slot: int, ids: dict[str, str]) -> None:
+        self.slot = slot
+        self.ids = ids
+
+    def _ends(self, block: Block) -> tuple[str, str]:
+        """The text before a line's parties, and after its quantity."""
+        venue, seller_price, buyer_price = block
+        return f"{self.slot},{venue.value},", f",{_fmt(seller_price)},{_fmt(buyer_price)}\n"
+
+    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
+              buyer_nums: Sequence[int], den: int) -> Iterator[str]:
+        head, tail = self._ends(block)
+        quoted = self.ids
+        to = [(quoted[buyer], b) for buyer, b in zip(buyers, buyer_nums)]
+        for seller, a in zip(sellers, seller_nums):
+            before = f"{head}{quoted[seller]},"
+            yield "".join([f"{before}{buyer},{a * b / den:.6f}{tail}" for buyer, b in to])
+
+    def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
+              nets: Sequence[float]) -> tuple[str]:
+        (s_head, s_tail), (b_head, b_tail) = self._ends(sold), self._ends(bought)
+        quoted = self.ids
+        to, source = quoted[buyer], quoted[seller]
+        return ("".join([f"{s_head}{quoted[pid]},{to},{net:.6f}{s_tail}" if net > 0
+                         else f"{b_head}{source},{quoted[pid]},{-net:.6f}{b_tail}" for pid, net in zip(ids, nets)]),)
+
+
+def _trade_lines(report: SimulationReport) -> Iterator[str]:
+    """Each slot's ``trades.csv`` lines, a string of whole lines at a time, formatted from its ledger, in its order."""
     ids = {pid: _csv_field(pid) for pid in (GRID_ID, THIRD_PARTY_ID, *(p.id for p in report.scenario.prosumers))}
-
-    def terms(slot: int, venue: Venue, sell: float | Fraction, buy: float | Fraction) -> Callable[..., str]:
-        head, tail = f"{slot},{venue.value},", f",{_fmt(sell)},{_fmt(buy)}\n"
-        return lambda seller, buyer, num, den: f"{head}{ids[seller]},{ids[buyer]},{num / den:.6f}{tail}"
-
-    return chain.from_iterable(s.present(partial(terms, s.slot)) for s in report.slots)
+    return chain.from_iterable(chain.from_iterable(s.present(_Lines(s.slot, ids)) for s in report.slots))
 
 
 def check_quantities(report: SimulationReport) -> None:
@@ -157,23 +186,103 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
 # --- Audit -------------------------------------------------------------------
 
 
-@contextmanager
-def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over the rows of ``path`` after ``header``.
+# Text of about this many characters is read, and split, at a time.
+_CHUNK = 1 << 13
 
-    A missing or different header raises ``ValueError``. A ``csv.Error``
-    while reading, such as a field over the field size limit, ends the read
-    and becomes one line in ``problems`` naming the file and line.
+# A chunk of records: the line each record ends on, and the records, in order.
+_Chunk = tuple[Sequence[int], Iterable[list[str]]]
+
+
+def _plain(text: str, lines: list[str]) -> bool:
+    """Whether ``text``, whose lines are ``lines``, reads as ``csv.reader`` reads it once each line is split at its commas.
+
+    It must hold no quote, carriage return or NUL (which Python 3.10's ``csv``
+    refuses), no blank line, which is a record of no fields, and no line over
+    the field size limit.
+    """
+    limit = csv.field_size_limit()
+    return not ('"' in text or "\r" in text or "\0" in text or "\n\n" in text or text[0] == "\n") and (
+        len(text) <= limit or max(map(len, lines)) <= limit)
+
+
+def _chunks(path: Path, fh: io.TextIOBase) -> Iterator[_Chunk]:
+    """Every record of ``fh``, the open ``path``, a bounded chunk of whole lines at a time.
+
+    While each chunk is plain it is split at newlines and commas. From the
+    first chunk that is not, or that holds a byte that does not decode, to the
+    end of the file, ``csv.reader`` reads a fresh handle from the first line
+    not yet split, as it would have read the whole file: the same records,
+    line numbers, errors and decode error.
+    """
+    line, rest = 0, ""  # the lines split so far, and the text read after them, which holds no newline
+    try:
+        while (read := fh.read(_CHUNK)) or rest:
+            # Whole lines; at the end of the file, the last needs no newline.
+            text = rest + read
+            cut = text.rfind("\n") + 1 if read else len(text)
+            text, rest = text[:cut], text[cut:]
+            if text:
+                lines = text.removesuffix("\n").split("\n")
+                if not _plain(text, lines):
+                    break
+                yield range(line + 1, line + 1 + len(lines)), map(str.split, lines, repeat(","))
+                line += len(lines)
+        else:  # every chunk was plain
+            return
+    except UnicodeDecodeError:
+        pass
+    with path.open(newline="", encoding="utf-8") as again:
+        yield from _records(csv.reader(islice(again, line, None)), line)
+
+
+def _records(reader: Iterator[list[str]], line: int) -> Iterator[_Chunk]:
+    """The records ``reader`` reads from line ``line + 1`` on, in bounded chunks.
+
+    A ``csv.Error`` is raised as ``csv.Error("line N: ...")``, and a decode
+    error as it is, after the records read before it.
+    """
+    numbers: list[int] = []
+    rows: list[list[str]] = []
+    try:
+        for row in reader:
+            rows.append(row)
+            numbers.append(line + reader.line_num)
+            if len(rows) == 256:
+                yield numbers, rows
+                numbers, rows = [], []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        yield numbers, rows
+        raise csv.Error(f"line {line + reader.line_num}: {exc}") if isinstance(exc, csv.Error) else exc
+    yield numbers, rows
+
+
+def _after_header(path: Path, header: list[str], chunks: Iterator[_Chunk]) -> Iterator[_Chunk]:
+    """The chunks after ``header``, the first record; ``ValueError`` if that is missing or different."""
+    for numbers, rows in chunks:
+        rows = iter(rows)
+        if (first := next(rows, None)) is not None:
+            if first != header:
+                raise ValueError(f"{path.name}: expected header {header}, got {first}")
+            yield numbers[1:], rows
+            yield from chunks
+            return
+    raise ValueError(f"{path.name}: expected header {header}, got nothing")
+
+
+@contextmanager
+def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """Each record of ``path`` after ``header``, with the line it ends on, read by :func:`_chunks`.
+
+    A missing or different header raises ``ValueError`` when the first record
+    is read. A ``csv.Error`` while reading, such as a field over the field
+    size limit, ends the read and becomes one line in ``problems`` naming the
+    file and line.
     """
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            first = next(reader, None)
-            if first != header:
-                raise ValueError(f"{path.name}: expected header {header}, got {first if first is not None else 'nothing'}")
-            yield reader
+            yield chain.from_iterable(starmap(zip, _after_header(path, header, _chunks(path, fh))))
         except csv.Error as exc:
-            problems.append(f"{path.name} line {reader.line_num}: {exc}")
+            problems.append(f"{path.name} {exc}")
 
 
 def _read_csv(
@@ -192,17 +301,17 @@ def _read_csv(
     """
     columns = [header.index(name) for name in numeric]
     first_line: dict[tuple[str, ...], int] = {}
-    with _csv_rows(path, header, problems) as reader:
-        for row in reader:
+    with _csv_rows(path, header, problems) as rows:
+        for line, row in rows:
             problem = _row_problem(row, header, columns)
             if problem is None and key:
-                first = first_line.setdefault(tuple(row[:key]), reader.line_num)
-                if first != reader.line_num:
+                first = first_line.setdefault(tuple(row[:key]), line)
+                if first != line:
                     problem = f"{', '.join(f'{h} {v!r}' for h, v in zip(header[:key], row))} repeats line {first}"
             if problem is None:
                 yield row
             else:
-                problems.append(f"{path.name} line {reader.line_num}: {problem}")
+                problems.append(f"{path.name} line {line}: {problem}")
 
 
 def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
@@ -242,9 +351,11 @@ def audit_run(run_dir: str | Path) -> list[str]:
     ``prices.csv`` flags as peaks are exactly those with coalition rows, and
     that each slot with coalition rows has a trade row.
 
-    Every file is checked one row at a time as it is read. The audit keeps
-    each slot's peak flag and coalitions, the slots with a trade row, the first
-    price pair of each slot and venue, and the clean blocks of the slot being read.
+    Every file is read a bounded chunk of lines at a time, each chunk's rows
+    exactly as ``csv.reader`` reads them (:func:`_chunks`), and checked one
+    row at a time. The audit keeps each slot's peak flag and coalitions, the
+    slots with a trade row, the first price pair of each slot and venue, and
+    the clean blocks of the slot being read.
     A trade row that passes the full check with no problem makes its (venue,
     grid sells, seller price, buyer price) text a clean block of its slot.
     A later row of the same slot with a clean block's text is checked only
@@ -302,16 +413,16 @@ def audit_run(run_dir: str | Path) -> list[str]:
         # Every slot with a trade row, added at each change of slot.
         traded: set[str] = set()
         columns = [TRADES_HEADER.index(name) for name in ("qty", "seller_price", "buyer_price")]
-        with _csv_rows(run / "trades.csv", TRADES_HEADER, problems) as reader:
-            for row in reader:
+        inf = math.inf
+        with _csv_rows(run / "trades.csv", TRADES_HEADER, problems) as rows:
+            for line, row in rows:
                 try:
                     slot, venue, seller, buyer, qty_text, sell_text, buy_text = row
                     if slot != block_slot:
                         block_slot, clean = slot, {}
                         traded.add(slot)
-                    block = (venue, seller == GRID_ID, sell_text, buy_text)
-                    parties = clean[block]
-                    if 0 < float(qty_text) < math.inf and seller != buyer and (
+                    parties = clean[venue, seller == GRID_ID, sell_text, buy_text]
+                    if 0 < float(qty_text) < inf and seller != buyer and (
                         parties is None or seller in parties and buyer in parties
                     ):
                         continue
@@ -320,7 +431,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
                     pass
                 problem = _row_problem(row, TRADES_HEADER, columns)
                 if problem is not None:
-                    problems.append(f"trades.csv line {reader.line_num}: {problem}")
+                    problems.append(f"trades.csv line {line}: {problem}")
                     continue
                 seen = len(found)
                 slot, venue, seller, buyer, qty_text, sell_text, buy_text = row
@@ -353,7 +464,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 elif first != pair:
                     note(f"slot {slot}: {venue} trades at more than one price")
                 if len(found) == seen:
-                    clean[block] = (
+                    clean[venue, seller == GRID_ID, sell_text, buy_text] = (
                         None if want is None else frozenset(pid for pid, c in members.items() if c == want)
                     )
             # Skipped after a read error, which leaves the rest of the file unread.

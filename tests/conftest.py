@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from hypothesis import settings, strategies as st
 
 from gridp2p.core import Order
 from gridp2p.auction import OrderBook, Side, allocate
-from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue
+from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, Trade, Venue, as_trade
 
 settings.register_profile("gridp2p", deadline=None)
 settings.load_profile("gridp2p")
@@ -197,6 +197,17 @@ def oracle_dhp_stable(scenario, result) -> bool:
             if all(after(pid) > cash[pid] for pid in group):
                 return False
     return True
+
+
+def trades_of(ledger) -> list[Trade]:
+    """The trades a ledger part or a slot presents, block after block, as :class:`Trade` objects."""
+    return list(chain.from_iterable(ledger.present(as_trade)))
+
+
+def golden_case(case: str) -> tuple[int, dict[str, int]]:
+    """The seed and sizes of a golden case, ``seed<S>-n<N>`` or ``seed<S>-n<N>-s<slots>``."""
+    seed, n, *slots = map(int, case.removeprefix("seed").replace("-s", "-n").split("-n"))
+    return seed, {"n_prosumers": n, **({"slots": slots[0]} if slots else {})}
 
 
 def leg_cash(leg) -> tuple[str, Fraction, Fraction]:

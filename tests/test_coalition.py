@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    trades_of,
     EXTREME_QUANTITY, HUGE, TINY, ask, bid, book, eager_pool_trades, leg_cash, oracle_dhp_stable, payment, receipt,
     side_of,
 )
@@ -87,37 +88,43 @@ def test_trade_midmarket_buyer_price_cannot_undercut(same_object):
 
 # A block's terms, as a ledger presents them: ``as_trade`` checks the prices
 # once per block, and each trade's quantity on its own.
+def _one(venue, seller_price, buyer_price, num, den):
+    """The one trade from ``s`` to ``b`` of a block that ``as_trade`` presents."""
+    (trade,) = as_trade.cross((venue, seller_price, buyer_price), ["s"], [num], ["b"], [1], den)
+    return trade
+
+
 def test_as_trade_block_with_an_undercut_raises_on_its_first_trade():
-    terms = as_trade(Venue.MID_MARKET, Fraction(12), Fraction(11))
     with pytest.raises(DomainError, match="undercut"):
-        terms("s", "b", 1, 3)
+        _one(Venue.MID_MARKET, Fraction(12), Fraction(11), 1, 3)
 
 
 @pytest.mark.parametrize("venue", [Venue.AUCTION, Venue.GRID, Venue.THIRD_PARTY])
 def test_as_trade_single_price_block_with_a_spread_raises(venue):
-    terms = as_trade(venue, 12.0, 12.5)
     with pytest.raises(DomainError, match="single price"):
-        terms("s", "b", 1, 3)
+        _one(venue, 12.0, 12.5, 1, 3)
     # A non-positive quantity in a failing block names the quantity, as ``Trade`` does.
     with pytest.raises(DomainError, match="quantity"):
-        terms("s", "b", 0, 1)
+        _one(venue, 12.0, 12.5, 0, 1)
 
 
 @pytest.mark.parametrize("venue", list(Venue))
 def test_as_trade_block_with_no_trades_raises_nothing(venue):
-    as_trade(venue, Fraction(12), Fraction(11))
-    as_trade(venue, 12.0, 12.5)
+    undercut, spread = (venue, Fraction(12), Fraction(11)), (venue, 12.0, 12.5)
+    assert as_trade.cross(undercut, ["s"], [1], [], [], 1) == as_trade.cross(spread, [], [], ["b"], [1], 1) == []
+    assert as_trade.split(undercut, "b", spread, "s", [], []) == []
 
 
 @pytest.mark.parametrize("venue", list(Venue))
 @pytest.mark.parametrize("num, den", [(0, 1), (-1, 3), (0.0, 1), (-0.5, 1)])
 def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
     price = Fraction(12)
-    terms = as_trade(venue, price, price)
-    before = terms("s", "b", 1, 3)
+    before = _one(venue, price, price, 1, 3)
     with pytest.raises(DomainError, match="quantity"):
-        terms("s", "b", num, den)
-    after = terms("s", "b", 2.5, 1)
+        _one(venue, price, price, num, den)
+    with pytest.raises(DomainError, match="quantity"):
+        as_trade.cross((venue, price, price), ["s"], [1], ["b", "b", "b"], [1, num, 2], den)
+    after = _one(venue, price, price, 2.5, 1)
     assert before == Trade("s", "b", Fraction(1, 3), price, price, venue)
     assert after == Trade("s", "b", Fraction(5, 2), price, price, venue)
     assert hash(after) == hash(Trade("s", "b", Fraction(5, 2), price, price, venue))
@@ -145,7 +152,7 @@ def test_as_trade_raises_iff_trade_does_with_the_same_message(venue, prices, qua
     sell = Fraction(seller_price)
     buy = sell if buyer_price is seller_price else Fraction(buyer_price)
     outcomes = []
-    for build in (lambda: as_trade(venue, seller_price, buyer_price)("s", "b", num, den),
+    for build in (lambda: _one(venue, seller_price, buyer_price, num, den),
                   lambda: Trade("s", "b", Fraction(num) / den, sell, buy, venue)):
         try:
             outcomes.append(build())
@@ -162,7 +169,7 @@ def test_as_trade_keeps_a_pools_price_objects_and_converts_a_positions_floats():
     for run in (run_horizon, baseline_grid_only, baseline_third_party):
         for slot in run(scenario).slots:
             for part in slot.ledger:
-                for t in part.present(as_trade):
+                for t in trades_of(part):
                     seen.add((type(part), t.venue))
                     if isinstance(part, Pool):
                         sell, buy = {Venue.GRID: (part.fit, part.fit), Venue.THIRD_PARTY: (part.third, part.third)}.get(
@@ -237,7 +244,7 @@ def test_partition_is_exhaustive_and_disjoint_over_random_slots():
 
 
 def _midmarket_trades(*args, **kwargs):
-    return list(match_midmarket(*args, **kwargs).present(as_trade))
+    return trades_of(match_midmarket(*args, **kwargs))
 
 
 def test_match_midmarket_exact_balance():
@@ -344,16 +351,16 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     # The examples: no fills at all, nothing matched, one side only, and a
     # seller that clears nothing beside ones that do.
     pool = Pool(side_of(args[0]), side_of(args[1]), *args[3:])
-    trades = list(pool.present(as_trade))
+    trades = trades_of(pool)
     assert trades == eager_pool_trades(*args)
     sellers, buyers = args[:2]
     scenario = SimpleNamespace(prosumers=[SimpleNamespace(id=f.prosumer_id) for f in (*sellers, *buyers)])
     report = SimpleNamespace(scenario=scenario, slots=[SimpleNamespace(slot=7, present=pool.present)])
-    assert list(_trade_lines(report)) == [
+    assert "".join(_trade_lines(report)) == "".join(
         ",".join(["7", t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))])
         + "\n"
         for t in trades
-    ]
+    )
     # Each leg is its participant's receipts and payments summed over the
     # eager trades.
     summed = {}

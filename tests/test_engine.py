@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import eager_pool_trades, leg_cash, payment, receipt
+from conftest import eager_pool_trades, golden_case, leg_cash, payment, receipt
 from fixtures import (
     blended_price_scenario,
     two_coalition_demo_scenario,
@@ -465,8 +465,8 @@ _GOLDEN_COMPARE = sorted(json.loads((Path(__file__).parent / "golden_sha256.json
 
 @pytest.mark.parametrize("case", _GOLDEN_COMPARE)
 def test_peak_totals_equal_the_one_at_a_time_sums_of_the_trades(case):
-    seed, n = map(int, case.removeprefix("seed").split("-n"))
-    scenario = make_case_study_scenario(seed, n_prosumers=n)
+    seed, sizes = golden_case(case)
+    scenario = make_case_study_scenario(seed, **sizes)
     for run in _RUNS:
         report = run(scenario)
         revenue = {p.id: Fraction(0) for p in scenario.prosumers}
@@ -560,8 +560,8 @@ def _bits(table):
 
 @pytest.mark.parametrize("case", _GOLDEN_COMPARE)
 def test_compare_is_bit_identical_to_the_fraction_operator_oracle(case):
-    seed, n = map(int, case.removeprefix("seed").split("-n"))
-    scenario = make_case_study_scenario(seed, n_prosumers=n)
+    seed, sizes = golden_case(case)
+    scenario = make_case_study_scenario(seed, **sizes)
     reports = [run(scenario) for run in _RUNS]
     assert _bits(compare(*reports)) == _bits(_oracle_metrics(scenario, *reports))
 

@@ -13,6 +13,8 @@ The ``scenario`` digests pin the JSON that ``gen-fixture`` and
 out by hand; the ``n192-s22`` and ``n24-s1344`` ones, at the benchmark's
 fleet and long-horizon shapes, were taken while every file was still written
 by ``json.dumps(..., indent=2)`` and every value drawn by ``random.uniform``.
+The ``seed0-n24-s1344`` compare digests, at the benchmark's long-horizon
+shape, were taken while ``trades.csv`` was still written one call per row.
 The ``quoted-ids`` digests pin a compare run whose prosumer ids
 need CSV quoting, taken while every ``trades.csv`` row still went through
 ``csv.writer``.
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import fixtures
+from conftest import golden_case
 from gridp2p.cli import EXIT_OK, main
 from gridp2p.core import emit_scenario, make_case_study_scenario, save_scenario
 from gridp2p.reports import audit_run
@@ -35,8 +38,10 @@ BASELINES = [(mode, case) for mode in ("grid-only", "third-party") for case in s
 
 
 def _simulate_digests(case: str, mode: str, out: Path) -> dict[str, str]:
-    seed, n = case.removeprefix("seed").split("-n")
-    code = main(["simulate", "--seed", seed, "--prosumers", n, "--mode", mode, "--out", str(out)])
+    seed, sizes = golden_case(case)
+    slots = ["--slots", str(sizes["slots"])] if "slots" in sizes else []
+    code = main(["simulate", "--seed", str(seed), "--prosumers", str(sizes["n_prosumers"]), *slots,
+                 "--mode", mode, "--out", str(out)])
     assert code == EXIT_OK
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
 

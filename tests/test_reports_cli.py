@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from conftest import leg_cash, payment, receipt
+from conftest import leg_cash, payment, receipt, trades_of
 from fixtures import two_coalition_demo_scenario, uniform_auction_scenario
-from gridp2p.coalition import GRID_ID, as_trade
+from gridp2p.coalition import GRID_ID
 from gridp2p.core import (
     ConfigurationError,
     GridPolicy,
@@ -457,7 +457,7 @@ def _reference_lines(slot) -> list[str]:
     return [
         ",".join([str(slot.slot), t.venue.value, t.seller_id, t.buyer_id,
                   *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))]) + "\n"
-        for t in slot.present(as_trade)
+        for t in trades_of(slot)
     ]
 
 
@@ -482,18 +482,33 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
         for slot in run(scenario).slots:
             if not isinstance(slot.ledger[0], Positions):
                 continue
-            lines = list(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
-            assert lines == _reference_lines(slot), run.__name__
-            assert len(lines) == sum(net != 0 for net in nets)
+            lines = "".join(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
+            assert lines == "".join(_reference_lines(slot)), run.__name__
+            assert lines.count("\n") == sum(net != 0 for net in nets)
             # Each leg, read off the position, is exactly what its trades pay.
             summed = {}
-            for t in slot.present(as_trade):
+            for t in trades_of(slot):
                 pid, leg = (t.seller_id, (receipt(t), 0)) if t.buyer_id == GRID_ID else (t.buyer_id, (0, payment(t)))
                 assert pid not in summed
                 summed[pid] = leg
             assert list(map(leg_cash, slot.ledger[0].legs())) == [
                 (p.id, *summed[p.id]) for p in scenario.prosumers if p.id in summed
             ], run.__name__
+
+
+def test_a_negative_zero_feed_in_tariff_prints_as_each_ledger_holds_it(tmp_path):
+    # Whole positions hold the float FiT -0.0, which prints with its sign; a
+    # pool holds it as the Fraction 0, which prints without one. The
+    # off-peak slots 0 and 1 come first, so text kept from one block for an
+    # equal price in a later one would show.
+    base = make_case_study_scenario(3, slots=6)
+    report = run_horizon(dataclasses.replace(base, grid=dataclasses.replace(base.grid, fit_price=-0.0)))
+    write_run(report, tmp_path)
+    peaks = {str(s.slot) for s in report.slots if s.price_signal.peak_flag}
+    assert peaks == {"2", "3", "5"}
+    sales = {(slot in peaks, sell, buy) for slot, _, _, buyer, _, sell, buy in _read(tmp_path / "trades.csv")[1:]
+             if buyer == GRID_ID}
+    assert sales == {(False, "-0.000000", "-0.000000"), (True, "0.000000", "0.000000")}
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
