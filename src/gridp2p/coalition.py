@@ -51,8 +51,9 @@ Block = tuple[Venue, "float | Fraction", "float | Fraction"]
 
 
 class Terms(Protocol[T_co]):
-    """What a ledger presents its trades to, a block at a time: it makes one call per block, with the
-    block's columns, and yields what each call returns, in its fixed row order."""
+    """What a ledger presents its trades to, a block at a time: it makes one call per block that has
+    trades, with the block's columns, and yields what each call returns, in its fixed row order.
+    :data:`as_trade` builds a block's trades; ``reports`` formats its lines and finds its smallest."""
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
               buyer_nums: Sequence[int], den: int) -> T_co:
@@ -177,22 +178,6 @@ class Pool:
         if ids:
             yield terms.cross((Venue.THIRD_PARTY, self.third, self.third), [THIRD_PARTY_ID], [1], ids, residuals,
                               buyers.den)
-
-    def smallest(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
-        """The smallest trade of each kind :meth:`present` yields, as its ``num``, ``den`` and prosumer ids, in O(S+B).
-
-        The pairs share one ``den``, so the smallest is the smallest nonzero clear on each side; then each
-        side's smallest residual.
-        """
-        sellers, buyers = self.sellers, self.buyers
-        if matched := sum(sellers.cleared):
-            (c_s, sid), (c_b, bid) = (min((c, pid) for pid, c in zip(side.ids, side.cleared) if c)
-                                      for side in (sellers, buyers))
-            yield c_s * c_b, buyers.den * matched, (sid, bid)
-        for side in (sellers, buyers):
-            if residuals := [(s - c, pid) for pid, s, c in zip(side.ids, side.submitted, side.cleared) if s > c]:
-                residual, pid = min(residuals)
-                yield residual, side.den, (pid,)
 
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its side's integers.

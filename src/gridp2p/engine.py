@@ -14,12 +14,12 @@ the slot's trades in one fixed order, calling its :class:`~gridp2p.coalition.Ter
 once per block with the block's columns (a pool's pairs, then each side's
 residuals; a whole-position slot's active ids and nets, each row picked by
 its sign), and yields each participant's leg: its revenue and cost,
-read off its own pool side or position in O(S+B); its ``smallest`` trades,
-found as fast, let ``simulate`` refuse a run that would print a zero.
-``write_run`` formats every slot's ``trades.csv`` lines from its ledger,
-one comprehension per block; its ``trades`` are the same blocks presented
-by ``as_trade``, built anew on every read and never kept, so a reader binds
-them once. Only a read of ``per_prosumer``,
+read off its own pool side or position in O(S+B). ``write_run`` formats
+every slot's ``trades.csv`` lines from its ledger, one comprehension per
+block; ``simulate`` first presents each block as its smallest trade, and
+refuses a run in which one would print as zero; a slot's ``trades`` are the
+same blocks presented by ``as_trade``, built anew on every read and never
+kept, so a reader binds them once. Only a read of ``per_prosumer``,
 kept once settled from the legs by ``_settle``, settles a slot: a run and
 writing it read no legs; ``compare`` and ``stability_context`` read them off
 the ledger, ``compare`` only those of the three runs' peak slots. ``replace``,
@@ -159,7 +159,8 @@ class Positions:
 
     def present(self, terms: Terms[T]) -> Iterator[T]:
         """The slot as one block: one trade per active prosumer, in prosumer order, of its float position,
-        its surplus sold to the grid at the FiT or its deficit bought from ``buy_venue`` at ``buy_price``."""
+        its surplus sold to the grid at the FiT or its deficit bought from ``buy_venue`` at ``buy_price``.
+        With no prosumer active, the block is empty and not presented."""
         fit = self.scenario.grid.fit_price
         source = GRID_ID if self.buy_venue is Venue.GRID else THIRD_PARTY_ID
         slot = self.slot
@@ -168,14 +169,9 @@ class Positions:
             if net := p.net_energy[slot]:
                 ids.append(p.id)
                 nets.append(net)
-        yield terms.split((Venue.GRID, fit, fit), GRID_ID, (self.buy_venue, self.buy_price, self.buy_price), source,
-                          ids, nets)
-
-    def smallest(self) -> Iterator[tuple[float, int, tuple[str]]]:
-        """The smallest trade :meth:`present` yields, as its ``|net|``, 1 and prosumer id; none if nobody is active."""
-        if nets := [(abs(p.net_energy[self.slot]), p.id) for p in self.scenario.prosumers if p.net_energy[self.slot]]:
-            net, pid = min(nets)
-            yield net, 1, (pid,)
+        if ids:
+            yield terms.split((Venue.GRID, fit, fit), GRID_ID, (self.buy_venue, self.buy_price, self.buy_price),
+                              source, ids, nets)
 
     def legs(self) -> Iterator[Leg]:
         """Each active prosumer's leg, in order, off its own position: surplus at the FiT, deficit at ``buy_price``.

@@ -10,10 +10,10 @@ directories.
 at both ends. ``write_run`` writes it a block at a time: each ledger part
 passes a block's columns in one call, and the block's lines are formatted in
 one comprehension around the text of its slot, venue and prices, built once,
-so a line adds only its two parties and its quantity, and no more than one
-seller's lines, or one slot's whole positions, are held. ``audit_run`` reads every file a bounded chunk of
-whole lines at a time, split at commas until a chunk needs ``csv.reader``,
-and checks each row as it reaches it. A row that repeats the slot, venue and
+so a line adds only its parties and quantity, and at most one seller's lines,
+or one slot's whole positions, are held. ``audit_run`` reads each file as one
+stream of records, split at commas until ``csv.reader`` must take over, and
+checks each row as it reaches it. A row that repeats the slot, venue and
 prices of a clean row before it is checked only for its quantity and parties.
 """
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +46,8 @@ _COALITION_OF = {Venue.AUCTION.value: "auction", _MID_MARKET: "mid_market"}
 
 
 def _fmt(value: float | Fraction) -> str:
-    return f"{float(value):.6f}"
+    # ``+ 0.0`` makes a float -0.0 print as a pool's Fraction 0 does, unsigned.
+    return f"{float(value) + 0.0:.6f}"
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -108,19 +109,33 @@ def _trade_lines(report: SimulationReport) -> Iterator[str]:
     return chain.from_iterable(chain.from_iterable(s.present(_Lines(s.slot, ids)) for s in report.slots))
 
 
+class _Smallest:
+    """The terms that present each block as its smallest trade: ``(num, den, ids)``, ``num / den`` kWh
+    between the prosumers ``ids``, the grid and the third party left out. A tie goes to the least id."""
+
+    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
+              buyer_nums: Sequence[int], den: int) -> tuple[int, int, tuple[str, ...]]:
+        (a, seller), (b, buyer) = min(zip(seller_nums, sellers)), min(zip(buyer_nums, buyers))
+        return a * b, den, tuple(pid for pid in (seller, buyer) if pid not in (GRID_ID, THIRD_PARTY_ID))
+
+    def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
+              nets: Sequence[float]) -> tuple[float, int, tuple[str]]:
+        net, pid = min(zip(map(abs, nets), ids))
+        return net, 1, (pid,)
+
+
 def check_quantities(report: SimulationReport) -> None:
     """Raise ``ConfigurationError``, naming the slot and the prosumers, if a ``trades.csv`` quantity of
     ``report`` would print as ``0.000000``, which the audit rejects.
 
-    Printing is monotone in the quantity, so each ledger part's ``smallest`` trades decide.
+    Printing is monotone in the quantity, so each block's smallest trade decides.
     """
     for s in report.slots:
-        for part in s.ledger:
-            for num, den, ids in part.smallest():
-                qty = num / den  # as _trade_lines formats it
-                if f"{qty:.6f}" == "0.000000":
-                    names = ("prosumers " if len(ids) > 1 else "prosumer ") + " and ".join(ids)
-                    raise ConfigurationError(f"slot {s.slot}: the {qty:.3g} kWh trade of {names} prints as 0.000000")
+        for num, den, ids in s.present(_Smallest()):
+            qty = num / den  # as _trade_lines formats it
+            if f"{qty:.6f}" == "0.000000":
+                names = ("prosumers " if len(ids) > 1 else "prosumer ") + " and ".join(ids)
+                raise ConfigurationError(f"slot {s.slot}: the {qty:.3g} kWh trade of {names} prints as 0.000000")
 
 
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:
@@ -189,8 +204,8 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
 # Text of about this many characters is read, and split, at a time.
 _CHUNK = 1 << 13
 
-# A chunk of records: the line each record ends on, and the records, in order.
-_Chunk = tuple[Sequence[int], Iterable[list[str]]]
+# A chunk of records, each with the line it ends on, in order.
+_Chunk = Iterable[tuple[int, list[str]]]
 
 
 def _plain(text: str, lines: list[str]) -> bool:
@@ -209,13 +224,13 @@ def _chunks(path: Path, fh: io.TextIOBase) -> Iterator[_Chunk]:
     """Every record of ``fh``, the open ``path``, a bounded chunk of whole lines at a time.
 
     While each chunk is plain it is split at newlines and commas. From the
-    first chunk that is not, or that holds a byte that does not decode, to the
-    end of the file, ``csv.reader`` reads a fresh handle from the first line
-    not yet split, as it would have read the whole file: the same records,
+    first chunk that is not, or that holds a byte that does not decode, the
+    last chunk is ``csv.reader`` on a fresh handle from the first line not yet
+    split, which reads as it would have read the whole file: the same records,
     line numbers, errors and decode error.
     """
     line, rest = 0, ""  # the lines split so far, and the text read after them, which holds no newline
-    try:
+    with suppress(UnicodeDecodeError):
         while (read := fh.read(_CHUNK)) or rest:
             # Whole lines; at the end of the file, the last needs no newline.
             text = rest + read
@@ -225,62 +240,44 @@ def _chunks(path: Path, fh: io.TextIOBase) -> Iterator[_Chunk]:
                 lines = text.removesuffix("\n").split("\n")
                 if not _plain(text, lines):
                     break
-                yield range(line + 1, line + 1 + len(lines)), map(str.split, lines, repeat(","))
+                yield zip(range(line + 1, line + 1 + len(lines)), map(str.split, lines, repeat(",")))
                 line += len(lines)
         else:  # every chunk was plain
             return
-    except UnicodeDecodeError:
-        pass
     with path.open(newline="", encoding="utf-8") as again:
-        yield from _records(csv.reader(islice(again, line, None)), line)
+        yield _records(csv.reader(islice(again, line, None)), line)
 
 
-def _records(reader: Iterator[list[str]], line: int) -> Iterator[_Chunk]:
-    """The records ``reader`` reads from line ``line + 1`` on, in bounded chunks.
-
-    A ``csv.Error`` is raised as ``csv.Error("line N: ...")``, and a decode
-    error as it is, after the records read before it.
-    """
-    numbers: list[int] = []
-    rows: list[list[str]] = []
+def _records(reader: Iterator[list[str]], line: int) -> _Chunk:
+    """Each record ``reader`` reads from line ``line + 1`` on, with the line it ends on; a ``csv.Error``
+    is raised as ``csv.Error("line N: ...")``."""
     try:
         for row in reader:
-            rows.append(row)
-            numbers.append(line + reader.line_num)
-            if len(rows) == 256:
-                yield numbers, rows
-                numbers, rows = [], []
-    except (csv.Error, UnicodeDecodeError) as exc:
-        yield numbers, rows
-        raise csv.Error(f"line {line + reader.line_num}: {exc}") if isinstance(exc, csv.Error) else exc
-    yield numbers, rows
-
-
-def _after_header(path: Path, header: list[str], chunks: Iterator[_Chunk]) -> Iterator[_Chunk]:
-    """The chunks after ``header``, the first record; ``ValueError`` if that is missing or different."""
-    for numbers, rows in chunks:
-        rows = iter(rows)
-        if (first := next(rows, None)) is not None:
-            if first != header:
-                raise ValueError(f"{path.name}: expected header {header}, got {first}")
-            yield numbers[1:], rows
-            yield from chunks
-            return
-    raise ValueError(f"{path.name}: expected header {header}, got nothing")
+            yield line + reader.line_num, row
+    except csv.Error as exc:
+        raise csv.Error(f"line {line + reader.line_num}: {exc}")
 
 
 @contextmanager
-def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
-    """Each record of ``path`` after ``header``, with the line it ends on, read by :func:`_chunks`.
+def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[_Chunk]:
+    """Each record of ``path`` after ``header``, with the line it ends on, read by :func:`_chunks` as one stream.
 
-    A missing or different header raises ``ValueError`` when the first record
-    is read. A ``csv.Error`` while reading, such as a field over the field
-    size limit, ends the read and becomes one line in ``problems`` naming the
-    file and line.
+    The header is the stream's first record, checked when it is read: a
+    missing or different one raises ``ValueError``. A ``csv.Error`` while
+    reading, such as a field over the field size limit, the header's too,
+    ends the read and becomes one line in ``problems`` naming the file and line.
     """
     with path.open(newline="", encoding="utf-8") as fh:
+        records = chain.from_iterable(_chunks(path, fh))
+
+        def after_header() -> Iterator[_Chunk]:
+            _, first = next(records, (0, None))
+            if first != header:
+                raise ValueError(f"{path.name}: expected header {header}, got {'nothing' if first is None else first}")
+            yield records
+
         try:
-            yield chain.from_iterable(starmap(zip, _after_header(path, header, _chunks(path, fh))))
+            yield chain.from_iterable(after_header())
         except csv.Error as exc:
             problems.append(f"{path.name} {exc}")
 
@@ -351,11 +348,10 @@ def audit_run(run_dir: str | Path) -> list[str]:
     ``prices.csv`` flags as peaks are exactly those with coalition rows, and
     that each slot with coalition rows has a trade row.
 
-    Every file is read a bounded chunk of lines at a time, each chunk's rows
-    exactly as ``csv.reader`` reads them (:func:`_chunks`), and checked one
-    row at a time. The audit keeps each slot's peak flag and coalitions, the
-    slots with a trade row, the first price pair of each slot and venue, and
-    the clean blocks of the slot being read.
+    Every file is read as one stream of records, as ``csv.reader`` reads them
+    (:func:`_csv_rows`), and checked one row at a time. The audit keeps each
+    slot's peak flag and coalitions, the slots with a trade row, the first
+    price pair of each slot and venue, and the current slot's clean blocks.
     A trade row that passes the full check with no problem makes its (venue,
     grid sells, seller price, buyer price) text a clean block of its slot.
     A later row of the same slot with a clean block's text is checked only

@@ -232,6 +232,20 @@ def test_a_quote_first_met_past_plain_text(tmp_path):
     ]
 
 
+def test_a_read_error_many_records_past_the_first_quote(tmp_path):
+    # The line of a read error counts every line before the one where csv.reader takes over.
+    path = _p2p_run(tmp_path, n_prosumers=96)
+    lines = _lines(path)
+    quoted, big = 2000, 2500
+    lines[quoted] = ",".join(f'"{field}"' for field in lines[quoted][:-1].split(",")) + "\n"
+    fields = lines[big].split(",")
+    fields[2] = "x" * 200_000
+    lines[big] = ",".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    problem = f"trades.csv line {big + 1}: field larger than field limit ({csv.field_size_limit()})"
+    assert audit_run(tmp_path) == [problem]
+
+
 # --- Property: one cell edit never makes the audit raise, and quoting every field changes no problem ---
 
 # The scenario fuzz's values, as the JSON text a hand edit would type into a cell.

@@ -496,11 +496,9 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
             ], run.__name__
 
 
-def test_a_negative_zero_feed_in_tariff_prints_as_each_ledger_holds_it(tmp_path):
-    # Whole positions hold the float FiT -0.0, which prints with its sign; a
-    # pool holds it as the Fraction 0, which prints without one. The
-    # off-peak slots 0 and 1 come first, so text kept from one block for an
-    # equal price in a later one would show.
+def test_a_negative_zero_feed_in_tariff_prints_unsigned_in_every_ledger(tmp_path):
+    # Whole positions hold the float FiT -0.0 and a pool the Fraction 0; both
+    # print as 0.000000, in the off-peak slots 0 and 1 and in the peaks.
     base = make_case_study_scenario(3, slots=6)
     report = run_horizon(dataclasses.replace(base, grid=dataclasses.replace(base.grid, fit_price=-0.0)))
     write_run(report, tmp_path)
@@ -508,7 +506,7 @@ def test_a_negative_zero_feed_in_tariff_prints_as_each_ledger_holds_it(tmp_path)
     assert peaks == {"2", "3", "5"}
     sales = {(slot in peaks, sell, buy) for slot, _, _, buyer, _, sell, buy in _read(tmp_path / "trades.csv")[1:]
              if buyer == GRID_ID}
-    assert sales == {(False, "-0.000000", "-0.000000"), (True, "0.000000", "0.000000")}
+    assert sales == {(False, "0.000000", "0.000000"), (True, "0.000000", "0.000000")}
 
 
 @pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
@@ -840,16 +838,28 @@ def test_cli_refuses_a_position_that_prints_as_zero(tmp_path):
     assert not (out / "trades.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["p2p", "grid-only", "third-party", "compare"])
+def test_a_slot_where_every_prosumer_sits_out_runs_and_audits_clean(tmp_path, mode):
+    # Slot 0's whole positions are one empty block: no trade, nothing to refuse.
+    data = scenario_to_dict(make_case_study_scenario(0, n_prosumers=6, slots=6))
+    for prosumer in data["prosumers"]:
+        prosumer["net_energy"][0] = 0
+    code, err, out = _simulate(tmp_path, data, mode)
+    assert (code, err, audit_run(out)) == (EXIT_OK, "", [])
+
+
 @pytest.mark.parametrize("nets, bid, message", [
     # No ask meets a bid, so every prosumer is in the mid-market pool. a's own position prints as
     # 0.000001, but its share of c's 3 kWh, 2.9999997e-07 kWh, does not.
     ({"a": 1e-6, "b": 10.0, "c": -3.0}, 12.0, "the 3e-07 kWh trade of prosumers a and c"),
     # Every pair prints, but a's 4e-07 kWh left over for the grid does not.
     ({"a": 3.0000004, "c": -3.0}, 12.0, "the 4e-07 kWh trade of prosumer a"),
+    # Every pair prints, but c's 4e-07 kWh left over for the third party does not.
+    ({"a": 3.0, "c": -3.0000004}, 12.0, "the 4e-07 kWh trade of prosumer c"),
     # Every ask meets a bid, and the sellers share the burden of a long auction: each clears 1e-06 kWh,
     # over a denominator twice the buyers', and sends each buyer half of it.
     ({"a": 10.0, "b": 10.0, "c": -1e-6, "d": -1e-6}, 15.0, "the 5e-07 kWh trade of prosumers a and c"),
-], ids=["mid-market-pair", "mid-market-residual", "auction-pair"])
+], ids=["mid-market-pair", "mid-market-residual", "third-party-residual", "auction-pair"])
 def test_cli_refuses_a_pool_quantity_that_prints_as_zero(tmp_path, nets, bid, message):
     # Slot 0 is the one slot, a peak.
     scenario = Scenario(
