@@ -216,17 +216,18 @@ def verify_truthful_delivery(
     The equal-burden identity only holds when every seller delivers exactly
     what it cleared, so any unilateral deviation shifts the implied burden
     and is detectable. ``inconsistency`` is the absolute shift of the seller
-    total in kWh; an all-truthful settlement yields an empty report.
+    total in kWh; an all-truthful settlement yields an empty report. A delivery
+    ``n/d`` equals its cleared ``c/den`` on the seller :class:`Side` iff ``n*den == c*d``.
     """
-    expected = {f.prosumer_id: f.cleared for f in outcome.seller_fills}
-    if set(delivered) != set(expected):
+    ids, _, cleared, den = outcome.sellers
+    if set(delivered) != set(ids):
         raise DomainError(
             "delivered quantities must cover exactly the trading sellers "
-            f"(expected {sorted(expected)}, got {sorted(delivered)})"
+            f"(expected {sorted(ids)}, got {sorted(delivered)})"
         )
-    # Comparing a float or a Fraction with a Fraction is exact, so only a deviator's shift is built.
-    deviations = {
-        pid: Fraction(delivered[pid]) - cleared for pid, cleared in expected.items() if delivered[pid] != cleared
-    }
+    ratios = [delivered[pid].as_integer_ratio() for pid in ids]
+    # Only a deviator's shift is built as a ``Fraction``.
+    deviations = {pid: Fraction(n, d) - Fraction(c, den)
+                  for pid, c, (n, d) in zip(ids, cleared, ratios) if n * den != c * d}
     inconsistency = abs(sum(deviations.values(), _ZERO))
     return DeliveryReport(deviators=tuple(sorted(deviations)), inconsistency=inconsistency)

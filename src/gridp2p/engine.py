@@ -26,12 +26,12 @@ the ledger, ``compare`` only those of the three runs' peak slots. ``replace``,
 ``copy`` and a pickle keep the ledger. The trades sum exactly to the legs.
 Settled cash is exact and in integers: a leg is its revenue and cost as
 numerators over one denominator, from its pool side's or its position's
-integers and its prices' integer ratios; a prosumer's peak total is a
-reduced integer ratio, one ``Fraction`` at the end; ``compare``'s floats are
-each one correctly rounded int division, for an average that of its values'
-exact sum, then divided by their count, so none depends on the order of the
-prosumers; and ``stability_context`` builds one ``Fraction`` of cash per
-active prosumer.
+integers and its prices' integer ratios; a prosumer's peak total is its
+legs' sum over the lcm of their denominators, one ``Fraction``; ``compare``'s
+floats are each one correctly rounded int division, for an average that of
+its values' exact sum, then divided by their count, so none depends on the
+order of the prosumers; and ``stability_context`` builds one ``Fraction`` of
+cash per active prosumer.
 Floats appear only in positions, prices, system costs, metrics and emitted
 reports.
 """
@@ -42,7 +42,6 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -202,25 +201,19 @@ def _ratio(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _add_ratio(total: tuple[int, int], value: tuple[int, int]) -> tuple[int, int]:
-    """``total + value``, both integer ratios ``(num, den)`` with ``den > 0``, as a reduced one.
-
-    Reducing at every add keeps a long sum's integers as small as its value's.
-    """
-    n, d = total
-    vn, vd = value
-    n, d = n * vd + vn * d, d * vd
-    g = math.gcd(n, d)
-    return n // g, d // g
+def _exact_sum(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of ratios ``(num, den)``, each ``den > 0``, over their denominators' lcm; ``(0, 1)`` if none."""
+    den = math.lcm(*(d for _, d in ratios))
+    return sum(n * (den // d) for n, d in ratios), den
 
 
 def _mean(values: Collection[float | Fraction]) -> float:
-    """The mean of ``values``: their exact sum as one correctly rounded :func:`_ratio`, divided by
-    their count, so it does not depend on their order. NaN if a float value is infinite (a
+    """The mean of ``values``: their :func:`_exact_sum` as one correctly rounded :func:`_ratio`, divided
+    by their count, so it does not depend on their order. NaN if a float value is infinite (a
     ``Fraction`` never is): the table that holds it then fails on its own."""
     if any(math.isinf(v) for v in values if type(v) is float):
         return math.nan
-    return _ratio(*reduce(_add_ratio, (v.as_integer_ratio() for v in values), (0, 1))) / len(values)
+    return _ratio(*_exact_sum([v.as_integer_ratio() for v in values])) / len(values)
 
 
 def run_slot(scenario: Scenario, slot: int) -> SlotResult:
@@ -303,10 +296,10 @@ def aggregate_slots(
     """The system cost, and each prosumer's revenue and cost, summed over the peak slots.
 
     The sums read each peak's legs straight from its ledger, settling no slot.
-    Each is kept as a reduced integer ratio and built as one ``Fraction`` at the end.
+    Each prosumer's legs are summed once, by :func:`_exact_sum`, as one ``Fraction``.
     """
-    revenue = {p.id: (0, 1) for p in scenario.prosumers}
-    cost = dict(revenue)
+    revenue = {p.id: [] for p in scenario.prosumers}
+    cost = {p.id: [] for p in scenario.prosumers}
     cps_peak = 0.0
     for s in slots:
         if not s.price_signal.peak_flag:
@@ -316,10 +309,10 @@ def aggregate_slots(
             # Every leg has one zero side, and an idle prosumer no leg.
             for pid, rev, paid, den in part.legs():
                 if rev:
-                    revenue[pid] = _add_ratio(revenue[pid], (rev, den))
+                    revenue[pid].append((rev, den))
                 if paid:
-                    cost[pid] = _add_ratio(cost[pid], (paid, den))
-    revenue, cost = ({pid: Fraction(*ratio) for pid, ratio in sums.items()} for sums in (revenue, cost))
+                    cost[pid].append((paid, den))
+    revenue, cost = ({pid: Fraction(*_exact_sum(legs)) for pid, legs in sums.items()} for sums in (revenue, cost))
     return cps_peak, revenue, cost
 
 

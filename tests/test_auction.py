@@ -266,6 +266,23 @@ def test_all_zero_delivery_flags_everyone():
     assert report.inconsistency == sum(f.cleared for f in out.seller_fills)
 
 
+def test_delivery_is_checked_against_a_non_dyadic_cleared_quantity():
+    # 3 kWh offered against 2 kWh wanted: each seller bears 1/3 kWh and clears 2/3, over a denominator of 6.
+    out = clear(book(
+        [ask("s1", 11.0, 1.0), ask("s2", 12.0, 1.0), ask("s3", 13.0, 1.0)],
+        [bid("b1", 15.0, 0.5), bid("b2", 14.0, 0.5), bid("b3", 13.5, 1.0)],
+    ))
+    assert out.auction_price == 13.0 and out.sellers.den == 6
+    exact = {f.prosumer_id: f.cleared for f in out.seller_fills}
+    assert list(exact.values()) == [Fraction(2, 3)] * 3
+    assert verify_truthful_delivery(out, exact) == DeliveryReport((), Fraction(0))
+    # Each float 2/3 falls short by 1/(3*2**53).
+    floats = {pid: float(q) for pid, q in exact.items()}
+    assert verify_truthful_delivery(out, floats) == DeliveryReport(("s1", "s2", "s3"), Fraction(1, 2**53))
+    shifted = {**exact, "s2": exact["s2"] + Fraction(1, 3)}
+    assert verify_truthful_delivery(out, shifted) == DeliveryReport(("s2",), Fraction(1, 3))
+
+
 def test_delivery_dimension_mismatch():
     out = clear(book([ask("s1", 11.0, 5.0)], [bid("b1", 15.0, 4.0)]))
     with pytest.raises(DomainError):

@@ -566,26 +566,24 @@ def test_compare_is_bit_identical_to_the_fraction_operator_oracle(case):
     assert _bits(compare(*reports)) == _bits(_oracle_metrics(scenario, *reports))
 
 
-def test_many_peak_sums_stay_reduced(monkeypatch):
-    # Every one of 300 slots peaks, so each prosumer's sums take hundreds of adds.
+def _all_peak_scenario():
+    """Seed 11 over 300 slots, every threshold 0: each slot peaks, so a prosumer's sums take hundreds of legs."""
     base = make_case_study_scenario(11, slots=300)
-    scenario = dataclasses.replace(base, grid=dataclasses.replace(base.grid, threshold=(0.0,) * 300))
-    add = engine._add_ratio
-    adds = []
+    return dataclasses.replace(base, grid=dataclasses.replace(base.grid, threshold=(0.0,) * 300))
 
-    def checked(total, value):
-        result = add(total, value)
-        adds.append((Fraction(*total) + Fraction(*value), result))
-        return result
 
-    monkeypatch.setattr(engine, "_add_ratio", checked)
+def test_compare_on_an_all_peak_horizon_is_bit_identical_to_the_fraction_operator_oracle():
+    scenario = _all_peak_scenario()
+    reports = [run(scenario) for run in _RUNS]
+    assert _bits(compare(*reports)) == _bits(_oracle_metrics(scenario, *reports))
+
+
+def test_all_peak_sums_equal_the_fraction_totals():
+    scenario = _all_peak_scenario()
     for run in _RUNS:
         report = run(scenario)
         assert sum(s.price_signal.peak_flag for s in report.slots) == 300
         assert aggregate_slots(scenario, report.slots)[1:] == _fraction_totals(scenario, report), run.__name__
-    # Each intermediate pair is the running sum with a denominator no larger than the reduced one's.
-    assert len(adds) >= 3 * 300 * 6
-    assert all(result == (exact.numerator, exact.denominator) for exact, result in adds)
 
 
 def _unread_offpeak_slot(run):
