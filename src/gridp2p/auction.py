@@ -92,11 +92,6 @@ class AuctionOutcome:
 EMPTY_OUTCOME = AuctionOutcome(None, Side((), (), (), 1), Side((), (), (), 1))
 
 
-def _sort_key(order: Order, ascending: bool):
-    price = order.price if ascending else -order.price
-    return (price, -order.quantity, order.prosumer_id)
-
-
 # One side of a book as submitted: each participant's ``(id, kWh)``.
 Submitted = Sequence[tuple[str, float | Fraction]]
 
@@ -173,8 +168,8 @@ def clear(book: OrderBook, rule: AuctionPriceRule = AuctionPriceRule.HIGHEST_RES
     in which nobody trades, when the curves do not intersect or one side of
     the book is empty.
     """
-    asks = sorted(book.asks, key=lambda o: _sort_key(o, True))
-    bids = sorted(book.bids, key=lambda o: _sort_key(o, False))
+    asks = sorted(book.asks, key=lambda o: (o.price, -o.quantity, o.prosumer_id))
+    bids = sorted(book.bids, key=lambda o: (-o.price, -o.quantity, o.prosumer_id))
 
     depth = 0
     for ask, bid in zip(asks, bids):

@@ -85,7 +85,8 @@ class Trade:
     Prices are exact rationals so that conservation identities hold exactly;
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
     network fee, as :func:`_price_error` checks. A slot's trades come from
-    :func:`as_trade`, which checks each block's prices once, by the same rule.
+    :data:`as_trade`, whose :func:`_terms` checks each block's prices once,
+    by the same rule.
     """
 
     seller_id: str
@@ -196,48 +197,32 @@ class Pool:
                 yield (pid, value, 0, den) if is_seller else (pid, 0, value, den)
 
 
-def _exact(price: float | Fraction) -> Fraction:
-    return price if isinstance(price, Fraction) else Fraction(price)
-
-
-# A block's terms as a trade needs them: its venue, both prices exact, and the price error every
-# trade of the block raises, or None.
-_Checked = tuple[Venue, Fraction, Fraction, "str | None"]
-
-
-def _checked(block: Block) -> _Checked:
-    """``block``'s terms, its prices made exact and checked once by :func:`_price_error`. A
-    ``Fraction`` price is kept as the very object given; only a float is converted."""
+def _terms(block: Block) -> tuple[Venue, Fraction, Fraction, str | None]:
+    """``block``'s venue, its prices made exact, and their :func:`_price_error`, found once and raised only
+    by a trade. A ``Fraction`` price is kept as the very object given; a float is converted, once if both are one."""
     venue, seller_price, buyer_price = block
-    sell = _exact(seller_price)
-    buy = sell if buyer_price is seller_price else _exact(buyer_price)
+    sell = seller_price if isinstance(seller_price, Fraction) else Fraction(seller_price)
+    buy = sell if buyer_price is seller_price else (
+        buyer_price if isinstance(buyer_price, Fraction) else Fraction(buyer_price))
     return venue, sell, buy, _price_error(venue, sell, buy)
 
 
-def _trades(rows: Iterable[tuple[_Checked, str, str, "int | float", int]]) -> list[Trade]:
-    """Each ``(terms, seller, buyer, num, den)`` row as a :class:`Trade` of ``num / den`` kWh.
-
-    Each is built without ``Trade.__init__``, and raises what ``Trade`` would,
-    in its order: a non-positive quantity, then its block's price error; a
-    block with no trades raises nothing. A whole position's float quantity is
-    its own ratio over 1.
-    """
-    out = []
-    for (venue, sell, buy, error), seller, buyer, num, den in rows:
-        quantity = Fraction(num) if den == 1 else Fraction(num, den)
-        if quantity.numerator <= 0:
-            raise DomainError("trade quantity must be > 0")
-        if error:
-            raise DomainError(error)
-        t = object.__new__(Trade)
-        _SET_SELLER(t, seller)
-        _SET_BUYER(t, buyer)
-        _SET_QUANTITY(t, quantity)
-        _SET_SELL(t, sell)
-        _SET_BUY(t, buy)
-        _SET_VENUE(t, venue)
-        out.append(t)
-    return out
+def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buyer: str, quantity: Fraction) -> Trade:
+    """A :class:`Trade` on a block's :func:`_terms`, built without ``Trade.__init__``. It raises what ``Trade``
+    would, in its order: a non-positive quantity, then the block's price error."""
+    venue, sell, buy, error = terms
+    if quantity.numerator <= 0:
+        raise DomainError("trade quantity must be > 0")
+    if error:
+        raise DomainError(error)
+    t = object.__new__(Trade)
+    _SET_SELLER(t, seller)
+    _SET_BUYER(t, buyer)
+    _SET_QUANTITY(t, quantity)
+    _SET_SELL(t, sell)
+    _SET_BUY(t, buy)
+    _SET_VENUE(t, venue)
+    return t
 
 
 class _AsTrade:
@@ -245,17 +230,16 @@ class _AsTrade:
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
               buyer_nums: Sequence[int], den: int) -> list[Trade]:
-        terms = _checked(block)
-        out = []
-        for seller, a in zip(sellers, seller_nums):  # one seller's row tuples at a time, not a whole pool's
-            out += _trades([(terms, seller, buyer, a * b, den) for buyer, b in zip(buyers, buyer_nums)])
-        return out
+        terms = _terms(block)
+        # A whole position's float quantity, over ``den == 1``, is its own ratio: Fraction(float, 1) raises.
+        return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
+                for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
 
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> list[Trade]:
-        on_sold, on_bought = _checked(sold), _checked(bought)
-        return _trades([(on_sold, pid, buyer, net, 1) if net > 0 else (on_bought, seller, pid, -net, 1)
-                        for pid, net in zip(ids, nets)])
+        on_sold, on_bought = _terms(sold), _terms(bought)
+        return [_trade(on_sold, pid, buyer, Fraction(net)) if net > 0
+                else _trade(on_bought, seller, pid, Fraction(-net)) for pid, net in zip(ids, nets)]
 
 
 as_trade = _AsTrade()

@@ -270,6 +270,7 @@ def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[_C
     with path.open(newline="", encoding="utf-8") as fh:
         records = chain.from_iterable(_chunks(path, fh))
 
+        # The header is read in the stream: a csv.Error caught before the yield ends as "generator didn't yield".
         def after_header() -> Iterator[_Chunk]:
             _, first = next(records, (0, None))
             if first != header:

@@ -115,6 +115,23 @@ def test_as_trade_block_with_no_trades_raises_nothing(venue):
     assert as_trade.split(undercut, "b", spread, "s", [], []) == []
 
 
+def test_as_trade_split_builds_each_row_by_its_sign_and_raises_in_row_order():
+    fit, third = Fraction(10), 21.0
+    sold, bought = (Venue.GRID, fit, fit), (Venue.THIRD_PARTY, third, third)
+    sale, purchase = as_trade.split(sold, GRID_ID, bought, THIRD_PARTY_ID, ["a", "b"], [0.5, -1.25])
+    assert sale == Trade("a", GRID_ID, Fraction(1, 2), fit, fit, Venue.GRID)
+    assert purchase == Trade(THIRD_PARTY_ID, "b", Fraction(5, 4), Fraction(21), Fraction(21), Venue.THIRD_PARTY)
+    assert sale.seller_price is fit and sale.buyer_price is fit
+    assert purchase.buyer_price is purchase.seller_price
+    with pytest.raises(DomainError, match="trade quantity must be > 0"):
+        as_trade.split(sold, GRID_ID, bought, THIRD_PARTY_ID, ["a", "b"], [0.5, 0.0])
+    # A failing block raises only on its first trade, after the rows before it are built.
+    spread = (Venue.GRID, 12.0, 12.5)
+    assert len(as_trade.split(spread, GRID_ID, bought, THIRD_PARTY_ID, ["a"], [-1.0])) == 1
+    with pytest.raises(DomainError, match="grid trades settle at a single price"):
+        as_trade.split(spread, GRID_ID, bought, THIRD_PARTY_ID, ["a", "b"], [-1.0, 2.0])
+
+
 @pytest.mark.parametrize("venue", list(Venue))
 @pytest.mark.parametrize("num, den", [(0, 1), (-1, 3), (0.0, 1), (-0.5, 1)])
 def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
