@@ -35,7 +35,7 @@ from .engine import (
     compare,
     run_horizon,
 )
-from .reports import audit_run, check_quantities, write_order_dump, write_run, write_summary
+from .reports import audit_run, write_order_dump, write_run, write_summary
 
 log = logging.getLogger("gridp2p.cli")
 
@@ -106,10 +106,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = runner(scenario)
     metrics = None
     if args.mode == "compare":
-        # Compared before anything is written, as the quantities are checked,
-        # so a run that cannot be compared, or would print a zero, leaves no files.
+        # Compared before anything is written, so a run that cannot be compared
+        # leaves no files; write_run leaves none for a run that would print a zero.
         metrics = compare(report, baseline_grid_only(scenario), baseline_third_party(scenario))
-    check_quantities(report)
     try:
         write_run(report, args.out)
         if metrics is not None:

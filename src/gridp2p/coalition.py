@@ -53,7 +53,7 @@ Block = tuple[Venue, "float | Fraction", "float | Fraction"]
 class Terms(Protocol[T_co]):
     """What a ledger presents its trades to, a block at a time: it makes one call per block that has
     trades, with the block's columns, and yields what each call returns, in its fixed row order.
-    :data:`as_trade` builds a block's trades; ``reports`` formats its lines and finds its smallest."""
+    :data:`as_trade` builds a block's trades; ``reports`` checks and formats its lines."""
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
               buyer_nums: Sequence[int], den: int) -> T_co:

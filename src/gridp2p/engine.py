@@ -16,10 +16,9 @@ residuals; a whole-position slot's active ids and nets, each row picked by
 its sign), and yields each participant's leg: its revenue and cost,
 read off its own pool side or position in O(S+B). ``write_run`` formats
 every slot's ``trades.csv`` lines from its ledger, one comprehension per
-block; ``simulate`` first presents each block as its smallest trade, and
-refuses a run in which one would print as zero; a slot's ``trades`` are the
-same blocks presented by ``as_trade``, built anew on every read and never
-kept, so a reader binds them once. Only a read of ``per_prosumer``,
+block, and refuses a block whose smallest trade would print as zero; a
+slot's ``trades`` are the same blocks presented by ``as_trade``, built anew
+on every read and never kept, so a reader binds them once. Only a read of ``per_prosumer``,
 kept once settled from the legs by ``_settle``, settles a slot: a run and
 writing it read no legs; ``compare`` and ``stability_context`` read them off
 the ledger, ``compare`` only those of the three runs' peak slots. ``replace``,

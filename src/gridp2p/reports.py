@@ -9,12 +9,13 @@ directories.
 ``trades.csv``, the one file that grows with the pairs of a slot, is a stream
 at both ends. ``write_run`` writes it a block at a time: each ledger part
 passes a block's columns in one call, and the block's lines are formatted in
-one comprehension around the text of its slot, venue and prices, built once,
-so a line adds only its parties and quantity, and at most one seller's lines,
-or one slot's whole positions, are held. ``audit_run`` reads each file as one
-stream of records, split at commas until ``csv.reader`` must take over, and
-checks each row as it reaches it. A row that repeats the slot, venue and
-prices of a clean row before it is checked only for its quantity and parties.
+one comprehension around the text of its slot, venue and prices, built once, so
+a line adds only its parties and quantity, and at most one seller's lines, or
+one slot's whole positions, are held. A block with a quantity that would print
+as zero refuses the run. ``audit_run`` reads each file as one stream of
+records, split at commas until ``csv.reader`` must take over, and checks each
+row as it reaches it. A row that repeats the slot, venue and prices of a clean
+row before it is checked only for its quantity and parties.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import csv
 import io
 import math
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .coalition import GRID_ID, THIRD_PARTY_ID, Block, Venue
 from .core import ConfigurationError
@@ -43,6 +45,9 @@ _KNOWN_VENUES = frozenset(venue.value for venue in Venue)
 _GRID = Venue.GRID.value
 _MID_MARKET = Venue.MID_MARKET.value
 _COALITION_OF = {Venue.AUCTION.value: "auction", _MID_MARKET: "mid_market"}
+# The (metric, scope) of the rows every summary.csv holds: a table's over no prosumers, every value missing.
+_METRICS = [f.name for f in fields(MetricsTable)]
+_SUMMARY_KEYS = [r[:2] for r in MetricsTable(**{m: {} if f"avg_{m}" in _METRICS else None for m in _METRICS}).rows()]
 
 
 def _fmt(value: float | Fraction) -> str:
@@ -74,6 +79,11 @@ class _Lines:
     Each block is strings of whole lines, each string one comprehension's
     lines: one per seller of a ``cross`` block, so a pool's pairs are never
     held all at once, and one for a ``split`` block.
+
+    Before it formats a block, it refuses one whose smallest trade, a tie
+    going to the least id, prints as ``0.000000``, which the audit rejects.
+    Printing is monotone, and a float prints so exactly when it is at most
+    ``5e-7``, the float just below 5e-7: the next float up prints ``0.000001``.
     """
 
     def __init__(self, slot: int, ids: dict[str, str]) -> None:
@@ -85,8 +95,17 @@ class _Lines:
         venue, seller_price, buyer_price = block
         return f"{self.slot},{venue.value},", f",{_fmt(seller_price)},{_fmt(buyer_price)}\n"
 
+    def _refuse(self, qty: float, *parties: str) -> None:
+        """Raise the refusal of the ``qty`` kWh trade between ``parties``, naming only the prosumers."""
+        names = [pid for pid in parties if pid not in (GRID_ID, THIRD_PARTY_ID)]
+        names_text = ("prosumers " if len(names) > 1 else "prosumer ") + " and ".join(names)
+        raise ConfigurationError(f"slot {self.slot}: the {qty:.3g} kWh trade of {names_text} prints as 0.000000")
+
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
               buyer_nums: Sequence[int], den: int) -> Iterator[str]:
+        if min(seller_nums) * min(buyer_nums) / den <= 5e-7:
+            (a, seller), (b, buyer) = min(zip(seller_nums, sellers)), min(zip(buyer_nums, buyers))
+            self._refuse(a * b / den, seller, buyer)
         head, tail = self._ends(block)
         quoted = self.ids
         to = [(quoted[buyer], b) for buyer, b in zip(buyers, buyer_nums)]
@@ -96,6 +115,8 @@ class _Lines:
 
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> tuple[str]:
+        if min(map(abs, nets)) <= 5e-7:
+            self._refuse(*min(zip(map(abs, nets), ids)))
         (s_head, s_tail), (b_head, b_tail) = self._ends(sold), self._ends(bought)
         quoted = self.ids
         to, source = quoted[buyer], quoted[seller]
@@ -109,42 +130,14 @@ def _trade_lines(report: SimulationReport) -> Iterator[str]:
     return chain.from_iterable(chain.from_iterable(s.present(_Lines(s.slot, ids)) for s in report.slots))
 
 
-class _Smallest:
-    """The terms that present each block as its smallest trade: ``(num, den, ids)``, ``num / den`` kWh
-    between the prosumers ``ids``, the grid and the third party left out. A tie goes to the least id."""
-
-    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
-              buyer_nums: Sequence[int], den: int) -> tuple[int, int, tuple[str, ...]]:
-        (a, seller), (b, buyer) = min(zip(seller_nums, sellers)), min(zip(buyer_nums, buyers))
-        return a * b, den, tuple(pid for pid in (seller, buyer) if pid not in (GRID_ID, THIRD_PARTY_ID))
-
-    def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
-              nets: Sequence[float]) -> tuple[float, int, tuple[str]]:
-        net, pid = min(zip(map(abs, nets), ids))
-        return net, 1, (pid,)
-
-
-def check_quantities(report: SimulationReport) -> None:
-    """Raise ``ConfigurationError``, naming the slot and the prosumers, if a ``trades.csv`` quantity of
-    ``report`` would print as ``0.000000``, which the audit rejects.
-
-    Printing is monotone in the quantity, so each block's smallest trade decides.
-    """
-    for s in report.slots:
-        for num, den, ids in s.present(_Smallest()):
-            qty = num / den  # as _trade_lines formats it
-            if f"{qty:.6f}" == "0.000000":
-                names = ("prosumers " if len(ids) > 1 else "prosumer ") + " and ".join(ids)
-                raise ConfigurationError(f"slot {s.slot}: the {qty:.3g} kWh trade of {names} prints as 0.000000")
-
-
 def write_run(report: SimulationReport, out_dir: str | Path) -> None:
     """Write the run's four CSVs into ``out_dir``, each created new.
 
     The files a run writes, and the ``summary.csv`` and ``orders.csv`` an
-    earlier run may have left, are removed first. ``trades.csv`` is written under a temporary name
-    and renamed into place once complete, so a run cut while writing leaves
-    no ``trades.csv``, and the audit rejects its directory.
+    earlier run may have left, are removed first. ``trades.csv`` is written
+    first, under a temporary name, and renamed into place after the other
+    three. On any error, such as a quantity that would print as ``0.000000``,
+    the temporary file is removed, so the audit rejects what is left.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,25 +146,22 @@ def write_run(report: SimulationReport, out_dir: str | Path) -> None:
                  "summary.csv", "orders.csv"):
         (out / name).unlink(missing_ok=True)
 
-    prices = []
-    costs = []
-    coalitions = []
-    for s in report.slots:
-        prices.append([str(s.slot), _fmt(s.price_signal.selling_price), str(s.price_signal.peak_flag).lower()])
-        costs.append([str(s.slot), _fmt(s.cps_cost)])
-        if s.structure is not None:
-            for pid in s.structure.auction_members:
-                coalitions.append([str(s.slot), "auction", pid])
-            for pid in s.structure.midmarket_members:
-                coalitions.append([str(s.slot), "mid_market", pid])
-
-    _write_csv(out / "prices.csv", PRICES_HEADER, prices)
-    _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, costs)
-    _write_csv(out / "coalitions.csv", COALITIONS_HEADER, coalitions)
-    with partial.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(TRADES_HEADER) + "\n")
-        fh.writelines(_trade_lines(report))
-    partial.rename(out / "trades.csv")
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(TRADES_HEADER) + "\n")
+            fh.writelines(_trade_lines(report))
+        slots = report.slots
+        _write_csv(out / "prices.csv", PRICES_HEADER, ([str(s.slot), _fmt(s.price_signal.selling_price),
+                                                        str(s.price_signal.peak_flag).lower()] for s in slots))
+        _write_csv(out / "cps_cost.csv", CPS_COST_HEADER, ([str(s.slot), _fmt(s.cps_cost)] for s in slots))
+        _write_csv(out / "coalitions.csv", COALITIONS_HEADER, (
+            [str(s.slot), coalition, pid] for s in slots if s.structure is not None
+            for coalition, members in (("auction", s.structure.auction_members),
+                                       ("mid_market", s.structure.midmarket_members)) for pid in members))
+        partial.rename(out / "trades.csv")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_summary(metrics: MetricsTable, out_dir: str | Path) -> None:
@@ -184,18 +174,11 @@ def write_order_dump(report: SimulationReport, out_dir: str | Path) -> None:
     """Optional per-slot dump of the orders implied by the scenario."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    scenario = report.scenario
-    for s in report.slots:
-        if not s.price_signal.peak_flag:
-            continue
-        for p in scenario.prosumers:
-            net = p.net_energy[s.slot]
-            if net > 0:
-                rows.append([str(s.slot), p.id, "ask", _fmt(p.reservation_price[s.slot]), _fmt(net)])
-            elif net < 0:
-                rows.append([str(s.slot), p.id, "bid", _fmt(p.bid_price[s.slot]), _fmt(-net)])
-    _write_csv(out / "orders.csv", ["slot", "prosumer", "side", "price", "quantity"], rows)
+    _write_csv(out / "orders.csv", ["slot", "prosumer", "side", "price", "quantity"], (
+        [str(t), p.id, "ask", _fmt(p.reservation_price[t]), _fmt(net)] if net > 0
+        else [str(t), p.id, "bid", _fmt(p.bid_price[t]), _fmt(-net)]
+        for t in (s.slot for s in report.slots if s.price_signal.peak_flag)
+        for p in report.scenario.prosumers if (net := p.net_energy[t])))
 
 
 # --- Audit -------------------------------------------------------------------
@@ -285,7 +268,7 @@ def _csv_rows(path: Path, header: list[str], problems: list[str]) -> Iterator[_C
 
 def _read_csv(
     path: Path, header: list[str], problems: list[str], numeric: tuple[str, ...] = (), key: int = 0
-) -> Iterator[list[str]]:
+) -> Generator[list[str], None, dict[tuple[str, ...], int] | None]:
     """Yield each row after ``header`` as it is read; a malformed row is a problem, not a row.
 
     A row is malformed when its width differs from the header's, its slot
@@ -296,6 +279,7 @@ def _read_csv(
     ``problems`` naming the file and line, appended when the reader reaches
     it. An empty ``summary.csv`` average, the mean over no prosumers, is
     not malformed. ``_csv_rows`` checks the header and reports a read error.
+    It returns each well-formed key's first line, or None after a read error.
     """
     columns = [header.index(name) for name in numeric]
     first_line: dict[tuple[str, ...], int] = {}
@@ -310,6 +294,7 @@ def _read_csv(
                 yield row
             else:
                 problems.append(f"{path.name} line {line}: {problem}")
+        return first_line
 
 
 def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str | None:
@@ -340,7 +325,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
     header's width, integer slots, true/false peak flags, finite prices,
     costs and trade quantities, and finite summary values (an empty one only
     as a missing average), one row per slot in ``prices.csv`` and
-    ``cps_cost.csv`` and per (metric, scope) in ``summary.csv``; that the
+    ``cps_cost.csv`` and per (metric, scope) in ``summary.csv``, and each row
+    that every summary holds, unless a read error left the rest unread; that the
     coalition rows form a partition; that every trade has a known venue and a
     slot in ``prices.csv``, is between two different parties, stays inside
     its coalition and is priced like every other trade of its slot and venue
@@ -366,7 +352,7 @@ def audit_run(run_dir: str | Path) -> list[str]:
     coalitions, the trade problems in row order
     (an unknown venue, a missing slot or a second price once per slot and
     venue), the slots with coalitions but no trade, in ``coalitions.csv``
-    order, and ``summary.csv``'s problems.
+    order, and ``summary.csv``'s malformed rows, then its missing rows.
     """
     run = Path(run_dir)
     problems: list[str] = []
@@ -472,9 +458,14 @@ def audit_run(run_dir: str | Path) -> list[str]:
 
     summary = run / "summary.csv"
     if summary.exists():
+        rows = _read_csv(summary, SUMMARY_HEADER, problems, ("value",), key=2)
         try:
-            for _ in _read_csv(summary, SUMMARY_HEADER, problems, ("value",), key=2):
-                pass
+            while True:
+                next(rows)
+        except StopIteration as end:
+            if end.value is not None:
+                problems += (f"summary.csv: no well-formed row for metric {metric!r}, scope {scope!r}"
+                             for metric, scope in _SUMMARY_KEYS if (metric, scope) not in end.value)
         except ValueError as exc:
             problems.append(str(exc))
     return problems

@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import (
     trades_of,
@@ -35,6 +35,7 @@ from gridp2p.coalition import (
 )
 from gridp2p.core import (
     AuctionPriceRule,
+    ConfigurationError,
     DomainError,
     GridPolicy,
     MarketConfig,
@@ -355,6 +356,7 @@ _PRICES = (Fraction(3, 10), Fraction(33, 100), Fraction(1, 10), Fraction(21))
 _HALF = Fraction(1, 2)
 
 
+@settings(max_examples=250)
 @given(_pools())
 @example(([], [], Fraction(0), Venue.AUCTION, *_PRICES))
 @example(([Fill("s0", Fraction(2), Fraction(0))], [Fill("b0", Fraction(3), Fraction(0))], Fraction(0),
@@ -373,11 +375,16 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
     sellers, buyers = args[:2]
     scenario = SimpleNamespace(prosumers=[SimpleNamespace(id=f.prosumer_id) for f in (*sellers, *buyers)])
     report = SimpleNamespace(scenario=scenario, slots=[SimpleNamespace(slot=7, present=pool.present)])
-    assert "".join(_trade_lines(report)) == "".join(
-        ",".join(["7", t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))])
-        + "\n"
-        for t in trades
-    )
+    rows = [[t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price, t.buyer_price))]
+            for t in trades]
+    if any(qty == "0.000000" for _, _, _, qty, _, _ in rows):
+        # A quantity that prints as zero, which the audit rejects, is refused, not written.
+        event("refused")
+        with pytest.raises(ConfigurationError, match=r"^slot 7: the .* prints as 0\.000000$"):
+            "".join(_trade_lines(report))
+    else:
+        event("written")
+        assert "".join(_trade_lines(report)) == "".join(",".join(["7", *row]) + "\n" for row in rows)
     # Each leg is its participant's receipts and payments summed over the
     # eager trades.
     summed = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from gridp2p.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from conftest import leg_cash, payment, receipt, trades_of
@@ -34,6 +34,7 @@ from gridp2p.core import (
     load_scenario,
     make_case_study_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from gridp2p import reports
@@ -462,15 +463,21 @@ def _reference_lines(slot) -> list[str]:
 
 
 # Odd multiples of 1/128 sit exactly on a six-decimal half, so they round to
-# even; the rest are below 1e-6, above 1e6, or within an ulp of a half.
-_EDGE_NETS = (0.0078125, -0.0234375, 1234567.0078125, 4e-7, -5e-7, 1e-300, -3.5e6, 2.0000005, -1e6 - 5e-7)
+# even; the rest are above 1e6, or within an ulp of a half.
+_PRINTED_NETS = (0.0078125, -0.0234375, 1234567.0078125, -3.5e6, 2.0000005, -1e6 - 5e-7)
+# At most 5e-7 kWh, so each prints as 0.000000.
+_ZERO_NETS = (4e-7, -5e-7, 1e-300)
 
 
-@given(st.lists(st.one_of(st.sampled_from(_EDGE_NETS), st.floats(-2e6, 2e6)), min_size=1, max_size=6))
-@example(list(_EDGE_NETS))
+@settings(max_examples=400)
+@given(st.lists(st.one_of(st.sampled_from(_PRINTED_NETS + _ZERO_NETS), st.floats(-2e6, 2e6)), min_size=1, max_size=6))
+@example(list(_PRINTED_NETS))
+@example(list(_ZERO_NETS))
 def test_whole_position_lines_equal_the_rendered_trades(nets):
     # Slot 0 is a peak whenever anyone buys, slot 1 never is; in the
     # baselines both are whole positions, in the peer-trading run slot 1.
+    # A slot with a quantity that prints as zero, which the audit rejects,
+    # is refused, not written.
     scenario = Scenario(
         slots=2,
         prosumers=tuple(ProsumerProfile(f"p{i}", 7.0, (net, net), (12.0, 12.0), (12.0, 12.0))
@@ -482,9 +489,17 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
         for slot in run(scenario).slots:
             if not isinstance(slot.ledger[0], Positions):
                 continue
-            lines = "".join(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
-            assert lines == "".join(_reference_lines(slot)), run.__name__
-            assert lines.count("\n") == sum(net != 0 for net in nets)
+            report = SimpleNamespace(scenario=scenario, slots=[slot])
+            reference = _reference_lines(slot)
+            if any(line.split(",")[4] == "0.000000" for line in reference):
+                event("refused")
+                with pytest.raises(ConfigurationError, match=rf"^slot {slot.slot}: the .* prints as 0\.000000$"):
+                    "".join(_trade_lines(report))
+            else:
+                event("written")
+                lines = "".join(_trade_lines(report))
+                assert lines == "".join(reference), run.__name__
+                assert lines.count("\n") == sum(net != 0 for net in nets)
             # Each leg, read off the position, is exactly what its trades pay.
             summed = {}
             for t in trades_of(slot):
@@ -550,13 +565,49 @@ def _write_rows(path: Path, rows: list[list[str]]) -> None:
 def test_audit_rejects_summary_values_that_are_not_finite_numbers(tmp_path):
     header, *rows = _compare_run(tmp_path)
     rows[0][2], rows[1][2] = "abc", "nan"
-    # A deleted row needs the scenario to be noticed, so it goes unreported.
+    # The last row is one that every summary holds, so its deletion is
+    # reported after the malformed rows; a deleted per-prosumer row needs the
+    # scenario to be noticed.
     del rows[-1]
     _write_rows(tmp_path / "summary.csv", [header, *rows])
     assert audit_run(tmp_path) == [
         "summary.csv line 2: value 'abc' is not a number",
         "summary.csv line 3: value 'nan' is not a finite number",
+        "summary.csv: no well-formed row for metric 'avg_cost_per_prosumer_third_party', scope 'all'",
     ]
+
+
+# The rows every summary.csv holds, whatever its prosumers.
+_FIXED_SUMMARY_ROWS = [
+    ("seller_uplift_pct", "average"),
+    ("buyer_savings_vs_grid_pct", "average"),
+    ("buyer_savings_vs_third_party_pct", "average"),
+    ("buyer_premium_vs_third_party_pct", "average"),
+    ("cps_cost_with_p2p", "total"),
+    ("cps_cost_without_p2p", "total"),
+    ("avg_cost_per_prosumer_p2p", "all"),
+    ("avg_cost_per_prosumer_grid_only", "all"),
+    ("avg_cost_per_prosumer_third_party", "all"),
+]
+
+
+def test_audit_reports_each_deleted_row_that_every_summary_holds(tmp_path):
+    header, *rows = _compare_run(tmp_path)
+    assert [tuple(row[:2]) for row in rows[-len(_FIXED_SUMMARY_ROWS):]] == _FIXED_SUMMARY_ROWS
+    for metric, scope in _FIXED_SUMMARY_ROWS:
+        _write_rows(tmp_path / "summary.csv", [header, *(row for row in rows if row[:2] != [metric, scope])])
+        assert audit_run(tmp_path) == [f"summary.csv: no well-formed row for metric {metric!r}, scope {scope!r}"]
+    # A malformed row is reported where it stands, and does not count as the row.
+    malformed = [row if row[:2] != ["cps_cost_with_p2p", "total"] else [*row[:2], "abc"] for row in rows]
+    _write_rows(tmp_path / "summary.csv", [header, *malformed])
+    line = 2 + next(i for i, row in enumerate(rows) if row[:2] == ["cps_cost_with_p2p", "total"])
+    assert audit_run(tmp_path) == [
+        f"summary.csv line {line}: value 'abc' is not a number",
+        "summary.csv: no well-formed row for metric 'cps_cost_with_p2p', scope 'total'",
+    ]
+    # A read error leaves the rest of the file unread, so no row is reported missing.
+    _write_rows(tmp_path / "summary.csv", [header, ["x" * 200_000, "all", "1.000000"], *rows])
+    assert audit_run(tmp_path) == [f"summary.csv line 2: field larger than field limit ({csv.field_size_limit()})"]
 
 
 def test_audit_reports_a_repeated_summary_metric_and_scope(tmp_path):
@@ -914,6 +965,26 @@ def test_every_scenario_the_loader_accepts_gives_a_run_the_audit_accepts(edits, 
         else:
             assert code == EXIT_VALIDATION
             assert re.fullmatch("error: [^\n]*\n", err)
+
+
+def test_write_run_refuses_a_position_that_prints_as_zero_for_every_caller(tmp_path):
+    # The refusal is write_run's own, so a library caller gets it too: into a
+    # fresh directory it writes no file, and into an earlier run's directory it
+    # leaves no trades.csv, so the audit rejects what is left.
+    data = scenario_to_dict(make_case_study_scenario(0, n_prosumers=6, slots=6))
+    data["prosumers"][0]["net_energy"][0] = 5e-7
+    report = run_horizon(scenario_from_dict(data))
+    message = "^slot 0: the 5e-07 kWh trade of prosumer p01 prints as 0\\.000000$"
+    with pytest.raises(ConfigurationError, match=message):
+        write_run(report, tmp_path / "fresh")
+    assert list((tmp_path / "fresh").iterdir()) == []
+    earlier = tmp_path / "earlier"
+    write_run(run_horizon(make_case_study_scenario(0, n_prosumers=6, slots=6)), earlier)
+    assert audit_run(earlier) == []
+    with pytest.raises(ConfigurationError, match=message):
+        write_run(report, earlier)
+    assert not (earlier / "trades.csv").exists() and not (earlier / "trades.csv.partial").exists()
+    assert audit_run(earlier)
 
 
 def test_cli_compare_that_fails_writes_nothing(tmp_path, monkeypatch, capsys):
