@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Side, Submitted, pro_rata, scaled
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
@@ -132,14 +133,25 @@ def partition(active: Sequence[str], outcome: AuctionOutcome) -> CoalitionStruct
     )
 
 
-def _positive(ids: Iterable[str], nums: Iterable[int]) -> tuple[list[str], list[int]]:
-    """The ids whose numerator is > 0, and those numerators."""
+def _positive(ids: Sequence[str], nums: Sequence[int], times: int, over: int) -> tuple[list[str], list[int]]:
+    """The ids whose numerator is > 0, and those numerators times ``times`` over ``over``, which divides each."""
     kept_ids, kept = [], []
     for pid, num in zip(ids, nums):
         if num > 0:
             kept_ids.append(pid)
-            kept.append(num)
+            kept.append(num * times // over)
     return kept_ids, kept
+
+
+def _lowest(sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str], buyer_nums: Sequence[int],
+            den: int) -> tuple[list[str], list[int], list[str], list[int], int]:
+    """A block's columns as presented, from numerators >= 0: the parties whose numerator is > 0, with their
+    numerators and ``den`` in lowest terms, in O(S+B). The seller numerators go over their gcd ``g``, then
+    the buyer numerators times ``g``, and ``den``, over their gcd. Each pair's ``a * b / den`` is unchanged,
+    each side keeps its order, and ``gcd(*seller_nums) == gcd(den, *buyer_nums) == 1``."""
+    g = gcd(*seller_nums)  # A zero numerator leaves a gcd as it is.
+    h = gcd(den, g * gcd(*buyer_nums))
+    return *_positive(sellers, seller_nums, 1, g), *_positive(buyers, buyer_nums, g, h), den // h
 
 
 @dataclass(frozen=True)
@@ -166,19 +178,20 @@ class Pool:
         ``b``, which over the sides' integers is ``c_s * c_b`` over
         ``buyers.den * sum(sellers.cleared)``, for each seller and each buyer
         that clear. A residual is ``s - c`` over its side's ``den``, sold to
-        the grid or bought from the third party. An empty block is not presented.
+        the grid or bought from the third party. Each block is handed over in
+        :func:`_lowest` terms, the same quantity per pair on far smaller
+        integers. An empty block is not presented.
         """
         sellers, buyers = self.sellers, self.buyers
         if matched := sum(sellers.cleared):
-            yield terms.cross((self.venue, self.sell_price, self.buy_price), *_positive(sellers.ids, sellers.cleared),
-                              *_positive(buyers.ids, buyers.cleared), buyers.den * matched)
-        ids, residuals = _positive(sellers.ids, map(sub, sellers.submitted, sellers.cleared))
-        if ids:
-            yield terms.cross((Venue.GRID, self.fit, self.fit), ids, residuals, [GRID_ID], [1], sellers.den)
-        ids, residuals = _positive(buyers.ids, map(sub, buyers.submitted, buyers.cleared))
-        if ids:
-            yield terms.cross((Venue.THIRD_PARTY, self.third, self.third), [THIRD_PARTY_ID], [1], ids, residuals,
-                              buyers.den)
+            yield terms.cross((self.venue, self.sell_price, self.buy_price),
+                              *_lowest(sellers.ids, sellers.cleared, buyers.ids, buyers.cleared, buyers.den * matched))
+        if any(residuals := list(map(sub, sellers.submitted, sellers.cleared))):
+            yield terms.cross((Venue.GRID, self.fit, self.fit),
+                              *_lowest(sellers.ids, residuals, [GRID_ID], [1], sellers.den))
+        if any(residuals := list(map(sub, buyers.submitted, buyers.cleared))):
+            yield terms.cross((Venue.THIRD_PARTY, self.third, self.third),
+                              *_lowest([THIRD_PARTY_ID], [1], buyers.ids, residuals, buyers.den))
 
     def legs(self) -> Iterator[Leg]:
         """Each participant's leg, sellers then buyers, read off its side's integers.
@@ -229,11 +242,28 @@ class _AsTrade:
     """The terms that present each block's trades as a list of :class:`Trade`, their prices exact."""
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
-              buyer_nums: Sequence[int], den: int) -> list[Trade]:
-        terms = _terms(block)
-        # A whole position's float quantity, over ``den == 1``, is its own ratio: Fraction(float, 1) raises.
-        return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
-                for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
+              buyer_nums: Sequence[int | float], den: int) -> list[Trade]:
+        terms = venue, sell, buy, error = _terms(block)
+        # Only tests pass floats, since ``Positions`` presents through ``split``: a float quantity, over
+        # ``den == 1``, is its own ratio, and Fraction(float, 1) raises.
+        low = min(seller_nums, default=0)
+        if error is not None or den <= 0 or low <= 0 or low * min(buyer_nums, default=0) <= 0:
+            # Each trade is checked, and the first that fails raises what ``Trade`` raises.
+            return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
+                    for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
+        # The block is checked once: its smallest product is > 0 (a float one can underflow), so every one is.
+        trades = []
+        for seller, a in zip(sellers, seller_nums):
+            for buyer, b in zip(buyers, buyer_nums):
+                t = object.__new__(Trade)
+                _SET_SELLER(t, seller)
+                _SET_BUYER(t, buyer)
+                _SET_QUANTITY(t, Fraction(a * b) if den == 1 else Fraction(a * b, den))
+                _SET_SELL(t, sell)
+                _SET_BUY(t, buy)
+                _SET_VENUE(t, venue)
+                trades.append(t)
+        return trades
 
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> list[Trade]:

@@ -15,7 +15,9 @@ one slot's whole positions, are held. A block with a quantity that would print
 as zero refuses the run. ``audit_run`` reads each file as one stream of
 records, split at commas until ``csv.reader`` must take over, and checks each
 row as it reaches it. A row that repeats the slot, venue and prices of a clean
-row before it is checked only for its quantity and parties.
+row before it is checked only for its quantity and parties; a grid or
+third-party row that repeats those of an earlier slot's clean row, also for
+what depends on its own slot.
 """
 
 from __future__ import annotations
@@ -318,6 +320,14 @@ def _row_problem(row: list[str], header: list[str], columns: list[int]) -> str |
     return None
 
 
+def _positive_finite(text: str) -> bool:
+    """Whether ``text`` parses as a number that is > 0 and finite."""
+    try:
+        return 0 < float(text) < math.inf
+    except ValueError:
+        return False
+
+
 def audit_run(run_dir: str | Path) -> list[str]:
     """Re-check an emitted run directory; returns a list of problems found.
 
@@ -338,14 +348,20 @@ def audit_run(run_dir: str | Path) -> list[str]:
     Every file is read as one stream of records, as ``csv.reader`` reads them
     (:func:`_csv_rows`), and checked one row at a time. The audit keeps each
     slot's peak flag and coalitions, the slots with a trade row, the first
-    price pair of each slot and venue, and the current slot's clean blocks.
+    price pair of each slot and venue, the current slot's clean blocks, and
+    the clean grid and third-party blocks of every slot.
     A trade row that passes the full check with no problem makes its (venue,
     grid sells, seller price, buyer price) text a clean block of its slot.
     A later row of the same slot with a clean block's text is checked only
     for a positive finite quantity and for two different parties, both in
     the block's coalition: every other check depends only on that text and
-    on state fixed by then, so it would pass again. Any other row takes the
-    full check, so the problems are those of checking every row in full.
+    on state fixed by then, so it would pass again. A clean grid or
+    third-party block, whose parties may be anyone, is carried into later
+    slots: its first row in another slot is checked, besides, for the rest
+    that depends on the slot: that the slot is in ``prices.csv``, that the
+    row is no grid sale at a peak slot with coalitions, and that its price
+    pair is the first of its slot, venue and grid side. Any other row takes
+    the full check, so the problems are those of checking every row in full.
 
     Problems are listed in one fixed order: malformed rows, file by file,
     then slot coverage, double membership, peak flags that disagree with the
@@ -393,6 +409,8 @@ def audit_run(run_dir: str | Path) -> list[str]:
         # where any party may trade.
         block_slot = None
         clean: dict[tuple[str, bool, str, str], frozenset[str] | None] = {}
+        # The grid and third-party blocks clean in any slot, whose parties do not change with it.
+        carried: set[tuple[str, bool, str, str]] = set()
         # Every slot with a trade row, added at each change of slot.
         traded: set[str] = set()
         columns = [TRADES_HEADER.index(name) for name in ("qty", "seller_price", "buyer_price")]
@@ -409,8 +427,17 @@ def audit_run(run_dir: str | Path) -> list[str]:
                         parties is None or seller in parties and buyer in parties
                     ):
                         continue
-                except (ValueError, KeyError):
-                    # Not seven fields, not a clean block, or a quantity that is not a number.
+                except KeyError:
+                    # Not a clean block of this slot: a carried one's first row here adds the checks of its slot.
+                    grid_sells, pair = seller == GRID_ID, (sell_text, buy_text)
+                    key = (venue, grid_sells, *pair)
+                    if key in carried and _positive_finite(qty_text) and seller != buyer and slot in peak and not (
+                        venue == _GRID and grid_sells and peak[slot] and membership.get(slot)
+                    ) and price_of.setdefault((slot, venue, grid_sells), pair) == pair:
+                        clean[key] = None
+                        continue
+                except ValueError:
+                    # Not seven fields, or a quantity that is not a number.
                     pass
                 problem = _row_problem(row, TRADES_HEADER, columns)
                 if problem is not None:
@@ -447,9 +474,10 @@ def audit_run(run_dir: str | Path) -> list[str]:
                 elif first != pair:
                     note(f"slot {slot}: {venue} trades at more than one price")
                 if len(found) == seen:
-                    clean[venue, seller == GRID_ID, sell_text, buy_text] = (
-                        None if want is None else frozenset(pid for pid, c in members.items() if c == want)
-                    )
+                    key = venue, seller == GRID_ID, sell_text, buy_text
+                    clean[key] = None if want is None else frozenset(pid for pid, c in members.items() if c == want)
+                    if want is None and venue in _KNOWN_VENUES:
+                        carried.add(key)
             # Skipped after a read error, which leaves the rest of the file unread.
             found += (f"slot {slot}: a peak slot without trades" for slot in membership if slot not in traded)
     except (OSError, ValueError) as exc:

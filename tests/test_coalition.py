@@ -19,7 +19,7 @@ from fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
-from gridp2p.auction import EMPTY_OUTCOME, AuctionOutcome, Fill, clear
+from gridp2p.auction import EMPTY_OUTCOME, AuctionOutcome, Fill, allocate, clear
 from gridp2p.coalition import (
     GRID_ID,
     THIRD_PARTY_ID,
@@ -46,7 +46,7 @@ from gridp2p.core import (
 from gridp2p.engine import (
     Positions, baseline_grid_only, baseline_third_party, run_horizon, run_slot, stability_context,
 )
-from gridp2p.reports import _fmt, _trade_lines
+from gridp2p.reports import _Lines, _fmt, _trade_lines
 
 
 def _price_pair(same_object):
@@ -393,6 +393,70 @@ def test_pool_rows_present_the_eager_trades_as_csv(args):
             revenue, cost = summed.get(pid, (0, 0))
             summed[pid] = (revenue + received, cost + paid)
     assert list(map(leg_cash, pool.legs())) == [(f.prosumer_id, *summed[f.prosumer_id]) for f in (*sellers, *buyers)]
+
+
+class _Columns:
+    """Terms that give back each block's columns as presented."""
+
+    def cross(self, *columns):
+        return columns
+
+
+def _unreduced_blocks(pool):
+    """A pool's blocks as its sides' integers give them, no factor cancelled: ``c_s * c_b`` over
+    ``buyers.den * sum(c_s)`` for the pairs, and each residual over its side's ``den``."""
+    sellers, buyers = pool.sellers, pool.buyers
+    positive = lambda ids, nums: ([pid for pid, n in zip(ids, nums) if n > 0], [n for n in nums if n > 0])
+    seller_residuals = positive(sellers.ids, [s - c for s, c in zip(sellers.submitted, sellers.cleared)])
+    buyer_residuals = positive(buyers.ids, [s - c for s, c in zip(buyers.submitted, buyers.cleared)])
+    blocks = []
+    if matched := sum(sellers.cleared):
+        blocks.append(((pool.venue, pool.sell_price, pool.buy_price), *positive(sellers.ids, sellers.cleared),
+                       *positive(buyers.ids, buyers.cleared), buyers.den * matched))
+    if seller_residuals[0]:
+        blocks.append(((Venue.GRID, pool.fit, pool.fit), *seller_residuals, [GRID_ID], [1], sellers.den))
+    if buyer_residuals[0]:
+        blocks.append(((Venue.THIRD_PARTY, pool.third, pool.third), [THIRD_PARTY_ID], [1], *buyer_residuals,
+                       buyers.den))
+    return blocks
+
+
+def _lines_or_refusal(block, ids):
+    try:
+        return "".join(_Lines(7, ids).cross(*block))
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+# Positive kWh, as the engine passes them (floats) or as rationals.
+_SIDE = st.lists(st.one_of(st.floats(1e-3, 12.0), st.fractions(Fraction(1, 1000), 12)), min_size=1, max_size=4)
+
+
+@settings(max_examples=200)
+@given(_SIDE, _SIDE, st.booleans())
+@example([0.5, 1.5], [0.75], False)  # the auction's sellers long: the equal burden
+@example([Fraction(1, 3), Fraction(2, 7)], [Fraction(5, 11), Fraction(1, 1000)], True)
+def test_each_pool_block_is_presented_in_lowest_terms(surpluses, deficits, midmarket):
+    sellers = [(f"s{i}", q) for i, q in enumerate(surpluses)]
+    buyers = [(f"b{i}", q) for i, q in enumerate(deficits)]
+    price = Fraction(12)
+    if midmarket:
+        pool = match_midmarket(sellers, buyers, 12.0, 0.1, 10.0, 21.0)
+    else:
+        pool = Pool(*allocate(sellers, buyers), Venue.AUCTION, price, price, Fraction(10), Fraction(21))
+    event("equal burden" if not midmarket and sum(surpluses) > sum(deficits) else "pro rata")
+    ids = {pid: pid for pid in (GRID_ID, THIRD_PARTY_ID, *(pid for pid, _ in (*sellers, *buyers)))}
+    presented = list(pool.present(_Columns()))
+    unreduced = _unreduced_blocks(pool)
+    assert [block[:2] + block[3:4] for block in presented] == [block[:2] + block[3:4] for block in unreduced]
+    for block, whole in zip(presented, unreduced):
+        _, _, seller_nums, _, buyer_nums, den = block
+        _, _, whole_sellers, _, whole_buyers, whole_den = whole
+        assert [Fraction(a * b, den) for a in seller_nums for b in buyer_nums] == [
+            Fraction(a * b, whole_den) for a in whole_sellers for b in whole_buyers]
+        assert math.gcd(*seller_nums) == 1 and math.gcd(den, *buyer_nums) == 1
+        assert as_trade.cross(*block) == as_trade.cross(*whole)
+        assert _lines_or_refusal(block, ids) == _lines_or_refusal(whole, ids)
 
 
 # Any non-negative finite float, subnormals and the largest included, or any

@@ -15,6 +15,8 @@ fleet and long-horizon shapes, were taken while every file was still written
 by ``json.dumps(..., indent=2)`` and every value drawn by ``random.uniform``.
 The ``seed0-n24-s1344`` compare digests, at the benchmark's long-horizon
 shape, were taken while ``trades.csv`` was still written one call per row.
+The ``seed0-n768`` compare digests, whose unreduced pair denominators reach
+71 bits, were taken while each pool block was still handed over unreduced.
 The ``quoted-ids`` digests pin a compare run whose prosumer ids
 need CSV quoting, taken while every ``trades.csv`` row still went through
 ``csv.writer``.

@@ -260,6 +260,14 @@ def test_audit_rejects_an_unknown_venue(tmp_path):
     assert audit_run(tmp_path) == [f"slot {slot}: unknown venue 'bogus'" for slot in (2, 3, 5)]
 
 
+def test_audit_rejects_an_unknown_venue_whose_prices_repeat_in_each_slot(tmp_path):
+    # Every grid row renamed: its blocks, at the same prices in every slot,
+    # are not carried from one slot to the next as the grid's are.
+    trades, _ = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "trades.csv", [line.replace(",grid,", ",bogus,") for line in trades])
+    assert audit_run(tmp_path) == [f"slot {slot}: unknown venue 'bogus'" for slot in (0, 1, 3, 4, 5)]
+
+
 def test_audit_checks_the_trades_of_a_slot_missing_from_prices(tmp_path):
     # A malformed flag drops peak slot 2 from prices.csv; a grid sale appended
     # to that slot cannot be judged against its flag, so the slot is reported.
@@ -417,12 +425,49 @@ def test_audit_flags_a_bad_quantity_in_each_blocks_last_row(tmp_path, qty):
         (lambda trades: "2" + trades[-5][1:],
          ["slot 2: mid_market trade party p11 not in the mid_market coalition",
           "slot 2: mid_market trades at more than one price"]),
+        # The same row moved to off-peak slot 4, which has no coalitions: a
+        # peer block is never carried from one slot to another.
+        (lambda trades: "4" + trades[-5][1:],
+         ["slot 4: mid_market trade party p08 not in the mid_market coalition",
+          "slot 4: mid_market trade party p11 not in the mid_market coalition"]),
     ],
-    ids=["slot_2_row", "slot_5_row_as_slot_2"],
+    ids=["slot_2_row", "slot_5_row_as_slot_2", "slot_5_row_as_off_peak_slot_4"],
 )
 def test_audit_checks_a_row_appended_out_of_slot_order(tmp_path, appended, problems):
     trades, _ = _p2p_run(tmp_path)
     _write_lines(tmp_path / "trades.csv", [*trades, appended(trades)])
+    assert audit_run(tmp_path) == problems
+
+
+def _missing_slot_4(trades, prices):
+    prices[5] = "4,28.000000,yes"
+    return trades, prices
+
+
+def _grid_sale_in_slot_2(trades, prices):
+    first = next(i for i, line in enumerate(trades) if line.startswith("2,"))
+    return [*trades[:first + 1], "2,grid,grid,p07,1.000000,28.000000,28.000000", *trades[first + 1:]], prices
+
+
+def _second_price_in_slot_4(trades, prices):
+    first = next(i for i, line in enumerate(trades) if line.startswith("4,"))
+    return [*trades[:first], "4,grid,grid,p01,1.000000,29.000000,29.000000", *trades[first:]], prices
+
+
+# Slots 0 and 1 leave the grid's sales at 28 and its purchases at 10 clean
+# blocks, whose first row in a later slot takes only the checks that depend
+# on that slot; each case fails one of them.
+@pytest.mark.parametrize("edit, problems", [
+    (_missing_slot_4, ["prices.csv line 6: peak_flag 'yes' is not true or false",
+                       "cps_cost.csv and prices.csv cover different slots",
+                       "slot 4: trades in a slot missing from prices.csv"]),
+    (_grid_sale_in_slot_2, ["slot 2: grid sale to p07 during a peak slot"]),
+    (_second_price_in_slot_4, ["slot 4: grid trades at more than one price"]),
+], ids=["slot_missing_from_prices", "peak_grid_sale", "second_price_pair"])
+def test_audit_checks_a_block_clean_in_an_earlier_slot_against_its_new_slot(tmp_path, edit, problems):
+    trades, prices = edit(*_p2p_run(tmp_path))
+    _write_lines(tmp_path / "trades.csv", trades)
+    _write_lines(tmp_path / "prices.csv", prices)
     assert audit_run(tmp_path) == problems
 
 
