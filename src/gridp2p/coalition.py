@@ -87,7 +87,8 @@ class Trade:
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
     network fee, as :func:`_price_error` checks. A slot's trades come from
     :data:`as_trade`, whose :func:`_terms` checks each block's prices once,
-    by the same rule.
+    by the same rule, and which checks each block's smallest quantity once
+    and builds every quantity already in lowest terms, as ``Fraction`` would.
     """
 
     seller_id: str
@@ -109,6 +110,12 @@ class Trade:
 _SET_SELLER, _SET_BUYER, _SET_QUANTITY, _SET_SELL, _SET_BUY, _SET_VENUE = (
     getattr(Trade, f.name).__set__ for f in fields(Trade)
 )
+
+# Fraction's two slots, each set directly, as 3.12's ``Fraction._from_coprime_ints`` does: a quantity
+# built already in lowest terms, with a denominator > 0, needs no normalising ``Fraction.__new__``.
+# This relies on ``Fraction`` keeping its value in the slots ``_numerator`` and ``_denominator``, as
+# it does on 3.10 to 3.13; ``test_as_trade_builds_each_pair_as_fraction_does`` pins it.
+_SET_NUMERATOR, _SET_DENOMINATOR = Fraction._numerator.__set__, Fraction._denominator.__set__
 
 
 @dataclass(frozen=True)
@@ -220,14 +227,8 @@ def _terms(block: Block) -> tuple[Venue, Fraction, Fraction, str | None]:
     return venue, sell, buy, _price_error(venue, sell, buy)
 
 
-def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buyer: str, quantity: Fraction) -> Trade:
-    """A :class:`Trade` on a block's :func:`_terms`, built without ``Trade.__init__``. It raises what ``Trade``
-    would, in its order: a non-positive quantity, then the block's price error."""
-    venue, sell, buy, error = terms
-    if quantity.numerator <= 0:
-        raise DomainError("trade quantity must be > 0")
-    if error:
-        raise DomainError(error)
+def _new(venue: Venue, sell: Fraction, buy: Fraction, seller: str, buyer: str, quantity: Fraction) -> Trade:
+    """A :class:`Trade` whose checks have passed, built through its slot setters."""
     t = object.__new__(Trade)
     _SET_SELLER(t, seller)
     _SET_BUYER(t, buyer)
@@ -238,27 +239,62 @@ def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buy
     return t
 
 
+def _ratio(num: int, den: int) -> Fraction:
+    """The ``Fraction`` ``num / den``, from a ratio already in lowest terms with ``den > 0``."""
+    q = object.__new__(Fraction)
+    _SET_NUMERATOR(q, num)
+    _SET_DENOMINATOR(q, den)
+    return q
+
+
+def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buyer: str, quantity: Fraction) -> Trade:
+    """A :class:`Trade` on a block's :func:`_terms`, built without ``Trade.__init__``, for a block that fails
+    :data:`as_trade`'s check: it raises what ``Trade`` would, in its order: a non-positive quantity, then the
+    block's price error."""
+    venue, sell, buy, error = terms
+    if quantity.numerator <= 0:
+        raise DomainError("trade quantity must be > 0")
+    if error:
+        raise DomainError(error)
+    return _new(venue, sell, buy, seller, buyer, quantity)
+
+
 class _AsTrade:
-    """The terms that present each block's trades as a list of :class:`Trade`, their prices exact."""
+    """The terms that present each block's trades as a list of :class:`Trade`, their prices exact.
+
+    A block whose prices pass, whose numbers are ints and whose smallest trade is > 0 is checked once,
+    and each of its quantities is built already in lowest terms, with no normalising ``Fraction`` per
+    trade. Any other block builds each trade by :func:`_trade`, so its first failing trade raises what
+    ``Trade`` raises.
+    """
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
               buyer_nums: Sequence[int | float], den: int) -> list[Trade]:
         terms = venue, sell, buy, error = _terms(block)
         # Only tests pass floats, since ``Positions`` presents through ``split``: a float quantity, over
         # ``den == 1``, is its own ratio, and Fraction(float, 1) raises.
-        low = min(seller_nums, default=0)
-        if error is not None or den <= 0 or low <= 0 or low * min(buyer_nums, default=0) <= 0:
+        if (error is not None or den <= 0 or min(seller_nums, default=0) <= 0 or min(buyer_nums, default=0) <= 0
+                or {type(den), *map(type, seller_nums), *map(type, buyer_nums)} != {int}):
             # Each trade is checked, and the first that fails raises what ``Trade`` raises.
             return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
                     for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
-        # The block is checked once: its smallest product is > 0 (a float one can underflow), so every one is.
+        # The block is checked once: its numbers are ints > 0, so every product is. Each buyer's ``b / den``
+        # is put in lowest terms ``b1 / d_b`` once, so ``a * b1`` and ``d_b`` share only
+        # ``gcd(a, d_b) == gcd(gcd(a, den), d_b)``, which is 1 whenever the seller's ``gcd(a, den)`` is.
+        # :func:`_ratio` and :func:`_new` are written out here: two calls per pair cost about a tenth.
+        columns = [(buyer, b // g, den // g) for buyer, b in zip(buyers, buyer_nums) for g in (gcd(b, den),)]
         trades = []
         for seller, a in zip(sellers, seller_nums):
-            for buyer, b in zip(buyers, buyer_nums):
+            g_a = gcd(a, den)
+            for buyer, b1, d_b in columns:
+                g = gcd(g_a, d_b)
+                q = object.__new__(Fraction)
+                _SET_NUMERATOR(q, a // g * b1)
+                _SET_DENOMINATOR(q, d_b // g)
                 t = object.__new__(Trade)
                 _SET_SELLER(t, seller)
                 _SET_BUYER(t, buyer)
-                _SET_QUANTITY(t, Fraction(a * b) if den == 1 else Fraction(a * b, den))
+                _SET_QUANTITY(t, q)
                 _SET_SELL(t, sell)
                 _SET_BUY(t, buy)
                 _SET_VENUE(t, venue)
@@ -268,8 +304,15 @@ class _AsTrade:
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> list[Trade]:
         on_sold, on_bought = _terms(sold), _terms(bought)
-        return [_trade(on_sold, pid, buyer, Fraction(net)) if net > 0
-                else _trade(on_bought, seller, pid, Fraction(-net)) for pid, net in zip(ids, nets)]
+        if on_sold[3] is not None or on_bought[3] is not None or not all(nets):
+            return [_trade(on_sold, pid, buyer, Fraction(net)) if net > 0
+                    else _trade(on_bought, seller, pid, Fraction(-net)) for pid, net in zip(ids, nets)]
+        # Both blocks are checked once and every net is nonzero, so every quantity is > 0; a float's
+        # integer ratio is already in lowest terms.
+        (s_venue, s_sell, s_buy, _), (b_venue, b_sell, b_buy, _) = on_sold, on_bought
+        return [_new(s_venue, s_sell, s_buy, pid, buyer, _ratio(*net.as_integer_ratio())) if net > 0
+                else _new(b_venue, b_sell, b_buy, seller, pid, _ratio(*(-net).as_integer_ratio()))
+                for pid, net in zip(ids, nets)]
 
 
 as_trade = _AsTrade()

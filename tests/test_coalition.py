@@ -148,6 +148,57 @@ def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
     assert hash(after) == hash(Trade("s", "b", Fraction(5, 2), price, price, venue))
 
 
+# Factors that a block's numerators and its denominator share: small primes, a 61-bit prime, and 1.
+_FACTORS = st.lists(st.sampled_from([2, 3, 5, 7, 2**61 - 1]), max_size=5).map(math.prod)
+
+
+@st.composite
+def _int_blocks(draw):
+    """A pool block's numerators and denominator, drawn directly: each number a shared factor times
+    a cofactor, ints above 2**64 and ``den == 1`` included."""
+    cofactors = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+    den = draw(_FACTORS) * draw(st.one_of(st.just(1), cofactors))
+    nums = st.builds(lambda f, k: math.gcd(f, den) * k, _FACTORS, cofactors)
+    return draw(st.lists(nums, min_size=1, max_size=4)), draw(st.lists(nums, min_size=1, max_size=4)), den
+
+
+@settings(max_examples=300)
+@given(_int_blocks())
+@example(([3, 4], [5, 6], 1))
+@example(([6, 35], [10, 21], 210))  # each number shares a factor with ``den`` on both sides
+@example(([2**65 * 3], [2**64 * 5 + 5], 2**66 * 15))
+def test_as_trade_builds_each_pair_as_fraction_does(block):
+    seller_nums, buyer_nums, den = block
+    sell, buy = Fraction(10), Fraction(11)
+    sellers, buyers = [f"s{i}" for i in seller_nums], [f"b{i}" for i in buyer_nums]
+    trades = as_trade.cross((Venue.MID_MARKET, sell, buy), sellers, seller_nums, buyers, buyer_nums, den)
+    expected = [(s, b, Fraction(a * n, den)) for s, a in zip(sellers, seller_nums) for b, n in zip(buyers, buyer_nums)]
+    assert len(trades) == len(expected)
+    for t, (seller, buyer, quantity) in zip(trades, expected):
+        q = t.quantity
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator, hash(q), str(q)) == (
+            quantity.numerator, quantity.denominator, hash(quantity), str(quantity))
+        assert t == Trade(seller, buyer, quantity, sell, buy, Venue.MID_MARKET)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), max_size=6))
+@example([5e-324, -1.7976931348623157e308, 0.1, -1 / 3])
+def test_as_trade_builds_each_row_as_fraction_does(nets):
+    fit, third = Fraction(10), Fraction(21)
+    ids = [f"p{i}" for i in range(len(nets))]
+    trades = as_trade.split((Venue.GRID, fit, fit), GRID_ID, (Venue.THIRD_PARTY, third, third), THIRD_PARTY_ID,
+                            ids, nets)
+    assert len(trades) == len(nets)
+    for t, pid, net in zip(trades, ids, nets):
+        q, quantity = t.quantity, Fraction(abs(net))
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator, hash(q), str(q)) == (
+            quantity.numerator, quantity.denominator, hash(quantity), str(quantity))
+        assert t == (Trade(pid, GRID_ID, quantity, fit, fit, Venue.GRID) if net > 0
+                     else Trade(THIRD_PARTY_ID, pid, quantity, third, third, Venue.THIRD_PARTY))
+
+
 # Price pairs: one shared object, equal values in two objects, and any two
 # values (an undercut or a spread), as exact floats or as rationals.
 _PRICES = st.one_of(st.fractions(0, 100), st.floats(0, 100))

@@ -556,6 +556,29 @@ def test_whole_position_lines_equal_the_rendered_trades(nets):
             ], run.__name__
 
 
+def test_an_id_that_holds_a_zero_quantity_field_is_written_not_refused():
+    # The quoted id holds ``,0.000000,``, as the line of a quantity that prints
+    # as zero does; every quantity here prints, so the exact smallest one lets
+    # the slot through.
+    pid = "x,0.000000,y"
+    scenario = Scenario(
+        slots=1,
+        prosumers=(ProsumerProfile(pid, 7.0, (1.5,), (12.0,), (12.0,)),
+                   ProsumerProfile("p", 7.0, (-2.0,), (12.0,), (12.0,))),
+        grid=GridPolicy(68.6, 274.4, (1e300,), 28.0, 10.0),
+        market=MarketConfig(),
+    )
+    for run in _RUNS:
+        (slot,) = run(scenario).slots
+        lines = "".join(_trade_lines(SimpleNamespace(scenario=scenario, slots=[slot])))
+        assert ",0.000000," in lines
+        assert list(csv.reader(io.StringIO(lines))) == [
+            [str(slot.slot), t.venue.value, t.seller_id, t.buyer_id, *map(_fmt, (t.quantity, t.seller_price,
+                                                                               t.buyer_price))]
+            for t in trades_of(slot)
+        ], run.__name__
+
+
 def test_a_negative_zero_feed_in_tariff_prints_unsigned_in_every_ledger(tmp_path):
     # Whole positions hold the float FiT -0.0 and a pool the Fraction 0; both
     # print as 0.000000, in the off-peak slots 0 and 1 and in the peaks.
