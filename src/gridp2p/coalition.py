@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 from operator import sub
-from typing import Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .auction import AuctionOutcome, Side, Submitted, pro_rata, scaled
 from .core import GRID_ID, THIRD_PARTY_ID, DomainError
@@ -87,8 +87,8 @@ class Trade:
     ``buyer_price`` differs from ``seller_price`` only by the mid-market
     network fee, as :func:`_price_error` checks. A slot's trades come from
     :data:`as_trade`, whose :func:`_terms` checks each block's prices once,
-    by the same rule, and which checks each block's smallest quantity once
-    and builds every quantity already in lowest terms, as ``Fraction`` would.
+    by the same rule, and which checks each pool block's smallest quantity
+    once and builds every quantity already in lowest terms, as ``Fraction`` would.
     """
 
     seller_id: str
@@ -111,11 +111,26 @@ _SET_SELLER, _SET_BUYER, _SET_QUANTITY, _SET_SELL, _SET_BUY, _SET_VENUE = (
     getattr(Trade, f.name).__set__ for f in fields(Trade)
 )
 
+
+def _slot_setters(cls: type) -> tuple[Callable[[Fraction, int], None], Callable[[Fraction, int], None]] | None:
+    """``cls``'s setters of ``_numerator`` and ``_denominator``, if it keeps its value in exactly those two
+    slots, as ``Fraction`` does on 3.10 to 3.13, and a ratio set through them reads as ``Fraction(-6, 35)``;
+    else ``None``, so that a change in ``Fraction``'s internals costs only speed."""
+    try:
+        setters = cls._numerator.__set__, cls._denominator.__set__
+        q, want = object.__new__(cls), Fraction(-6, 35)
+        setters[0](q, -6)
+        setters[1](q, 35)
+        same = cls.__slots__ == ("_numerator", "_denominator") and q == want and (
+            q.numerator, q.denominator, hash(q), str(q)) == (-6, 35, hash(want), "-6/35")
+    except (AttributeError, TypeError):
+        return None
+    return setters if same else None
+
+
 # Fraction's two slots, each set directly, as 3.12's ``Fraction._from_coprime_ints`` does: a quantity
 # built already in lowest terms, with a denominator > 0, needs no normalising ``Fraction.__new__``.
-# This relies on ``Fraction`` keeping its value in the slots ``_numerator`` and ``_denominator``, as
-# it does on 3.10 to 3.13; ``test_as_trade_builds_each_pair_as_fraction_does`` pins it.
-_SET_NUMERATOR, _SET_DENOMINATOR = Fraction._numerator.__set__, Fraction._denominator.__set__
+_SET_NUMERATOR, _SET_DENOMINATOR = _slot_setters(Fraction) or (None, None)
 
 
 @dataclass(frozen=True)
@@ -227,8 +242,25 @@ def _terms(block: Block) -> tuple[Venue, Fraction, Fraction, str | None]:
     return venue, sell, buy, _price_error(venue, sell, buy)
 
 
-def _new(venue: Venue, sell: Fraction, buy: Fraction, seller: str, buyer: str, quantity: Fraction) -> Trade:
-    """A :class:`Trade` whose checks have passed, built through its slot setters."""
+def _ratio(num: int, den: int) -> Fraction:
+    """The ``Fraction`` ``num / den``, from a ratio already in lowest terms with ``den > 0``: set into its slots
+    where :func:`_slot_setters` found them, else normalised by ``Fraction``."""
+    if _SET_NUMERATOR is None:
+        return Fraction(num, den)
+    q = object.__new__(Fraction)
+    _SET_NUMERATOR(q, num)
+    _SET_DENOMINATOR(q, den)
+    return q
+
+
+def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buyer: str, quantity: Fraction) -> Trade:
+    """A :class:`Trade` on a block's :func:`_terms`, built without ``Trade.__init__``. It raises what ``Trade``
+    would, in its order: a non-positive quantity, then the block's price error."""
+    venue, sell, buy, error = terms
+    if quantity.numerator <= 0:
+        raise DomainError("trade quantity must be > 0")
+    if error:
+        raise DomainError(error)
     t = object.__new__(Trade)
     _SET_SELLER(t, seller)
     _SET_BUYER(t, buyer)
@@ -239,33 +271,13 @@ def _new(venue: Venue, sell: Fraction, buy: Fraction, seller: str, buyer: str, q
     return t
 
 
-def _ratio(num: int, den: int) -> Fraction:
-    """The ``Fraction`` ``num / den``, from a ratio already in lowest terms with ``den > 0``."""
-    q = object.__new__(Fraction)
-    _SET_NUMERATOR(q, num)
-    _SET_DENOMINATOR(q, den)
-    return q
-
-
-def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buyer: str, quantity: Fraction) -> Trade:
-    """A :class:`Trade` on a block's :func:`_terms`, built without ``Trade.__init__``, for a block that fails
-    :data:`as_trade`'s check: it raises what ``Trade`` would, in its order: a non-positive quantity, then the
-    block's price error."""
-    venue, sell, buy, error = terms
-    if quantity.numerator <= 0:
-        raise DomainError("trade quantity must be > 0")
-    if error:
-        raise DomainError(error)
-    return _new(venue, sell, buy, seller, buyer, quantity)
-
-
 class _AsTrade:
     """The terms that present each block's trades as a list of :class:`Trade`, their prices exact.
 
-    A block whose prices pass, whose numbers are ints and whose smallest trade is > 0 is checked once,
-    and each of its quantities is built already in lowest terms, with no normalising ``Fraction`` per
-    trade. Any other block builds each trade by :func:`_trade`, so its first failing trade raises what
-    ``Trade`` raises.
+    A ``cross`` block whose prices pass, whose numbers are ints and whose smallest trade is > 0 is
+    checked once, and each of its quantities is built already in lowest terms through ``Fraction``'s
+    slots, with no normalising ``Fraction`` per trade. Any other block, and each row of a ``split``
+    block, builds its trade by :func:`_trade`, so its first failing trade raises what ``Trade`` raises.
     """
 
     def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
@@ -274,14 +286,14 @@ class _AsTrade:
         # Only tests pass floats, since ``Positions`` presents through ``split``: a float quantity, over
         # ``den == 1``, is its own ratio, and Fraction(float, 1) raises.
         if (error is not None or den <= 0 or min(seller_nums, default=0) <= 0 or min(buyer_nums, default=0) <= 0
-                or {type(den), *map(type, seller_nums), *map(type, buyer_nums)} != {int}):
+                or {type(den), *map(type, seller_nums), *map(type, buyer_nums)} != {int} or _SET_NUMERATOR is None):
             # Each trade is checked, and the first that fails raises what ``Trade`` raises.
             return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
                     for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
         # The block is checked once: its numbers are ints > 0, so every product is. Each buyer's ``b / den``
         # is put in lowest terms ``b1 / d_b`` once, so ``a * b1`` and ``d_b`` share only
         # ``gcd(a, d_b) == gcd(gcd(a, den), d_b)``, which is 1 whenever the seller's ``gcd(a, den)`` is.
-        # :func:`_ratio` and :func:`_new` are written out here: two calls per pair cost about a tenth.
+        # :func:`_ratio` and :func:`_trade`'s setters are written out here: two calls per pair cost about a tenth.
         columns = [(buyer, b // g, den // g) for buyer, b in zip(buyers, buyer_nums) for g in (gcd(b, den),)]
         trades = []
         for seller, a in zip(sellers, seller_nums):
@@ -304,15 +316,9 @@ class _AsTrade:
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> list[Trade]:
         on_sold, on_bought = _terms(sold), _terms(bought)
-        if on_sold[3] is not None or on_bought[3] is not None or not all(nets):
-            return [_trade(on_sold, pid, buyer, Fraction(net)) if net > 0
-                    else _trade(on_bought, seller, pid, Fraction(-net)) for pid, net in zip(ids, nets)]
-        # Both blocks are checked once and every net is nonzero, so every quantity is > 0; a float's
-        # integer ratio is already in lowest terms.
-        (s_venue, s_sell, s_buy, _), (b_venue, b_sell, b_buy, _) = on_sold, on_bought
-        return [_new(s_venue, s_sell, s_buy, pid, buyer, _ratio(*net.as_integer_ratio())) if net > 0
-                else _new(b_venue, b_sell, b_buy, seller, pid, _ratio(*(-net).as_integer_ratio()))
-                for pid, net in zip(ids, nets)]
+        # A float's integer ratio is already in lowest terms.
+        return [_trade(on_sold, pid, buyer, _ratio(*net.as_integer_ratio())) if net > 0
+                else _trade(on_bought, seller, pid, _ratio(*(-net).as_integer_ratio())) for pid, net in zip(ids, nets)]
 
 
 as_trade = _AsTrade()

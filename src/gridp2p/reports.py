@@ -82,13 +82,10 @@ class _Lines:
     lines: one per seller of a ``cross`` block, so a pool's pairs are never
     held all at once, and one for a ``split`` block.
 
-    It refuses a block whose smallest trade, a tie going to the least id,
-    prints as ``0.000000``, which the audit rejects: a ``cross`` block before
-    it is formatted, from its smallest pair; a ``split`` block after, and only
-    when its text holds ``,0.000000,``, as each line of a zero quantity does.
-    Printing is monotone, and a float prints so exactly when it is at
-    most ``5e-7``, the float just below 5e-7: the next float up prints
-    ``0.000001``.
+    Before it formats a block, it refuses one whose smallest trade, a tie
+    going to the least id, prints as ``0.000000``, which the audit rejects.
+    Printing is monotone, and a float prints so exactly when it is at most
+    ``5e-7``, the float just below 5e-7: the next float up prints ``0.000001``.
     """
 
     def __init__(self, slot: int, ids: dict[str, str]) -> None:
@@ -120,18 +117,13 @@ class _Lines:
 
     def split(self, sold: Block, buyer: str, bought: Block, seller: str, ids: Sequence[str],
               nets: Sequence[float]) -> tuple[str]:
+        if min(map(abs, nets)) <= 5e-7:
+            self._refuse(*min(zip(map(abs, nets), ids)))
         (s_head, s_tail), (b_head, b_tail) = self._ends(sold), self._ends(bought)
         quoted = self.ids
         to, source = quoted[buyer], quoted[seller]
-        text = "".join([f"{s_head}{quoted[pid]},{to},{net:.6f}{s_tail}" if net > 0
-                        else f"{b_head}{source},{quoted[pid]},{-net:.6f}{b_tail}" for pid, net in zip(ids, nets)])
-        # A line that prints a zero quantity holds this, as can one with a zero price or a quoted id, so a hit
-        # only sends the block to the exact test.
-        if ",0.000000," in text:
-            qty, pid = min(zip(map(abs, nets), ids))
-            if qty <= 5e-7:
-                self._refuse(qty, pid)
-        return (text,)
+        return ("".join([f"{s_head}{quoted[pid]},{to},{net:.6f}{s_tail}" if net > 0
+                         else f"{b_head}{source},{quoted[pid]},{-net:.6f}{b_tail}" for pid, net in zip(ids, nets)]),)
 
 
 def _trade_lines(report: SimulationReport) -> Iterator[str]:

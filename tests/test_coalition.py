@@ -19,6 +19,7 @@ from fixtures import (
     uniform_auction_scenario,
     with_third_party_price,
 )
+from gridp2p import coalition
 from gridp2p.auction import EMPTY_OUTCOME, AuctionOutcome, Fill, allocate, clear
 from gridp2p.coalition import (
     GRID_ID,
@@ -168,6 +169,10 @@ def _int_blocks(draw):
 @example(([6, 35], [10, 21], 210))  # each number shares a factor with ``den`` on both sides
 @example(([2**65 * 3], [2**64 * 5 + 5], 2**66 * 15))
 def test_as_trade_builds_each_pair_as_fraction_does(block):
+    _assert_cross_builds_each_pair_as_fraction_does(block)
+
+
+def _assert_cross_builds_each_pair_as_fraction_does(block):
     seller_nums, buyer_nums, den = block
     sell, buy = Fraction(10), Fraction(11)
     sellers, buyers = [f"s{i}" for i in seller_nums], [f"b{i}" for i in buyer_nums]
@@ -185,6 +190,10 @@ def test_as_trade_builds_each_pair_as_fraction_does(block):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), max_size=6))
 @example([5e-324, -1.7976931348623157e308, 0.1, -1 / 3])
 def test_as_trade_builds_each_row_as_fraction_does(nets):
+    _assert_split_builds_each_row_as_fraction_does(nets)
+
+
+def _assert_split_builds_each_row_as_fraction_does(nets):
     fit, third = Fraction(10), Fraction(21)
     ids = [f"p{i}" for i in range(len(nets))]
     trades = as_trade.split((Venue.GRID, fit, fit), GRID_ID, (Venue.THIRD_PARTY, third, third), THIRD_PARTY_ID,
@@ -197,6 +206,22 @@ def test_as_trade_builds_each_row_as_fraction_does(nets):
             quantity.numerator, quantity.denominator, hash(quantity), str(quantity))
         assert t == (Trade(pid, GRID_ID, quantity, fit, fit, Venue.GRID) if net > 0
                      else Trade(THIRD_PARTY_ID, pid, quantity, third, third, Venue.THIRD_PARTY))
+
+
+class _CachedHash(Fraction):
+    __slots__ = ("_hash",)
+
+
+@pytest.mark.parametrize("cls", [_CachedHash, int, SimpleNamespace])
+def test_a_class_without_exactly_fractions_two_slots_gets_no_slot_setters(cls):
+    assert coalition._slot_setters(cls) is None
+
+
+def test_without_fractions_slot_setters_each_quantity_is_built_by_fraction(monkeypatch):
+    # As on a Python whose ``Fraction`` keeps its value otherwise: the quantities come out the same, only slower.
+    monkeypatch.setattr(coalition, "_SET_NUMERATOR", None)
+    _assert_cross_builds_each_pair_as_fraction_does(([6, 35], [10, 21], 210))
+    _assert_split_builds_each_row_as_fraction_does([5e-324, -1.7976931348623157e308, 0.1, -1 / 3])
 
 
 # Price pairs: one shared object, equal values in two objects, and any two
