@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -210,6 +211,22 @@ class Scenario:
                 if isinstance(getattr(p, name), tuple):
                     _check_length(getattr(p, name), f"prosumers[{p.id}].{name}", self.slots)
         _check_length(self.grid.threshold, "grid.threshold", self.slots)
+
+    @cached_property
+    def demand(self) -> tuple[float, ...]:
+        """Each slot's total prosumer demand: the deficits' correctly rounded sum (``math.fsum``), so it
+        does not depend on the prosumers' order, and ``math.inf`` where that sum overflows a float.
+
+        Summed in one pass on first read and kept; it is not a field, so ``==``, ``hash``, ``repr`` and
+        the scenario file leave it out, and ``dataclasses.replace`` builds a scenario that sums its own.
+        """
+        demand = []
+        for nets in zip(*(p.net_energy for p in self.prosumers)):
+            try:
+                demand.append(math.fsum([-e for e in nets if e < 0]))
+            except OverflowError:
+                demand.append(math.inf)
+        return tuple(demand)
 
     def sellers_at(self, slot: int) -> list[ProsumerProfile]:
         return [p for p in self.prosumers if p.net_energy[slot] > 0]

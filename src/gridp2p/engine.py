@@ -221,7 +221,7 @@ def run_slot(scenario: Scenario, slot: int) -> SlotResult:
         raise DomainError(f"slot {slot} out of range")
     grid = scenario.grid
     market = scenario.market
-    signal = decide_slot_price(grid, scenario.prosumers, slot)
+    signal = decide_slot_price(scenario, slot)
     if not signal.peak_flag:
         return _baseline_slot(scenario, slot, MODE_P2P, signal)
 
@@ -320,7 +320,7 @@ def _run(scenario: Scenario, mode: str) -> SimulationReport:
         slots = tuple(run_slot(scenario, t) for t in range(scenario.slots))
     else:
         slots = tuple(
-            _baseline_slot(scenario, t, mode, decide_slot_price(scenario.grid, scenario.prosumers, t))
+            _baseline_slot(scenario, t, mode, decide_slot_price(scenario, t))
             for t in range(scenario.slots)
         )
     log.debug("mode=%s slots=%d peak=%d", mode, len(slots), sum(s.price_signal.peak_flag for s in slots))

@@ -9,16 +9,17 @@ price exceeds every prosumer's willingness to pay
 (``max_willingness_price``), so peak demand on the system collapses to zero
 and prosumers trade among themselves instead. A slot's :class:`PriceSignal`
 carries the demand it was priced on, so the system cost is booked on the same
-sum.
+sum. That sum is the scenario's own (``Scenario.demand``), made once per
+scenario, so every run of a scenario prices a slot on the same float; a slot
+whose demand overflows a float is refused when a run reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import ConfigurationError, DomainError, GridPolicy, ProsumerProfile
+from .core import ConfigurationError, DomainError, Scenario
 
 LN2 = math.log(2.0)
 
@@ -82,33 +83,24 @@ def min_b(a: float, alpha_max: float, e_d: float, e_t: float) -> float:
     return (alpha_max - 2.0 * a * LN2 * (e_d - e_t)) / LN2
 
 
-def total_prosumer_demand(prosumers: Sequence[ProsumerProfile], slot: int) -> float:
-    """Aggregate deficit of the buying prosumers at ``slot`` (perfect forecast).
-
-    The sum is correctly rounded (``math.fsum``), so it does not depend on the
-    prosumers' order; it raises ``OverflowError`` where it overflows a float.
-    """
-    return math.fsum([-p.net_energy[slot] for p in prosumers if p.net_energy[slot] < 0])
-
-
-def decide_slot_price(policy: GridPolicy, prosumers: Sequence[ProsumerProfile], slot: int) -> PriceSignal:
+def decide_slot_price(scenario: Scenario, slot: int) -> PriceSignal:
     """Announce the slot's prices: off-peak rate, or the punitive peak price.
 
-    The signal carries ``total_prosumer_demand`` at ``slot``, the demand it
+    The signal carries ``scenario.demand[slot]``, the total prosumer demand it
     was decided on. The peak branch triggers only on a strict threshold
     crossing. Before announcing a punitive price the configured ``b`` is
     checked against the ``min_b`` bound; a violation means the scenario's
     parameters cannot actually deter grid purchases, which is a
     configuration error. So is a demand or a price too large for a float.
     """
-    try:
-        e_d = total_prosumer_demand(prosumers, slot)
-    except OverflowError:
-        raise ConfigurationError(f"slot {slot}: total prosumer demand overflows a float") from None
+    e_d = scenario.demand[slot]
+    if math.isinf(e_d):
+        raise ConfigurationError(f"slot {slot}: total prosumer demand overflows a float")
+    policy = scenario.grid
     e_t = policy.threshold[slot]
     if e_d <= e_t:
         return PriceSignal(selling_price=policy.offpeak_price, peak_flag=False, demand=e_d)
-    alpha_max = max(p.alpha_at(slot) for p in prosumers)
+    alpha_max = max(p.alpha_at(slot) for p in scenario.prosumers)
     bound = min_b(policy.a, alpha_max, e_d, e_t)
     if policy.b <= bound:
         raise ConfigurationError(

@@ -19,7 +19,7 @@ from fixtures import (
 from gridp2p.auction import clear, verify_truthful_delivery
 from gridp2p.cli import EXIT_OK, main
 from gridp2p.coalition import GRID_ID, THIRD_PARTY_ID, check_dhp_stability
-from gridp2p.core import GridPolicy, ProsumerProfile, make_case_study_scenario
+from gridp2p.core import GridPolicy, MarketConfig, ProsumerProfile, Scenario, make_case_study_scenario
 from gridp2p.engine import (
     baseline_grid_only,
     baseline_third_party,
@@ -55,7 +55,7 @@ def test_criterion_02_price_multiplier():
     def one_slot(a, b, demand, threshold):
         policy = GridPolicy(a, b, (threshold,), 28.0, 10.0)
         buyer = ProsumerProfile("b1", 7.0, (-demand,), (12.0,), (12.0,))
-        return decide_slot_price(policy, (buyer,), 0)
+        return decide_slot_price(Scenario(1, (buyer,), policy, MarketConfig()), 0)
 
     signal = one_slot(68.6, 274.4, 10.0, 8.0)
     assert signal.peak_flag

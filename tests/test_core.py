@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -160,6 +161,61 @@ def test_per_slot_alpha_accepted():
     grid = GridPolicy(1.0, 1.0, (5.0, 5.0), 28.0, 10.0)
     s = Scenario(slots=2, prosumers=(p,), grid=grid, market=MarketConfig())
     assert load_scenario_text(emit_scenario(s)) == s
+
+
+def _nets_scenario(nets) -> Scenario:
+    """A scenario whose prosumer ``i`` holds the net energies ``nets[i]``."""
+    slots = len(nets[0])
+    grid = GridPolicy(1.0, 1.0, (0.0,) * slots, 28.0, 10.0)
+    prosumers = [ProsumerProfile(f"p{i}", 1.0, row, (11.0,) * slots, (11.0,) * slots) for i, row in enumerate(nets)]
+    return Scenario(slots, prosumers, grid, MarketConfig())
+
+
+def _reference_demand(scenario: Scenario) -> list[str]:
+    """Each slot's total demand, summed here from the scenario's nets, as ``float.hex``: ``math.fsum``
+    of ``-net`` over the prosumers with a deficit, and ``inf`` where that sum overflows."""
+    demand = []
+    for t in range(scenario.slots):
+        try:
+            demand.append(math.fsum([-p.net_energy[t] for p in scenario.prosumers if p.net_energy[t] < 0]).hex())
+        except OverflowError:
+            demand.append("inf")
+    return demand
+
+
+_NETS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, -0.1, -1e308, -5e-324])
+
+
+@given(st.integers(1, 4).flatmap(lambda slots: st.lists(st.lists(_NETS, min_size=slots, max_size=slots), min_size=1,
+                                                          max_size=6)))
+def test_each_slots_demand_is_the_correctly_rounded_sum_of_its_deficits(nets):
+    scenario = _nets_scenario(nets)
+    assert [d.hex() for d in scenario.demand] == _reference_demand(scenario)
+
+
+def test_a_slot_without_a_deficit_demands_zero_and_an_overflowing_one_inf():
+    scenario = _nets_scenario([[-0.0, 0.0, 2.5, -1e308, -0.1], [0.0, -0.0, -1.5, -1e308, -0.2],
+                               [0.0, 3.0, -0.25, 1.0, -0.3]])
+    # 0.1 + 0.2 + 0.3 adds up to 0.6000000000000001 left to right; the correctly rounded sum is 0.6.
+    assert [d.hex() for d in scenario.demand] == ["0x0.0p+0", "0x0.0p+0", (1.75).hex(), "inf", (0.6).hex()]
+    assert [d.hex() for d in scenario.demand] == _reference_demand(scenario)
+
+
+def test_summing_the_demand_changes_nothing_else_and_no_copy_reads_a_stale_one():
+    scenario, twin = make_case_study_scenario(3, slots=6), make_case_study_scenario(3, slots=6)
+    before = (hash(scenario), repr(scenario), scenario_to_dict(scenario), emit_scenario(scenario))
+    assert "demand" not in vars(scenario)
+    demand = scenario.demand
+    assert [d.hex() for d in demand] == _reference_demand(scenario) and scenario.demand is demand
+    assert scenario == twin and "demand" not in vars(twin)
+    assert (hash(scenario), repr(scenario), scenario_to_dict(scenario), emit_scenario(scenario)) == before
+    # A copy with other nets, made after the sum or loaded from a pickle, sums its own.
+    doubled = replace(scenario, prosumers=tuple(
+        replace(p, net_energy=tuple(2 * e for e in p.net_energy)) for p in scenario.prosumers))
+    assert doubled.demand == tuple(2 * d for d in demand)
+    for copy in (pickle.loads(pickle.dumps(scenario)), pickle.loads(pickle.dumps(doubled))):
+        assert [d.hex() for d in copy.demand] == _reference_demand(copy)
+    assert pickle.loads(pickle.dumps(twin)).demand == demand
 
 
 def test_grid_policy_validation():

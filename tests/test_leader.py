@@ -9,7 +9,9 @@ from gridp2p.core import (
     ConfigurationError,
     DomainError,
     GridPolicy,
+    MarketConfig,
     ProsumerProfile,
+    Scenario,
 )
 from gridp2p.leader import (
     cps_cost,
@@ -17,7 +19,6 @@ from gridp2p.leader import (
     max_willingness_price,
     min_b,
     peak_price,
-    total_prosumer_demand,
 )
 
 LN2 = math.log(2.0)
@@ -91,26 +92,30 @@ def _buyer(pid: str, deficit: float, alpha: float = 7.0) -> ProsumerProfile:
     return ProsumerProfile(pid, alpha, (-deficit,), (12.0,), (12.0,))
 
 
+def _one_slot(policy: GridPolicy, prosumers) -> Scenario:
+    return Scenario(1, prosumers, policy, MarketConfig())
+
+
 def test_decide_slot_price_offpeak():
-    signal = decide_slot_price(_one_slot_policy(8.0), (_buyer("p1", 5.0),), 0)
+    signal = decide_slot_price(_one_slot(_one_slot_policy(8.0), (_buyer("p1", 5.0),)), 0)
     assert signal.selling_price == 28.0
     assert not signal.peak_flag
 
 
 def test_decide_slot_price_boundary_is_offpeak():
-    signal = decide_slot_price(_one_slot_policy(5.0), (_buyer("p1", 5.0),), 0)
+    signal = decide_slot_price(_one_slot(_one_slot_policy(5.0), (_buyer("p1", 5.0),)), 0)
     assert not signal.peak_flag
 
 
 def test_decide_slot_price_peak():
-    signal = decide_slot_price(_one_slot_policy(8.0), (_buyer("p1", 10.0),), 0)
+    signal = decide_slot_price(_one_slot(_one_slot_policy(8.0), (_buyer("p1", 10.0),)), 0)
     assert signal.peak_flag
     assert signal.selling_price == pytest.approx(548.8, abs=1e-9)
 
 
 def test_decide_slot_price_second_parameterization():
     signal = decide_slot_price(
-        _one_slot_policy(8.0, a=18.9, b=274.4), (_buyer("p1", 10.0),), 0
+        _one_slot(_one_slot_policy(8.0, a=18.9, b=274.4), (_buyer("p1", 10.0),)), 0
     )
     assert signal.selling_price == pytest.approx(350.0, abs=1e-9)
     assert signal.selling_price == pytest.approx(12.5 * 28.0, abs=1e-9)
@@ -120,7 +125,7 @@ def test_decide_slot_price_rejects_weak_b():
     policy = GridPolicy(0.001, 1.0, (8.0,), 28.0, 10.0)
     prosumers = (_buyer("p1", 10.0, alpha=100.0),)
     with pytest.raises(ConfigurationError, match="slot 0"):
-        decide_slot_price(policy, prosumers, 0)
+        decide_slot_price(_one_slot(policy, prosumers), 0)
 
 
 def test_max_willingness_price_examples():
@@ -140,7 +145,7 @@ def test_purchase_zero_above_willingness(alpha, margin, energy):
 def test_peak_price_exceeds_every_willingness_when_bound_holds():
     prosumers = tuple(_buyer(f"p{i}", 3.0, alpha=4.0 + i) for i in range(5))
     policy = _one_slot_policy(10.0)
-    signal = decide_slot_price(policy, prosumers, 0)
+    signal = decide_slot_price(_one_slot(policy, prosumers), 0)
     assert signal.peak_flag
     for p in prosumers:
         assert signal.selling_price > max_willingness_price(p.alpha_at(0))
@@ -152,7 +157,7 @@ def test_case_study_signals_never_undercut_offpeak():
     for seed in range(20):
         scenario = make_case_study_scenario(seed, slots=6)
         for t in range(scenario.slots):
-            signal = decide_slot_price(scenario.grid, scenario.prosumers, t)
+            signal = decide_slot_price(scenario, t)
             assert signal.selling_price >= scenario.grid.offpeak_price
             if not signal.peak_flag:
                 assert signal.selling_price == scenario.grid.offpeak_price
@@ -164,7 +169,7 @@ def test_total_prosumer_demand_counts_only_deficits():
         _buyer("b1", 3.0),
         _buyer("b2", 2.5),
     )
-    assert total_prosumer_demand(prosumers, 0) == pytest.approx(5.5)
+    assert _one_slot(_one_slot_policy(8.0), prosumers).demand[0] == pytest.approx(5.5)
 
 
 @pytest.mark.parametrize("call, message", [
