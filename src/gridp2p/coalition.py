@@ -274,21 +274,20 @@ def _trade(terms: tuple[Venue, Fraction, Fraction, str | None], seller: str, buy
 class _AsTrade:
     """The terms that present each block's trades as a list of :class:`Trade`, their prices exact.
 
-    A ``cross`` block whose prices pass, whose numbers are ints and whose smallest trade is > 0 is
-    checked once, and each of its quantities is built already in lowest terms through ``Fraction``'s
-    slots, with no normalising ``Fraction`` per trade. Any other block, and each row of a ``split``
-    block, builds its trade by :func:`_trade`, so its first failing trade raises what ``Trade`` raises.
+    A ``cross`` block, ints as :class:`Terms` presents them, whose prices pass, whose ``den`` is > 0
+    and whose smallest trade is > 0 is checked once, and each of its quantities is built already in
+    lowest terms through ``Fraction``'s slots, with no normalising ``Fraction`` per trade. Any other
+    block, and each row of a ``split`` block, builds its trade by :func:`_trade`, so its first failing
+    trade raises what ``Trade`` raises.
     """
 
-    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int | float], buyers: Sequence[str],
-              buyer_nums: Sequence[int | float], den: int) -> list[Trade]:
+    def cross(self, block: Block, sellers: Sequence[str], seller_nums: Sequence[int], buyers: Sequence[str],
+              buyer_nums: Sequence[int], den: int) -> list[Trade]:
         terms = venue, sell, buy, error = _terms(block)
-        # Only tests pass floats, since ``Positions`` presents through ``split``: a float quantity, over
-        # ``den == 1``, is its own ratio, and Fraction(float, 1) raises.
         if (error is not None or den <= 0 or min(seller_nums, default=0) <= 0 or min(buyer_nums, default=0) <= 0
-                or {type(den), *map(type, seller_nums), *map(type, buyer_nums)} != {int} or _SET_NUMERATOR is None):
+                or _SET_NUMERATOR is None):
             # Each trade is checked, and the first that fails raises what ``Trade`` raises.
-            return [_trade(terms, seller, buyer, Fraction(a * b) if den == 1 else Fraction(a * b, den))
+            return [_trade(terms, seller, buyer, Fraction(a * b, den))
                     for seller, a in zip(sellers, seller_nums) for buyer, b in zip(buyers, buyer_nums)]
         # The block is checked once: its numbers are ints > 0, so every product is. Each buyer's ``b / den``
         # is put in lowest terms ``b1 / d_b`` once, so ``a * b1`` and ``d_b`` share only

@@ -2,9 +2,10 @@
 
 Each expected problem list here is what the audit gave while every file was
 still read by ``csv.reader`` line by line, so these pin the reader's line
-numbers, its ``csv.Error`` messages and its decode errors; the one exception
-is a header with a field over the size limit, on which that audit raised
-``RuntimeError``. The property test
+numbers, its ``csv.Error`` messages and its decode errors. There are two
+exceptions: a header with a field over the size limit, on which that audit
+raised ``RuntimeError``, and an invalid byte in a per-slot file, for which it
+listed the decode error alone. The property test
 at the end compares the audit of each edited file with its audit after the
 file is rewritten with every field quoted.
 """
@@ -192,6 +193,28 @@ def test_an_invalid_byte_keeps_the_problems_of_the_rows_decoded_before_it(tmp_pa
     fill(kib * 1024 + 100)
     path.write_bytes("".join(lines).encode("utf-8") + b"\xff\n")
     assert audit_run(tmp_path) == [f"summary.csv line {malformed}: expected 3 fields, got 1", _decode_error(path)]
+
+
+@pytest.mark.parametrize("name", ["prices.csv", "cps_cost.csv", "coalitions.csv", "trades.csv"])
+def test_an_invalid_byte_in_a_per_slot_file_keeps_the_problems_found_before_it(tmp_path, name):
+    # As in summary.csv: a malformed row before the 8 KiB block that holds the
+    # bad byte is listed, then the decode error. The rows around it read
+    # clean: trades.csv's last row again, or another file's at a new slot.
+    path = _p2p_run(tmp_path).parent / name
+    lines = _lines(path)
+    last = lines[-1]
+
+    def fill(size):
+        while len("".join(lines)) < size:
+            lines.append(last if name == "trades.csv" else f"{len(lines)},{last.split(',', 1)[1]}")
+
+    fill(8 * 1024 - 100)
+    malformed = len(lines) + 1
+    lines.append("x\n")
+    fill(8 * 1024 + 100)
+    path.write_bytes("".join(lines).encode("utf-8") + b"\xff\n")
+    width = lines[0].count(",") + 1
+    assert audit_run(tmp_path) == [f"{name} line {malformed}: expected {width} fields, got 1", _decode_error(path)]
 
 
 def test_a_nul_byte_reads_as_csv_reads_it(tmp_path):

@@ -135,7 +135,7 @@ def test_as_trade_split_builds_each_row_by_its_sign_and_raises_in_row_order():
 
 
 @pytest.mark.parametrize("venue", list(Venue))
-@pytest.mark.parametrize("num, den", [(0, 1), (-1, 3), (0.0, 1), (-0.5, 1)])
+@pytest.mark.parametrize("num, den", [(0, 1), (-1, 3), (0, 4), (-1, 2)])
 def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
     price = Fraction(12)
     before = _one(venue, price, price, 1, 3)
@@ -143,7 +143,7 @@ def test_as_trade_nonpositive_quantity_mid_block_raises(venue, num, den):
         _one(venue, price, price, num, den)
     with pytest.raises(DomainError, match="quantity"):
         as_trade.cross((venue, price, price), ["s"], [1], ["b", "b", "b"], [1, num, 2], den)
-    after = _one(venue, price, price, 2.5, 1)
+    after = _one(venue, price, price, 5, 2)
     assert before == Trade("s", "b", Fraction(1, 3), price, price, venue)
     assert after == Trade("s", "b", Fraction(5, 2), price, price, venue)
     assert hash(after) == hash(Trade("s", "b", Fraction(5, 2), price, price, venue))
@@ -232,13 +232,13 @@ _PRICE_PAIRS = st.one_of(
     _PRICES.map(lambda p: (p, p + 0)),
     st.tuples(_PRICES, _PRICES),
 )
-_QUANTITIES = st.one_of(st.tuples(st.integers(-5, 5), st.integers(1, 7)), st.tuples(st.floats(-5, 5), st.just(1)))
+_QUANTITIES = st.tuples(st.integers(-5, 5), st.integers(1, 7))
 
 
 @given(st.sampled_from(list(Venue)), _PRICE_PAIRS, _QUANTITIES)
 @example(Venue.MID_MARKET, (Fraction(12), Fraction(11)), (1, 3))
 @example(Venue.MID_MARKET, (Fraction(12), Fraction(11)), (0, 1))
-@example(Venue.AUCTION, (12.0, 12.5), (-0.5, 1))
+@example(Venue.AUCTION, (12.0, 12.5), (-1, 2))
 @example(Venue.GRID, (12.0, 11.5), (1, 3))
 def test_as_trade_raises_iff_trade_does_with_the_same_message(venue, prices, quantity):
     seller_price, buyer_price = prices

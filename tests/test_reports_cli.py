@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -261,8 +262,8 @@ def test_audit_rejects_an_unknown_venue(tmp_path):
 
 
 def test_audit_rejects_an_unknown_venue_whose_prices_repeat_in_each_slot(tmp_path):
-    # Every grid row renamed: its blocks, at the same prices in every slot,
-    # are not carried from one slot to the next as the grid's are.
+    # Every grid row renamed: its blocks repeat the same prices in every slot,
+    # and each block's first row in a slot takes the full check, so each slot is reported.
     trades, _ = _p2p_run(tmp_path)
     _write_lines(tmp_path / "trades.csv", [line.replace(",grid,", ",bogus,") for line in trades])
     assert audit_run(tmp_path) == [f"slot {slot}: unknown venue 'bogus'" for slot in (0, 1, 3, 4, 5)]
@@ -425,8 +426,8 @@ def test_audit_flags_a_bad_quantity_in_each_blocks_last_row(tmp_path, qty):
         (lambda trades: "2" + trades[-5][1:],
          ["slot 2: mid_market trade party p11 not in the mid_market coalition",
           "slot 2: mid_market trades at more than one price"]),
-        # The same row moved to off-peak slot 4, which has no coalitions: a
-        # peer block is never carried from one slot to another.
+        # The same row moved to off-peak slot 4, which has no coalitions: no
+        # block is carried from one slot to another.
         (lambda trades: "4" + trades[-5][1:],
          ["slot 4: mid_market trade party p08 not in the mid_market coalition",
           "slot 4: mid_market trade party p11 not in the mid_market coalition"]),
@@ -455,8 +456,8 @@ def _second_price_in_slot_4(trades, prices):
 
 
 # Slots 0 and 1 leave the grid's sales at 28 and its purchases at 10 clean
-# blocks, whose first row in a later slot takes only the checks that depend
-# on that slot; each case fails one of them.
+# blocks. A row of the same text in a later slot is the first of its block
+# there, so it takes the full check; each case fails a check that depends on that slot.
 @pytest.mark.parametrize("edit, problems", [
     (_missing_slot_4, ["prices.csv line 6: peak_flag 'yes' is not true or false",
                        "cps_cost.csv and prices.csv cover different slots",
@@ -469,6 +470,123 @@ def test_audit_checks_a_block_clean_in_an_earlier_slot_against_its_new_slot(tmp_
     _write_lines(tmp_path / "trades.csv", trades)
     _write_lines(tmp_path / "prices.csv", prices)
     assert audit_run(tmp_path) == problems
+
+
+def test_a_missing_file_keeps_the_problems_found_before_it(tmp_path):
+    # The slot coverage problem of the two files read before it, then the error of the missing one.
+    _, prices = _p2p_run(tmp_path)
+    _write_lines(tmp_path / "prices.csv", [*prices, "6,28.000000,false"])
+    (tmp_path / "coalitions.csv").unlink()
+    with pytest.raises(OSError) as missing:
+        (tmp_path / "coalitions.csv").open()
+    assert audit_run(tmp_path) == ["cps_cost.csv and prices.csv cover different slots", str(missing.value)]
+
+
+def _audit_in_full(run: Path) -> list[str]:
+    """What ``audit_run`` reports for ``run``, whose only file that may be faulty is trades.csv, found by
+    checking every trades.csv row in full: no row is passed as a repeat of a clean block's text. A row
+    is malformed by the audit's own ``_row_problem``; every other check is written out here."""
+    peak = {slot: flag == "true" for slot, _, flag in _read(run / "prices.csv")[1:]}
+    membership: dict[str, dict[str, str]] = {}
+    for slot, coalition, member in _read(run / "coalitions.csv")[1:]:
+        membership.setdefault(slot, {})[member] = coalition
+    header, *rows = _read(run / "trades.csv")
+    assert header == reports.TRADES_HEADER
+    malformed, found, noted, price_of, traded = [], [], set(), {}, set()
+
+    def note(problem):
+        if problem not in noted:
+            noted.add(problem)
+            found.append(problem)
+
+    for line, row in enumerate(rows, 2):
+        if len(row) == 7:
+            traded.add(row[0])
+        if (problem := reports._row_problem(row, reports.TRADES_HEADER, [4, 5, 6])) is not None:
+            malformed.append(f"trades.csv line {line}: {problem}")
+            continue
+        slot, venue, seller, buyer, qty, sell_text, buy_text = row
+        sell, buy = float(sell_text), float(buy_text)
+        if float(qty) <= 0:
+            found.append(f"slot {slot}: non-positive trade quantity {qty}")
+        if seller == buyer:
+            found.append(f"slot {slot}: {venue} trade from {seller} to itself")
+        if buy < sell:
+            found.append(f"slot {slot}: buyer price {buy} below seller price {sell}")
+        if venue != "mid_market" and buy != sell:
+            found.append(f"slot {slot}: {venue} trade with a price spread")
+        if venue == "grid" and seller == GRID_ID and peak.get(slot) and membership.get(slot):
+            found.append(f"slot {slot}: grid sale to {buyer} during a peak slot")
+        if venue in ("auction", "mid_market"):
+            for pid in (seller, buyer):
+                if membership.get(slot, {}).get(pid) != venue:
+                    found.append(f"slot {slot}: {venue} trade party {pid} not in the {venue} coalition")
+        group = (slot, venue, seller == GRID_ID)
+        if group not in price_of:
+            price_of[group] = (sell_text, buy_text)
+            if venue not in ("auction", "mid_market", "grid", "third_party"):
+                note(f"slot {slot}: unknown venue {venue!r}")
+            if slot not in peak:
+                note(f"slot {slot}: trades in a slot missing from prices.csv")
+        elif price_of[group] != (sell_text, buy_text):
+            note(f"slot {slot}: {venue} trades at more than one price")
+    return malformed + found + [f"slot {slot}: a peak slot without trades" for slot in membership if slot not in traded]
+
+
+@functools.cache
+def _p2p_files() -> dict[str, str]:
+    """The text of each file of ``_p2p_run``'s run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _p2p_run(Path(tmp))
+        return {path.name: path.read_text() for path in Path(tmp).iterdir()}
+
+
+# The values one cell edit sets: slots (0 a quantity too, and 6 missing from prices.csv), venues, the
+# grid, third-party and member ids, bad quantities and the run's prices.
+_EDIT_VALUES = (*"0123456", "auction", "mid_market", "grid", "third_party", "bogus", *(f"p{i:02}" for i in range(1, 13)),
+                "-1", "abc", "inf", "10.000000", "21.000000", "28.000000", "12.187500", "13.000000", "11.093750",
+                "12.203125")
+# One trades.csv edit: ("cell", data row, column, value), or ("copy", data row, slot, k): the row,
+# set to that slot, inserted before the slot's k-th row (modulo its rows and the place after them).
+_TRADES_EDITS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(1, 114), st.integers(0, 6), st.sampled_from(_EDIT_VALUES)),
+    st.tuples(st.just("copy"), st.integers(1, 114), st.integers(0, 5), st.integers(0, 40)),
+)
+
+
+def _edited(trades: list[str], edit: tuple) -> list[str]:
+    kind, i, where, value = edit
+    row = trades[i].split(",")
+    if kind == "cell":
+        row[where] = value
+        return [*trades[:i], ",".join(row), *trades[i + 1:]]
+    places = [j for j, line in enumerate(trades) if line.split(",")[0] == str(where)]
+    places.append(places[-1] + 1)
+    at = places[value % len(places)]
+    return [*trades[:at], ",".join([str(where), *row[1:]]), *trades[at:]]
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_TRADES_EDITS)
+# An off-peak grid sale (row 1) and grid purchase (row 3), copied into peak slot 2 and into off-peak slot 4.
+@example(("copy", 1, 2, 0))
+@example(("copy", 3, 2, 0))
+@example(("copy", 1, 4, 1))
+@example(("copy", 3, 4, 0))
+@example(("copy", 3, 4, 12))
+# A self-trade in a row after its block's first: a grid sale, and a mid-market pair inside its coalition.
+@example(("cell", 2, 3, "grid"))
+@example(("cell", 32, 3, "p06"))
+def test_one_trades_edit_audits_as_checking_every_row_in_full(edit):
+    files = _p2p_files()
+    trades = files["trades.csv"].splitlines()
+    assert len(trades) == 115
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        _write_lines(out / "trades.csv", _edited(trades, edit))
+        assert audit_run(out) == _audit_in_full(out)
 
 
 def _audit_peak_over_file_size(tmp_path, **sizes) -> tuple[int, int]:
@@ -691,6 +809,21 @@ def test_audit_reports_a_summary_with_a_wrong_header(tmp_path):
     assert audit_run(tmp_path) == [
         "summary.csv: expected header ['metric', 'scope', 'value'], got ['metric', 'value']"
     ]
+
+
+def test_audit_reports_a_summary_it_cannot_open_after_the_problems_before_it(tmp_path, capsys):
+    _compare_run(tmp_path)
+    cps = tmp_path / "cps_cost.csv"
+    lines = [*cps.read_text().splitlines(), "3,1.000000"]
+    _write_lines(cps, lines)
+    (tmp_path / "summary.csv").unlink()
+    (tmp_path / "summary.csv").mkdir()
+    with pytest.raises(OSError) as unreadable:
+        (tmp_path / "summary.csv").open()
+    problems = [f"cps_cost.csv line {len(lines)}: slot '3' repeats line 5", str(unreadable.value)]
+    assert audit_run(tmp_path) == problems
+    assert main(["audit", "--dir", str(tmp_path)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "".join(f"audit: {p}\n" for p in problems)
 
 
 def test_audit_allows_an_empty_summary_value_only_as_a_missing_mean(tmp_path):
